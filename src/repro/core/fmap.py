@@ -93,12 +93,9 @@ class FmapManager:
                 # Permission upgrade: re-attach with the R/W bit set at
                 # the private intermediate entries.
                 pt = proc.aspace.page_table
-                table = inode.file_table
-                for idx in sorted(existing.attached):
-                    va = existing.base_va + idx * PMD_SPAN
-                    pt.detach_subtree(va, subtree_level=1)
-                    pt.attach_subtree(va, table.leaves[idx],
-                                      writable=True)
+                pt.detach_leaves(existing.base_va, existing.attached)
+                pt.attach_leaves(existing.base_va, inode.file_table.leaves,
+                                 existing.attached, writable=True)
                 self.iommu.invalidate_range(
                     proc.pasid, existing.base_va,
                     existing.region_leaves * PMD_SPAN)
@@ -126,12 +123,10 @@ class FmapManager:
         attachment = Attachment(
             proc=proc, base_va=base_va, region_leaves=region_leaves,
             writable=fdesc.writable)
-        for idx, leaf in enumerate(table.leaves):
-            if leaf is None:
-                continue
-            proc.aspace.page_table.attach_subtree(
-                base_va + idx * PMD_SPAN, leaf, writable=fdesc.writable)
-            attachment.attached.add(idx)
+        indices = table.leaf_indices()
+        proc.aspace.page_table.attach_leaves(
+            base_va, table.leaves, indices, writable=fdesc.writable)
+        attachment.attached.update(indices)
         yield from thread.compute(
             max(1, len(attachment.attached)) * self.params.pmd_attach_ns)
 
@@ -173,10 +168,8 @@ class FmapManager:
             self._attachments.pop(inode.ino, None)
 
     def _detach(self, inode: Inode, attachment: Attachment) -> None:
-        pt = attachment.proc.aspace.page_table
-        for idx in sorted(attachment.attached):
-            pt.detach_subtree(attachment.base_va + idx * PMD_SPAN,
-                              subtree_level=1)
+        attachment.proc.aspace.page_table.detach_leaves(
+            attachment.base_va, attachment.attached)
         attachment.attached.clear()
         self.iommu.invalidate_range(
             attachment.proc.pasid, attachment.base_va,
@@ -223,12 +216,10 @@ class FmapManager:
             if max(new_leaf_indices) >= attachment.region_leaves:
                 doomed.append(attachment)
                 continue
-            pt = attachment.proc.aspace.page_table
-            for idx in new_leaf_indices:
-                pt.attach_subtree(
-                    attachment.base_va + idx * PMD_SPAN,
-                    table.leaves[idx], writable=attachment.writable)
-                attachment.attached.add(idx)
+            attachment.proc.aspace.page_table.attach_leaves(
+                attachment.base_va, table.leaves, new_leaf_indices,
+                writable=attachment.writable)
+            attachment.attached.update(new_leaf_indices)
         for attachment in doomed:
             # The VA region cannot hold the grown file: revoke just this
             # process; its UserLib will re-fmap into a larger region.
@@ -246,12 +237,10 @@ class FmapManager:
         dead = table.truncate_pages(keep_pages)
         attachments = self._attachments.get(inode.ino, {})
         for attachment in attachments.values():
-            pt = attachment.proc.aspace.page_table
-            for idx in dead:
-                if idx in attachment.attached:
-                    pt.detach_subtree(attachment.base_va + idx * PMD_SPAN,
-                                      subtree_level=1)
-                    attachment.attached.discard(idx)
+            gone = attachment.attached.intersection(dead)
+            attachment.proc.aspace.page_table.detach_leaves(
+                attachment.base_va, gone)
+            attachment.attached -= gone
             self.iommu.invalidate_range(
                 attachment.proc.pasid,
                 attachment.base_va + keep_pages * PAGE,

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.filetable import PAGES_PER_LEAF, FileTable, build_file_table
-from repro.hw.pagetable import fte_devid, fte_lba, pte_present, pte_writable
+from repro.hw.pagetable import (
+    fte_devid,
+    fte_encode,
+    fte_lba,
+    pte_present,
+    pte_writable,
+)
 from repro.hw.params import DEFAULT_PARAMS
 
 
@@ -188,3 +194,96 @@ class TestDensityInvariant:
             phys += count + 3
         assert dict(entries(t)) == model
         assert t.entry_count() == len(model)
+
+
+class TestInputChecks:
+    """A bad run raises before the table changes."""
+
+    @pytest.mark.parametrize("devid, logical, device_page, count", [
+        (64, 3 * PAGES_PER_LEAF, 10, 5),                 # DevID > 63
+        (1, 3 * PAGES_PER_LEAF, (1 << 40) - 2, 5),       # LBA overflows
+        (1, 3 * PAGES_PER_LEAF, -1, 5),                  # negative LBA
+    ])
+    def test_error_leaves_table_unchanged(self, devid, logical,
+                                          device_page, count):
+        t = build_file_table([(0, 100, PAGES_PER_LEAF + 3)], devid=1,
+                             params=DEFAULT_PARAMS)
+        t.devid = devid
+        before = (list(t.leaves), t.pages, t.build_cost_ns, entries(t))
+        with pytest.raises(ValueError):
+            t.set_range(logical, device_page, count, DEFAULT_PARAMS)
+        assert (list(t.leaves), t.pages, t.build_cost_ns,
+                entries(t)) == before
+        assert t.span_bytes == 2 * PAGES_PER_LEAF * 4096
+
+    def test_overflow_mid_run_writes_nothing(self):
+        """A run whose last page passes 2^40 would once be half written."""
+        t = FileTable(devid=1)
+        t.set_range(0, 7, 4, DEFAULT_PARAMS)
+        before = entries(t)
+        with pytest.raises(ValueError):
+            t.set_range(2, (1 << 40) - 3, 8, DEFAULT_PARAMS)
+        assert entries(t) == before
+        assert t.pages == 4
+
+
+def _oracle_set_range(leaves, logical, device_page, count, devid):
+    """Per-page reference: one ``fte_encode`` per FTE."""
+    new = []
+    for i in range(count):
+        leaf_idx, slot = divmod(logical + i, PAGES_PER_LEAF)
+        while len(leaves) <= leaf_idx:
+            leaves.append(None)
+        if leaves[leaf_idx] is None:
+            leaves[leaf_idx] = [0] * PAGES_PER_LEAF
+            new.append(leaf_idx)
+        leaves[leaf_idx][slot] = fte_encode(device_page + i, devid)
+    return new
+
+
+class TestBulkFillMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(
+               st.tuples(
+                   # logical start: leaf index and offset within the leaf
+                   st.integers(0, 5), st.integers(0, PAGES_PER_LEAF - 1),
+                   st.integers(0, (1 << 40) - 4 * PAGES_PER_LEAF),
+                   st.integers(1, 3 * PAGES_PER_LEAF)),
+               min_size=1, max_size=8),
+           keep=st.integers(0, 9 * PAGES_PER_LEAF),
+           devid=st.integers(0, 63))
+    def test_runs_then_truncate(self, runs, keep, devid):
+        """Runs that start mid-leaf, cross leaf boundaries, overwrite
+        existing leaves and leave holes give exactly the per-page
+        entries, new-leaf indices and cost; so does a later truncate."""
+        t = FileTable(devid=devid)
+        oracle = []
+        cost = 0
+        for leaf, offset, device_page, count in runs:
+            logical = leaf * PAGES_PER_LEAF + offset
+            new, run_cost = t.set_range(logical, device_page, count,
+                                        DEFAULT_PARAMS)
+            assert new == _oracle_set_range(oracle, logical, device_page,
+                                            count, devid)
+            assert run_cost == count * DEFAULT_PARAMS.fte_write_ns
+            cost += run_cost
+            assert [None if leaf is None else leaf.entries
+                    for leaf in t.leaves] == oracle
+        assert t.build_cost_ns == cost
+
+        pages = t.pages
+        dead = t.truncate_pages(keep)
+        if keep >= pages:
+            assert dead == []
+            return
+        first_dead = -(-keep // PAGES_PER_LEAF)
+        assert dead == [idx for idx in range(first_dead, len(oracle))
+                        if oracle[idx] is not None]
+        del oracle[first_dead:]
+        for page in range(keep, first_dead * PAGES_PER_LEAF):
+            leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
+            if oracle[leaf_idx] is not None:
+                oracle[leaf_idx][slot] = 0
+        assert [None if leaf is None else leaf.entries
+                for leaf in t.leaves] == oracle
+        assert t.pages == keep

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import GiB, Machine
-from repro.hw.pagetable import PMD_SPAN
+from repro.bench import table5_fmap_overheads
+from repro.hw.pagetable import LEVEL_PT, PAGE_SIZE, PMD_SPAN, PUD_SPAN, fte_lba
+from repro.hw.params import KiB, MiB
 from repro.kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR
 
 
@@ -222,3 +224,60 @@ def test_fmap_memory_accounting(m):
     # 2 MiB of file per 4 KiB leaf: 0.2% overhead (Section 6.3).
     assert m.bypassd.file_table_bytes() == 2 * 4096
     assert m.bypassd.attachment_count() == 1
+
+
+def test_warm_fmap_of_file_over_one_gib():
+    """A second process's warm fmap of a file that crosses a 1 GiB PUD
+    boundary: pages either side of it, and at both ends, reach their
+    own LBA with that process's R/W bit; close unlinks them all."""
+    m = Machine(capacity_bytes=4 * GiB, memory_bytes=256 << 20,
+                capture_data=False)
+    size = 1 * GiB + 2 * PMD_SPAN
+    p1, p2 = m.spawn_process(), m.spawn_process()
+    t1, t2 = p1.new_thread(), p2.new_thread()
+    fd1, vba1 = open_and_fmap(m, p1, t1, "/big", size=size)
+    fd2, vba2 = open_and_fmap(m, p2, t2, "/big",
+                              flags=O_RDONLY | O_DIRECT, size=0)
+    assert (m.bypassd.cold_fmaps, m.bypassd.warm_fmaps) == (1, 1)
+    assert vba2 % PUD_SPAN == 0
+
+    inode = m.fs.lookup("/big")
+    lba = {}
+    for logical, phys, count in inode.extents.mappings():
+        for i in range(count):
+            lba[logical + i] = phys + i
+    last = size // PAGE_SIZE - 1
+    boundary = PUD_SPAN // PAGE_SIZE
+    probes = (0, boundary - 1, boundary, last)
+    for proc, vba, writable in ((p1, vba1, True), (p2, vba2, False)):
+        for page in probes:
+            walk = proc.aspace.page_table.walk(vba + page * PAGE_SIZE)
+            assert walk.is_fte, page
+            assert fte_lba(walk.entry) == lba[page]
+            assert walk.effective_writable == writable
+
+    def close_both():
+        yield from m.kernel.sys_close(p1, t1, fd1)
+        yield from m.kernel.sys_close(p2, t2, fd2)
+
+    m.run_process(close_both())
+    assert m.bypassd.attachment_count() == 0
+    for proc, vba in ((p1, vba1), (p2, vba2)):
+        for page in probes:
+            assert not proc.aspace.page_table.walk(
+                vba + page * PAGE_SIZE).present
+        for leaf in range(size // PMD_SPAN):
+            # The walk stops above the leaf level: nothing is linked.
+            assert proc.aspace.page_table.walk(
+                vba + leaf * PMD_SPAN).level > LEVEL_PT
+
+
+def test_table5_rows_pinned():
+    """Table 5's simulated costs (open / open + warm fmap / open + cold
+    fmap, us) are fixed: faster host code must not move them."""
+    rows = table5_fmap_overheads(sizes=(4 * KiB, 64 * MiB, 1 * GiB)).rows
+    assert [tuple(row) for row in rows] == [
+        ("4KB", 1.51, 2.45, 2.455),
+        ("64MB", 1.51, 3.38, 85.3),
+        ("1GB", 1.51, 17.78, 1328.5),
+    ]
