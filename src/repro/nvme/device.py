@@ -13,7 +13,9 @@ Command lifecycle (paper Sections 2, 4.3):
    transfer, so writes see no translation latency.
 4. Media access plus data transfer.  Each command's transfer runs at
    the per-command controller rate, but all transfers share one device
-   link, which caps aggregate bandwidth.
+   link, which caps aggregate bandwidth.  The link is a FIFO
+   reservation (``_link_free_at``), so a whole transfer, queueing for
+   the link included, is one timeout.
 5. Completion entry is posted and the submitter's event triggers.
 
 The BypassD protection guarantee lives in step 3: a translation fault
@@ -24,7 +26,8 @@ without any media access.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..faults.injector import NO_FAULTS, FaultInjector
 from ..faults.plan import FaultKind
@@ -32,7 +35,6 @@ from ..hw.iommu import IOMMU, TranslationFault
 from ..hw.params import HardwareParams
 from ..hw.pcie import PCIeLink
 from ..sim.engine import Event, Simulator
-from ..sim.resources import Resource, Store
 from ..sim.trace import NULL_TRACER
 from .backend import MediaBackend
 from .queues import QueuePair
@@ -79,9 +81,17 @@ class NVMeDevice:
         self.arbiter = arbiter if arbiter is not None else RoundRobinArbiter()
         self._qid_counter = itertools.count(1)
         self._queues: Dict[int, QueuePair] = {}
-        self._work = Store(sim)
-        self._translated = Store(sim)  # VBA reads whose LBA is resolved
-        self._xfer_link = Resource(sim, 1)
+        # Work no channel has claimed yet: one unit per doorbell (the
+        # command waits in its SQ until the arbiter picks it) and per
+        # VBA read whose translation finished (it waits in
+        # ``_translated``).  ``_idle`` holds the wake events of
+        # channels with nothing to do, longest idle first.
+        self._pending = 0
+        self._idle: Deque[Event] = deque()
+        self._translated: Deque[
+            Tuple[QueuePair, Command, List[Tuple[int, int]]]] = deque()
+        # The instant the shared link's last reserved transfer leaves it.
+        self._link_free_at = 0
         # Commands whose completion the injector swallowed, keyed by
         # (qid, cid): the host's only way out is abort().
         self._lost: Dict[Tuple[int, int], Tuple[QueuePair, Command]] = {}
@@ -115,6 +125,13 @@ class NVMeDevice:
         del self._queues[qp.qid]
         self.arbiter.remove_queue(qp)
         qp.shutdown()
+        # Commands still in the SQ were never fetched: they complete
+        # now with an abort status.  Their doorbells stay counted in
+        # ``_pending``; the channel that takes one finds nothing to
+        # select and moves on.
+        while (cmd := qp.fetch()) is not None:
+            self._complete(qp, cmd, Status.ABORTED_SQ_DELETION,
+                           reason="submission queue deleted")
 
     def claim_exclusive(self, owner: str) -> None:
         """Userspace-driver claim: only possible with no other users."""
@@ -153,7 +170,7 @@ class NVMeDevice:
         ev = qp.submit(cmd)
         cmd.submit_ns = self.sim.now
         self.link.posted_writes += 1
-        self._work.put((qp.qid, cmd.cid))
+        self._notify()
         return ev
 
     def abort(self, qp: QueuePair, cid: int) -> bool:
@@ -176,14 +193,27 @@ class NVMeDevice:
 
     # -- device internals ---------------------------------------------------
 
+    def _notify(self) -> None:
+        """One unit of work arrived: wake the longest-idle channel, or
+        leave it pending for the next channel that frees up."""
+        if self._idle:
+            self._idle.popleft().succeed()
+        else:
+            self._pending += 1
+
     def _channel_loop(self) -> Generator[Event, object, None]:
+        sim, idle, translated = self.sim, self._idle, self._translated
         while True:
-            yield self._work.get()
+            if self._pending:
+                self._pending -= 1
+            else:
+                wake = sim.event()
+                idle.append(wake)
+                yield wake
             # Commands that finished VBA translation resume first; they
             # already won arbitration once.
-            ready = self._translated.try_get()
-            if ready is not None:
-                qp, cmd, segments = ready
+            if translated:
+                qp, cmd, segments = translated.popleft()
                 yield from self._serve_read(qp, cmd, segments)
                 continue
             picked = self.arbiter.select()
@@ -309,43 +339,42 @@ class NVMeDevice:
         token = self.tracer.begin("nvme", "translate", parent=cmd.trace)
         yield self.sim.timeout(translation_ns)
         self.tracer.end(token)
-        self._translated.put((qp, cmd, segments))
-        self._work.put((qp.qid, cmd.cid))
+        self._translated.append((qp, cmd, segments))
+        self._notify()
 
     def _serve_read(self, qp: QueuePair, cmd: Command,
                     segments: List[Tuple[int, int]]):
-        data = yield from self._do_read(cmd, segments)
-        token = self.tracer.begin("nvme", "complete", parent=cmd.trace)
-        yield self.sim.timeout(self.params.completion_post_ns)
-        self.tracer.end(token)
-        self._complete(qp, cmd, Status.SUCCESS, data=data,
-                       nbytes=cmd.nbytes)
-
-    def _do_read(self, cmd: Command,
-                 segments: List[Tuple[int, int]]):
-        token = self.tracer.begin("nvme", "media", parent=cmd.trace)
-        yield self.sim.timeout(self.backend.media_ns(Opcode.READ))
-        self.tracer.end(token)
-        token = self.tracer.begin("nvme", "transfer", parent=cmd.trace)
-        yield from self._transfer(cmd.nbytes)
-        self.tracer.end(token)
+        sim, tr = self.sim, self.tracer
+        token = tr.begin("nvme", "media", parent=cmd.trace)
+        yield sim.timeout(self.backend.media_ns(Opcode.READ))
+        tr.end(token)
+        token = tr.begin("nvme", "transfer", parent=cmd.trace)
+        yield sim.timeout(self._reserve_link(cmd.nbytes))
+        tr.end(token)
+        # The payload is read when the transfer ends, not when it
+        # starts, so a write that lands meanwhile is visible: that read
+        # keeps the completion post a timeout of its own.
         chunks = []
         for lba, nblocks in segments:
             chunk = self.backend.read_blocks(lba, nblocks)
             if chunk is not None:
                 chunks.append(chunk)
-        return b"".join(chunks) if chunks else None
+        token = tr.begin("nvme", "complete", parent=cmd.trace)
+        yield sim.timeout(self.params.completion_post_ns)
+        tr.end(token)
+        self._complete(qp, cmd, Status.SUCCESS,
+                       data=b"".join(chunks) if chunks else None,
+                       nbytes=cmd.nbytes)
 
     def _do_write(self, cmd: Command, segments: List[Tuple[int, int]],
                   translation_ns: int):
         # Host->device transfer overlaps the VBA translation (Section 4.3):
         # data lands in device memory while the IOMMU resolves the LBA.
         tr = self.tracer
-        t0 = self.sim.now
         token = tr.begin("nvme", "transfer", parent=cmd.trace)
-        yield from self._transfer(cmd.nbytes)
+        elapsed = self._reserve_link(cmd.nbytes)
+        yield self.sim.timeout(elapsed)
         tr.end(token)
-        elapsed = self.sim.now - t0
         if translation_ns > elapsed:
             token = tr.begin("nvme", "translate", parent=cmd.trace)
             yield self.sim.timeout(translation_ns - elapsed)
@@ -361,17 +390,16 @@ class NVMeDevice:
             self.backend.write_blocks(lba, nblocks, chunk)
             offset += nblocks * LBA_SIZE
 
-    def _transfer(self, nbytes: int):
-        """Move ``nbytes`` across the shared link at the controller rate."""
-        link_ns = self.backend.link_ns(nbytes)
-        total_ns = self.backend.transfer_ns(nbytes)
-        yield self._xfer_link.request()
-        try:
-            yield self.sim.timeout(link_ns)
-        finally:
-            self._xfer_link.release()
-        if total_ns > link_ns:
-            yield self.sim.timeout(total_ns - link_ns)
+    def _reserve_link(self, nbytes: int) -> int:
+        """Reserve the shared link for a transfer starting now; return
+        its duration: the wait behind earlier reservations, the link
+        hold, then the controller tail off the link."""
+        backend, now = self.backend, self.sim.now
+        link_ns = backend.link_ns(nbytes)
+        start = self._link_free_at if self._link_free_at > now else now
+        self._link_free_at = start + link_ns
+        tail_ns = backend.transfer_ns(nbytes) - link_ns
+        return start - now + link_ns + (tail_ns if tail_ns > 0 else 0)
 
     def _validate(self, cmd: Command) -> Optional[Tuple[Status, str]]:
         if cmd.addr_kind is AddressKind.VBA:

@@ -43,6 +43,9 @@ class Status(enum.Enum):
     # Command Abort Requested: the host timed out and aborted the
     # command (NVMe 1.4 generic status 0x7).
     ABORTED = 0x7
+    # Command Aborted due to SQ Deletion (NVMe 1.4 generic status 0x8):
+    # the queue pair was deleted before the device fetched the command.
+    ABORTED_SQ_DELETION = 0x8
     LBA_OUT_OF_RANGE = 0x80
     # Media and Data Integrity errors (NVMe status code type 2): the
     # fault injector uses these for device-side media failures.

@@ -21,15 +21,27 @@ def make():
 
 
 def test_queue_deleted_with_outstanding_commands_no_crash():
+    """Deleting a queue completes its never-fetched commands with
+    ABORTED_SQ_DELETION; commands already on a channel finish."""
     sim, _, dev = make()
     qp = dev.create_queue_pair(pasid=0)
+    channels = DEFAULT_PARAMS.device_channels
+    count = channels + 4
     events = [dev.submit(qp, Command(Opcode.READ, addr=i, nbytes=512))
-              for i in range(4)]
+              for i in range(count)]
+    sim.run(until=1)  # each channel has taken one command off the SQ
     dev.delete_queue_pair(qp)
     sim.run()  # channels drain tokens; removed queue yields nothing
-    # Commands popped before deletion may have completed; the rest are
-    # simply dropped — nothing hangs or raises.
     assert dev.queue_count == 0
+    assert all(ev.processed for ev in events)
+    statuses = [ev.value.status for ev in events]
+    assert statuses == ([Status.SUCCESS] * channels
+                        + [Status.ABORTED_SQ_DELETION] * 4)
+    assert not Status.ABORTED_SQ_DELETION.retryable
+    assert all(ev.value.errno < 0 for ev in events[channels:])
+    assert dev.commands_served == channels
+    assert dev.commands_failed == 4
+    assert qp.inflight == 0
 
 
 def test_segmented_vba_read_across_fragments():
@@ -125,3 +137,59 @@ def test_link_serialises_large_transfers():
     gbps = count * nbytes / elapsed
     assert gbps <= DEFAULT_PARAMS.device_link_bytes_per_ns * 1.05
     assert gbps > 0.6 * DEFAULT_PARAMS.device_link_bytes_per_ns
+
+
+def test_link_fifo_completion_instants():
+    """Completions follow a single-server FIFO schedule on the link.
+
+    Staggered and same-instant LBA reads of mixed sizes.  At most eight
+    commands are outstanding, so each takes a channel the instant it is
+    submitted and reaches the link after fetch + media.  Link rates are
+    set almost equal so rounding leaves the 512 B and 1 KiB reads with
+    no controller tail (``link_ns >= transfer_ns``) while the larger
+    reads keep one.
+    """
+    params = DEFAULT_PARAMS.replace(media_bytes_per_ns=4.3,
+                                    device_link_bytes_per_ns=4.31)
+    sim = Simulator()
+    dev = NVMeDevice(sim, params, IOMMU(params), devid=1,
+                     capacity_bytes=1 << 30)
+    qp = dev.create_queue_pair(pasid=0, depth=64)
+    # (submit instant, size): submit order breaks same-instant ties.
+    plan = [(0, 128 * 1024), (0, 512), (0, 64 * 1024), (0, 4096),
+            (5_000, 1024), (5_000, 32 * 1024), (40_000, 512),
+            (70_000, 16 * 1024)]
+
+    def link_ns(n):
+        return int(round(n / params.device_link_bytes_per_ns))
+
+    def transfer_ns(n):
+        return int(round(n / params.media_bytes_per_ns))
+
+    assert any(link_ns(n) >= transfer_ns(n) for _, n in plan)
+    assert any(link_ns(n) < transfer_ns(n) for _, n in plan)
+
+    expected = []
+    free_at = 0
+    for at, n in plan:
+        start = max(at + params.command_fetch_ns + params.read_media_ns,
+                    free_at)
+        free_at = start + link_ns(n)
+        tail = max(0, transfer_ns(n) - link_ns(n))
+        expected.append(free_at + tail + params.completion_post_ns)
+
+    done = {}
+
+    def one(i, n):
+        c = yield dev.submit(qp, Command(Opcode.READ, addr=0, nbytes=n))
+        assert c.ok
+        done[i] = sim.now
+
+    def body():
+        for i, (at, n) in enumerate(plan):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            sim.process(one(i, n))
+
+    sim.run_process(body())
+    assert [done[i] for i in range(len(plan))] == expected
