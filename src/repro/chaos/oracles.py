@@ -102,33 +102,26 @@ def check_completions(machine, crashed: bool) -> List[Violation]:
 def check_retry_bounds(machine) -> List[Violation]:
     """No layer may exceed the configured retry budget or backoff cap.
 
-    Reads the high-water marks the retry loops record
-    (``max_attempts`` / ``max_error_retries`` / ``max_backoff_ns``)
-    and compares them against the *parameters*, not the behaviour —
-    which is exactly how a planted off-by-one in the bound itself gets
-    caught.
+    Reads the high-water marks the driver error policy records on every
+    layer (``max_attempts`` / ``max_backoff_ns``) and compares them
+    against the *parameters*, not the behaviour — which is exactly how
+    a planted off-by-one in the bound itself gets caught.
     """
     out: List[Violation] = []
     limit = machine.params.io_retry_limit
     cap = machine.params.io_retry_backoff_max_ns
-    for name, layer in (("blockio", machine.blockio),
-                        ("volume", machine.volume)):
+    layers = [("kernel blockio", machine.blockio),
+              ("kernel volume", machine.volume)]
+    layers += [(f"userlib[{i}]", lib)
+               for i, lib in enumerate(getattr(machine, "_userlibs", []))]
+    for name, layer in layers:
         if layer.max_attempts > limit:
             out.append(_v("retry-bounds",
-               f"kernel {name}: retried a command {layer.max_attempts} "
+               f"{name}: retried a command {layer.max_attempts} "
                f"times (io_retry_limit={limit})"))
         if layer.max_backoff_ns > cap:
             out.append(_v("retry-bounds",
-               f"kernel {name}: backoff {layer.max_backoff_ns} ns "
-               f"exceeds cap {cap} ns"))
-    for i, lib in enumerate(getattr(machine, "_userlibs", [])):
-        if lib.max_error_retries > limit:
-            out.append(_v("retry-bounds",
-               f"userlib[{i}]: {lib.max_error_retries} error retries "
-               f"(io_retry_limit={limit})"))
-        if lib.max_backoff_ns > cap:
-            out.append(_v("retry-bounds",
-               f"userlib[{i}]: backoff {lib.max_backoff_ns} ns "
+               f"{name}: backoff {layer.max_backoff_ns} ns "
                f"exceeds cap {cap} ns"))
     return out
 

@@ -55,9 +55,11 @@ MAX_OPS = 12
 OP_KINDS = ("pread", "pwrite", "append", "fsync")
 
 #: Engine choices the generator samples.  ``sync`` and ``io_uring``
-#: exercise the kernel block layer (where the retry canary lives);
-#: ``bypassd`` exercises the userspace path, translation faults and
-#: the SQ/CQ guard machinery.
+#: exercise the kernel block layer; ``bypassd`` exercises the userspace
+#: path, translation faults and the SQ/CQ guard machinery.  The retry
+#: canary lives in the one driver error policy: every engine reaches
+#: it through metadata I/O, and ``sync`` and ``bypassd`` through their
+#: data I/O too (``io_uring`` data I/O is async, without retry).
 CHAOS_ENGINES = ("bypassd", "io_uring", "sync")
 
 #: Latency spikes stay well under the 5 ms I/O timeout so a delayed

@@ -11,11 +11,12 @@ UserLib owns the userspace half of the BypassD interface:
   and concurrent RMWs to overlapping sectors are ordered (Section 4.5.1);
 - the fault-and-fallback protocol: on a translation fault UserLib
   re-issues fmap(); a zero VBA means access was revoked and the file
-  permanently drops to the kernel interface (Section 3.6).  Transient
-  device errors (media faults, host aborts) are retried with the same
-  bounded backoff the kernel driver uses before surfacing ``EIO``, and
-  lost completions are timed out and aborted so the polling thread is
-  never stranded;
+  permanently drops to the kernel interface (Section 3.6).  Every
+  other device error follows the kernel driver's error policy, which
+  UserLib inherits from :class:`~repro.kernel.blockio.GuardedIO`:
+  transient errors are retried with bounded backoff before surfacing
+  ``EIO``, and lost completions are timed out and aborted so the
+  polling thread is never stranded;
 - optional optimised appends that pre-allocate with fallocate() and
   overwrite from userspace (Section 5.1).
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..hw.memory import DMABuffer, PhysicalMemory
-from ..kernel.blockio import IOError_
+from ..kernel.blockio import GuardedIO
 from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
 from ..kernel.syscalls import Kernel
 from ..nvme.device import NVMeDevice
@@ -77,19 +78,17 @@ class _ThreadCtx:
         self.buf = buf
 
 
-class UserLib:
+class UserLib(GuardedIO):
     """One instance per process (threads share it, Section 4.5.1)."""
 
     def __init__(self, sim: Simulator, proc: Process, kernel: Kernel,
                  device: NVMeDevice, memory: PhysicalMemory,
                  optimized_appends: bool = False,
                  nonblocking_writes: bool = False):
-        self.sim = sim
+        super().__init__(sim, kernel.params, device)
         self.proc = proc
         self.kernel = kernel
-        self.device = device
         self.memory = memory
-        self.params = kernel.params
         self.optimized_appends = optimized_appends
         # Section 5.1 enhancement: overwrites return once submitted;
         # reads serialise against overlapping in-flight writes
@@ -104,17 +103,6 @@ class UserLib:
         # Async writes whose completion reported an error (e.g. access
         # revoked mid-flight); surfaced at the next fsync.
         self.async_write_errors = 0
-        # Transient device errors retried on the direct path, commands
-        # that exhausted retries, and lost completions timed out/aborted.
-        self.io_retries = 0
-        self.io_errors = 0
-        self.io_timeouts = 0
-        self.io_aborts = 0
-        # High-water marks the chaos retry-bounds oracle reads: the
-        # deepest error-retry count any command reached and the largest
-        # backoff slept (mirrors repro.kernel.blockio).
-        self.max_error_retries = 0
-        self.max_backoff_ns = 0
 
     # -- setup ------------------------------------------------------------
 
@@ -282,9 +270,8 @@ class UserLib:
                       buffer_iova=ctx.buf.iova, data=data)
         self.kernel.tracer.stamp(cmd, thread=thread)
         ev = self.device.submit(ctx.qp, cmd)
-        if self.device.injector.may_drop:
-            self.sim.process(self._async_abort_guard(ctx.qp, cmd, ev),
-                             name=f"userlib-timeout-{cmd.cid}")
+        # A lost write's ABORTED CQE is an async error, seen at fsync.
+        self._guard_async(ctx.qp, cmd, ev, "userlib-timeout")
         key = (offset, offset + nbytes)
         done = self.sim.event()
         state.pending_writes[key] = done
@@ -298,18 +285,6 @@ class UserLib:
         ev.add_callback(on_complete)
         self.direct_writes += 1
         return nbytes
-
-    def _async_abort_guard(self, qp: QueuePair, cmd: Command,
-                           ev: Event) -> Generator:
-        """Abort a non-blocking write whose completion never arrived;
-        the ABORTED CQE flows into the normal completion callback and
-        is counted as an async write error, surfaced at fsync."""
-        yield self.sim.timeout(self.params.io_timeout_ns)
-        if ev.triggered:
-            return
-        self.io_timeouts += 1
-        if self.device.abort(qp, cmd.cid):
-            self.io_aborts += 1
 
     def _wait_pending(self, thread: Thread, state: FileState,
                       offset: int, nbytes: int) -> Generator:
@@ -420,23 +395,6 @@ class UserLib:
 
     # -- submission & fault handling -----------------------------------------
 
-    def _poll_guarded(self, thread: Thread, ctx: "_ThreadCtx",
-                      cmd: Command, ev: Event) -> Generator:
-        """Poll for the completion, timing out and aborting commands the
-        device silently dropped (only armed when the fault plan can
-        drop completions, so fault-free timing is untouched)."""
-        if not self.device.injector.may_drop:
-            return (yield from thread.poll(ev))
-        while not ev.processed:
-            deadline = self.sim.timeout(self.params.io_timeout_ns)
-            yield from thread.poll(self.sim.any_of([ev, deadline]))
-            if ev.processed:
-                break
-            self.io_timeouts += 1
-            if self.device.abort(ctx.qp, cmd.cid):
-                self.io_aborts += 1
-        return ev.value
-
     def _issue(self, thread: Thread, state: FileState, opcode: Opcode,
                file_off: int, nbytes: int,
                data: Optional[bytes]) -> Generator:
@@ -444,16 +402,17 @@ class UserLib:
 
         Returns the completion, or None after the kernel confirmed the
         file is no longer directly accessible (VBA of 0) or translation
-        faults persisted past the retry budget.  Transient device
-        errors are retried in place with bounded backoff and raise
-        :class:`IOError_` (errno ``EIO``) once exhausted — the same
-        contract the kernel path gives, so applications see one errno
-        model regardless of path.
+        faults persisted past the retry budget.  Every other error
+        follows the inherited driver error policy: transient errors are
+        retried in place with bounded backoff, and an exhausted budget
+        raises ``IOError_`` (errno ``EIO``) — the kernel path's
+        contract, so applications see one errno model regardless of
+        path.
         """
         ctx = self._ctx(thread)
         tracer = self.kernel.tracer
         fault_attempts = 0
-        error_retries = 0
+        attempt = 0
         while True:
             cmd = Command(opcode, addr=state.vba + file_off,
                           nbytes=nbytes, addr_kind=AddressKind.VBA,
@@ -465,8 +424,8 @@ class UserLib:
             try:
                 tracer.stamp(cmd, thread=thread)
                 ev = self.device.submit(ctx.qp, cmd)
-                completion = yield from self._poll_guarded(thread, ctx,
-                                                           cmd, ev)
+                completion = yield from self._guarded_wait(
+                    thread.poll, ctx.qp, cmd, ev)
             finally:
                 tracer.end(token)
             if completion.ok:
@@ -483,23 +442,12 @@ class UserLib:
                     return None
                 state.vba = vba
                 continue
-            if completion.status.retryable:
-                error_retries += 1
-                if error_retries > self.params.io_retry_limit:
-                    self.io_errors += 1
-                    raise IOError_(completion)
-                self.io_retries += 1
-                self.max_error_retries = max(self.max_error_retries,
-                                             error_retries)
-                backoff = self.params.retry_backoff_ns(error_retries)
-                self.max_backoff_ns = max(self.max_backoff_ns, backoff)
-                backoff_t0 = self.sim.now
-                yield from thread.sleep(backoff)
-                tracer.add_wait("retry_backoff",
-                                self.sim.now - backoff_t0, thread=thread)
-                continue
-            self.io_errors += 1
-            raise IOError_(completion)
+            attempt += 1
+            backoff = self._retry_backoff(completion, attempt)
+            backoff_t0 = self.sim.now
+            yield from thread.sleep(backoff)
+            tracer.add_wait("retry_backoff", self.sim.now - backoff_t0,
+                            thread=thread)
 
     def _fallback(self, state: FileState) -> None:
         """Permanently drop this open to the kernel interface."""

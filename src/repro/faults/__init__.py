@@ -5,11 +5,12 @@ The subsystem threads through the whole stack:
 - the NVMe device consults the machine's :class:`FaultInjector` per
   command and can complete with media errors, delay (latency spike),
   or silently drop the completion;
-- the kernel driver (``repro.kernel.blockio``) arms timeouts, aborts
-  lost commands and retries transient errors with bounded exponential
-  backoff before surfacing ``-EIO``;
-- UserLib retries translation faults via re-issued ``fmap()`` and
-  transient device errors, then degrades to the kernel I/O path;
+- one driver error policy (``repro.kernel.blockio.GuardedIO``),
+  shared by the kernel block layer, the metadata volume and UserLib,
+  arms timeouts, aborts lost commands and retries transient errors
+  with bounded exponential backoff before surfacing ``-EIO``;
+- UserLib handles translation faults by re-issuing ``fmap()``, then
+  degrades to the kernel I/O path;
 - a planned :class:`PowerFailure` crashes the machine mid-run; journal
   replay plus fsck recover it (``Machine.recover_after_crash``).
 

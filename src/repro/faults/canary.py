@@ -27,8 +27,8 @@ __all__ = [
     "extra_retries",
 ]
 
-#: Off-by-one retry bound: the driver grants one retry beyond
-#: ``params.io_retry_limit``, the classic ``>=`` vs ``>`` slip.  Caught
+#: Off-by-one retry bound: the driver error policy grants one retry
+#: beyond ``params.io_retry_limit`` on every path, the classic ``>=`` vs ``>`` slip.  Caught
 #: by the retry-bounds oracle, which trusts only the params.
 CANARY_RETRY_OFF_BY_ONE = "retry-off-by-one"
 
@@ -60,8 +60,9 @@ def armed(name: str) -> bool:
 def extra_retries() -> int:
     """Retry-budget slack granted by the armed canaries (0 when clean).
 
-    The retry loops in :mod:`repro.kernel.blockio` add this to
-    ``params.io_retry_limit`` on their failure paths; the oracles do
-    not, which is exactly how the planted bug is caught.
+    The driver error policy (:class:`repro.kernel.blockio.GuardedIO`,
+    shared by the block layer, the metadata volume and UserLib) adds
+    this to ``params.io_retry_limit``; the oracles do not, which is
+    exactly how the planted bug is caught.
     """
     return 1 if CANARY_RETRY_OFF_BY_ONE in _armed else 0

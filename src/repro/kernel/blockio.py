@@ -1,4 +1,4 @@
-"""Kernel block layer and NVMe driver.
+"""Kernel block layer, NVMe driver, and the driver error policy.
 
 This is the in-kernel data path of Table 1: the block layer costs
 540 ns, the driver 220 ns, and completions arrive by interrupt (the
@@ -9,7 +9,9 @@ The kernel is trusted, so its commands carry physical addresses
 (``buffer_iova=0`` skips the device's per-process buffer validation)
 and kernel queues use PASID 0.
 
-Error handling mirrors the Linux nvme driver:
+Error handling mirrors the Linux nvme driver and lives once, in
+:class:`GuardedIO`, which the block layer, the metadata volume and
+BypassD's UserLib all inherit:
 
 - every synchronous command is guarded by a timeout
   (``params.io_timeout_ns``); on expiry the driver aborts the command,
@@ -20,13 +22,15 @@ Error handling mirrors the Linux nvme driver:
   ``params.io_retry_limit`` times with bounded exponential backoff;
 - exhausted retries and permanent errors surface as :class:`IOError_`,
   an ``OSError`` whose ``errno`` is what the syscall would return
-  (``EIO`` for media failures) — callers up the stack see ``-EIO``.
+  (``EIO`` for media failures) — callers up the stack see ``-EIO``;
+- async submissions get no retry, only a watchdog that aborts a lost
+  command so the reaper sees an error completion.
 """
 
 from __future__ import annotations
 
 import errno as _errno
-from typing import Dict, Generator, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from ..faults import canary
 from ..hw.params import HardwareParams
@@ -36,7 +40,7 @@ from ..nvme.spec import Command, Completion, Opcode
 from ..sim.cpu import Thread
 from ..sim.engine import Event, Simulator
 
-__all__ = ["BlockIOLayer", "KernelVolume", "IOError_"]
+__all__ = ["BlockIOLayer", "GuardedIO", "KernelVolume", "IOError_"]
 
 FS_BLOCK = 4096
 _BLOCKS_PER_PAGE = FS_BLOCK // 512
@@ -57,35 +61,101 @@ class IOError_(OSError):
         self.completion = completion
 
 
-class BlockIOLayer:
-    """Kernel submission path with per-thread hardware queues."""
+def _yield_event(ev: Event) -> Generator:
+    """Wait primitive for callers without a thread: a bare ``yield``."""
+    return (yield ev)
+
+
+class GuardedIO:
+    """The driver error policy every synchronous I/O path inherits.
+
+    Counters: ``timeouts``/``aborts`` (lost completions), ``retries``,
+    ``io_errors`` (commands failed with :class:`IOError_`), and the
+    high-water marks the chaos retry-bounds oracle reads:
+    ``max_attempts`` (the deepest retry any command reached) and
+    ``max_backoff_ns``.  Plain attributes, not Stats fields, so golden
+    telemetry dumps are untouched.
+    """
 
     def __init__(self, sim: Simulator, params: HardwareParams,
                  device: NVMeDevice):
         self.sim = sim
         self.params = params
         self.device = device
-        self._queues: Dict[int, QueuePair] = {}
-        self.requests = 0
         self.timeouts = 0
         self.aborts = 0
         self.retries = 0
         self.io_errors = 0
-        # High-water marks the chaos retry-bounds oracle reads: the
-        # deepest attempt any single command reached and the largest
-        # backoff ever slept.  Plain attributes, not Stats fields, so
-        # golden telemetry dumps are untouched.
         self.max_attempts = 0
         self.max_backoff_ns = 0
+
+    def _guarded_wait(self, wait: Callable[[Event], Generator],
+                      qp: QueuePair, cmd: Command, ev: Event) -> Generator:
+        """Wait for ``ev`` with ``wait`` (``thread.block``,
+        ``thread.poll`` or a bare yield), timing out and aborting the
+        command if its completion is lost.  The timeout is only armed
+        when the fault plan can drop completions."""
+        if not self.device.injector.may_drop:
+            return (yield from wait(ev))
+        while not ev.processed:
+            deadline = self.sim.timeout(self.params.io_timeout_ns)
+            yield from wait(self.sim.any_of([ev, deadline]))
+            if not ev.processed:
+                # If the abort misses (the command is alive, just slow),
+                # keep waiting — the completion must eventually arrive.
+                self._abort_lost(qp, cmd)
+        return ev.value
+
+    def _abort_lost(self, qp: QueuePair, cmd: Command) -> None:
+        self.timeouts += 1
+        if self.device.abort(qp, cmd.cid):
+            self.aborts += 1
+
+    def _guard_async(self, qp: QueuePair, cmd: Command, ev: Event,
+                     name: str) -> None:
+        """Arm a watchdog for a submission nobody waits on, so a lost
+        completion is aborted and its reaper sees an ABORTED CQE."""
+        if self.device.injector.may_drop:
+            self.sim.process(self._abort_watchdog(qp, cmd, ev),
+                             name=f"{name}-{cmd.cid}")
+
+    def _abort_watchdog(self, qp: QueuePair, cmd: Command,
+                        ev: Event) -> Generator:
+        yield self.sim.timeout(self.params.io_timeout_ns)
+        if not ev.triggered:
+            self._abort_lost(qp, cmd)
+
+    def _retry_backoff(self, completion: Completion, attempt: int) -> int:
+        """Backoff to sleep before retry ``attempt`` (1-based) of a
+        failed command; raises :class:`IOError_` when the status is not
+        retryable or the retry budget is spent."""
+        if not completion.status.retryable or attempt > \
+                self.params.io_retry_limit + canary.extra_retries():
+            self.io_errors += 1
+            raise IOError_(completion)
+        self.retries += 1
+        self.max_attempts = max(self.max_attempts, attempt)
+        backoff = self.params.retry_backoff_ns(attempt)
+        self.max_backoff_ns = max(self.max_backoff_ns, backoff)
+        return backoff
+
+
+class BlockIOLayer(GuardedIO):
+    """Kernel submission path with per-thread hardware queues."""
+
+    def __init__(self, sim: Simulator, params: HardwareParams,
+                 device: NVMeDevice):
+        super().__init__(sim, params, device)
+        self._queues: Dict[int, QueuePair] = {}
+        self.requests = 0
         from ..sim.trace import NULL_TRACER
         self.tracer = NULL_TRACER
 
-    def _queue_for(self, thread: Optional[Thread]) -> QueuePair:
-        key = id(thread) if thread is not None else 0
-        qp = self._queues.get(key)
+    def _queue_for(self, thread: Thread) -> QueuePair:
+        qp = self._queues.get(thread.tid)
         if qp is None:
             qp = self.device.create_queue_pair(pasid=0, depth=1024)
-            self._queues[key] = qp
+            self._queues[thread.tid] = qp
         return qp
 
     # -- telemetry gauges (read-only; sampled by repro.obs.monitor) ----
@@ -100,26 +170,7 @@ class BlockIOLayer:
         """Completions posted by the device, not yet seen by a waiter."""
         return sum(qp.cq_backlog for qp in self._queues.values())
 
-    # -- timeout / abort / retry machinery -------------------------------------
-
-    def _wait_guarded(self, thread: Thread, qp: QueuePair, cmd: Command,
-                      ev: Event) -> Generator:
-        """Block until the completion, arming the driver timeout when
-        the fault plan can swallow CQEs."""
-        if not self.device.injector.may_drop:
-            return (yield from thread.block(ev))
-        timeout_ns = self.params.io_timeout_ns
-        while not ev.processed:
-            deadline = self.sim.timeout(timeout_ns)
-            yield from thread.block(self.sim.any_of([ev, deadline]))
-            if ev.processed:
-                break
-            self.timeouts += 1
-            if self.device.abort(qp, cmd.cid):
-                self.aborts += 1
-            # If the abort missed (the command is alive, just slow),
-            # keep waiting — the completion must eventually arrive.
-        return ev.value
+    # -- guarded submission ---------------------------------------------------
 
     def _rw(self, thread: Thread, opcode: Opcode, lba512: int,
             nbytes: int, data: Optional[bytes], charge_layers: bool,
@@ -146,8 +197,8 @@ class BlockIOLayer:
             try:
                 self.tracer.stamp(cmd, thread=thread)
                 ev = self.device.submit(qp, cmd)
-                completion = yield from self._wait_guarded(thread, qp,
-                                                           cmd, ev)
+                completion = yield from self._guarded_wait(
+                    thread.block, qp, cmd, ev)
             finally:
                 self.tracer.end(token)
             if charge_irq and self.params.irq_completion_ns:
@@ -157,16 +208,8 @@ class BlockIOLayer:
                                      thread=thread)
             if completion.ok:
                 return completion.data
-            if not completion.status.retryable \
-                    or attempt >= self.params.io_retry_limit \
-                    + canary.extra_retries():
-                self.io_errors += 1
-                raise IOError_(completion)
             attempt += 1
-            self.retries += 1
-            self.max_attempts = max(self.max_attempts, attempt)
-            backoff = self.params.retry_backoff_ns(attempt)
-            self.max_backoff_ns = max(self.max_backoff_ns, backoff)
+            backoff = self._retry_backoff(completion, attempt)
             backoff_t0 = self.sim.now
             yield from thread.sleep(backoff)
             self.tracer.add_wait("retry_backoff", self.sim.now - backoff_t0,
@@ -219,19 +262,8 @@ class BlockIOLayer:
         self.requests += 1
         self.tracer.stamp(cmd, thread=thread)
         ev = self.device.submit(qp, cmd)
-        if self.device.injector.may_drop:
-            self.sim.process(self._async_abort_guard(qp, cmd, ev),
-                             name=f"nvme-timeout-{cmd.cid}")
+        self._guard_async(qp, cmd, ev, "nvme-timeout")
         return ev
-
-    def _async_abort_guard(self, qp: QueuePair, cmd: Command,
-                           ev: Event) -> Generator:
-        yield self.sim.timeout(self.params.io_timeout_ns)
-        if ev.triggered:
-            return
-        self.timeouts += 1
-        if self.device.abort(qp, cmd.cid):
-            self.aborts += 1
 
     def flush(self, thread: Thread) -> Generator:
         qp = self._queue_for(thread)
@@ -240,7 +272,8 @@ class BlockIOLayer:
         try:
             self.tracer.stamp(cmd, thread=thread)
             ev = self.device.submit(qp, cmd)
-            completion = yield from self._wait_guarded(thread, qp, cmd, ev)
+            completion = yield from self._guarded_wait(thread.block, qp,
+                                                       cmd, ev)
         finally:
             self.tracer.end(token)
         if not completion.ok:
@@ -248,35 +281,25 @@ class BlockIOLayer:
             raise IOError_(completion)
 
 
-class KernelVolume:
+class KernelVolume(GuardedIO):
     """Volume interface the filesystem uses for metadata I/O.
 
     Metadata I/O runs inside a syscall on the calling thread's time;
     the filesystem code does not carry a thread reference, so volume
     operations wait on the raw completion event (the enclosing syscall
-    has already charged the CPU layers).  The timeout/abort/retry
-    policy matches :class:`BlockIOLayer` — metadata must survive the
-    same injected faults as data.
+    has already charged the CPU layers).  The error policy is the
+    block layer's — metadata must survive the same injected faults as
+    data.
     """
 
     block_size = FS_BLOCK
 
     def __init__(self, sim: Simulator, params: HardwareParams,
                  device: NVMeDevice):
-        self.sim = sim
-        self.params = params
-        self.device = device
+        super().__init__(sim, params, device)
         self._qp: Optional[QueuePair] = None
         self.meta_reads = 0
         self.meta_writes = 0
-        self.timeouts = 0
-        self.aborts = 0
-        self.retries = 0
-        self.io_errors = 0
-        # High-water marks for the chaos retry-bounds oracle (see
-        # BlockIOLayer); metadata I/O obeys the same retry budget.
-        self.max_attempts = 0
-        self.max_backoff_ns = 0
 
     def _queue(self) -> QueuePair:
         if self._qp is None:
@@ -290,31 +313,12 @@ class KernelVolume:
         while True:
             cmd = Command(opcode, addr=addr, nbytes=nbytes, data=data)
             ev = self.device.submit(qp, cmd)
-            if not self.device.injector.may_drop:
-                completion = yield ev
-            else:
-                while not ev.processed:
-                    deadline = self.sim.timeout(self.params.io_timeout_ns)
-                    yield self.sim.any_of([ev, deadline])
-                    if ev.processed:
-                        break
-                    self.timeouts += 1
-                    if self.device.abort(qp, cmd.cid):
-                        self.aborts += 1
-                completion = ev.value
+            completion = yield from self._guarded_wait(_yield_event, qp,
+                                                       cmd, ev)
             if completion.ok:
                 return completion
-            if not completion.status.retryable \
-                    or attempt >= self.params.io_retry_limit \
-                    + canary.extra_retries():
-                self.io_errors += 1
-                raise IOError_(completion)
             attempt += 1
-            self.retries += 1
-            self.max_attempts = max(self.max_attempts, attempt)
-            backoff = self.params.retry_backoff_ns(attempt)
-            self.max_backoff_ns = max(self.max_backoff_ns, backoff)
-            yield self.sim.timeout(backoff)
+            yield self.sim.timeout(self._retry_backoff(completion, attempt))
 
     def read_blocks(self, block: int, count: int) -> Generator:
         self.meta_reads += 1

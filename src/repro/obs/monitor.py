@@ -226,7 +226,7 @@ class Monitor:
                     float(m.cpus.runnable_waiting)))
         injected = float(sum(m.faults.counts.values()))
         retries = float(m.blockio.retries + m.volume.retries
-                        + sum(lib.io_retries for lib in m._userlibs))
+                        + sum(lib.retries for lib in m._userlibs))
         out.append(("faults.injected_rate",
                     self._rate("faults.injected", injected)))
         out.append(("faults.retry_rate", self._rate("faults.retries",

@@ -308,9 +308,9 @@ class Stats:
             driver_io_errors=sum(x.io_errors for x in driver_layers),
             userlib_faults_handled=sum(x.faults_handled for x in libs),
             userlib_kernel_fallbacks=sum(x.kernel_fallbacks for x in libs),
-            userlib_io_retries=sum(x.io_retries for x in libs),
+            userlib_io_retries=sum(x.retries for x in libs),
             userlib_io_errors=sum(x.io_errors for x in libs),
-            userlib_io_timeouts=sum(x.io_timeouts for x in libs),
+            userlib_io_timeouts=sum(x.timeouts for x in libs),
             userlib_async_write_errors=sum(x.async_write_errors
                                            for x in libs),
             crashes=1 if getattr(machine, "crashed", False) else 0,

@@ -62,7 +62,7 @@ def retry_machine(**over):
     layers = dict(
         blockio=NS(max_attempts=3, max_backoff_ns=400_000),
         volume=NS(max_attempts=0, max_backoff_ns=0),
-        _userlibs=[NS(max_error_retries=3, max_backoff_ns=400_000)],
+        _userlibs=[NS(max_attempts=3, max_backoff_ns=400_000)],
     )
     layers.update(over)
     return NS(params=NS(io_retry_limit=3,
@@ -82,7 +82,7 @@ def test_retry_bounds_kernel_attempts_over_limit():
 def test_retry_bounds_userlib_and_backoff():
     m = retry_machine(
         volume=NS(max_attempts=0, max_backoff_ns=500_000),
-        _userlibs=[NS(max_error_retries=5, max_backoff_ns=0)])
+        _userlibs=[NS(max_attempts=5, max_backoff_ns=0)])
     vs = check_retry_bounds(m)
     details = " ".join(v.detail for v in vs)
     assert len(vs) == 2

@@ -77,7 +77,7 @@ def test_transient_media_error_on_direct_path_retried():
         return n
 
     assert m.run_process(body()) == 4096
-    assert lib.io_retries == 2
+    assert lib.retries == 2
     assert lib.io_errors == 0
     assert f.using_direct_path        # errors never demote the path
     assert lib.kernel_fallbacks == 0
@@ -95,7 +95,7 @@ def test_persistent_media_error_on_direct_path_raises_eio():
         m.run_process(body())
     assert exc_info.value.errno == errno.EIO
     # Same retry budget as the kernel driver: one errno model.
-    assert lib.io_retries == m.params.io_retry_limit
+    assert lib.retries == m.params.io_retry_limit
     assert lib.io_errors == 1
 
 
@@ -109,9 +109,9 @@ def test_dropped_completion_on_direct_path_aborted_and_retried():
 
     t0 = m.now
     assert m.run_process(body()) == 4096
-    assert lib.io_timeouts == 1
-    assert lib.io_aborts == 1
-    assert lib.io_retries == 1        # the ABORTED CQE is retryable
+    assert lib.timeouts == 1
+    assert lib.aborts == 1
+    assert lib.retries == 1        # the ABORTED CQE is retryable
     assert m.now - t0 >= m.params.io_timeout_ns
     assert f.using_direct_path
 
@@ -127,7 +127,7 @@ def test_async_write_abort_surfaces_as_async_error():
         yield from f.fsync(t)
 
     m.run_process(body())
-    assert lib.io_timeouts == 1
-    assert lib.io_aborts == 1
+    assert lib.timeouts == 1
+    assert lib.aborts == 1
     assert lib.async_write_errors == 1
     assert m.device.commands_aborted == 1
