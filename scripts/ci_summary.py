@@ -142,27 +142,6 @@ def exemplars_section(path: Path, n: int = 3) -> List[str]:
     return lines
 
 
-def hostprof_section(path: Path) -> List[str]:
-    """Render the per-layer host-profiler table from a
-    ``*.hostprof.json`` artifact
-    (:meth:`repro.obs.hostprof.HostProfile.to_json`)."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return [f"_could not read host profile {path}: {exc}_"]
-    layers = data.get("layers", {})
-    total = max(1, int(data.get("total_events", 0)))
-    lines = ["### Host profiler (self-time per layer)", "",
-             f"- profile events: {total:,}",
-             f"- wall: {float(data.get('wall_s', 0.0)):.3f}s", "",
-             "| layer | events | share |", "|---|---:|---:|"]
-    for layer, events in sorted(layers.items(),
-                                key=lambda kv: (-kv[1], kv[0])):
-        lines.append(f"| {layer} | {int(events):,} "
-                     f"| {int(events) / total:.1%} |")
-    return lines
-
-
 def sweep_section(path: Path) -> List[str]:
     """Render the sweep compare report (``repro.sweep gate --report``)
     as the grid heat table plus per-layer blame for regressed cells —
@@ -213,9 +192,6 @@ def main(argv=None) -> int:
     ap.add_argument("--exemplars", type=Path, default=None,
                     help="*.exemplars.json artifact for the top tail "
                          "exemplars section")
-    ap.add_argument("--hostprof", type=Path, default=None,
-                    help="*.hostprof.json artifact for the per-layer "
-                         "host profiler section")
     ap.add_argument("--sweep", type=Path, default=None,
                     help="sweep compare report (repro.sweep gate "
                          "--report) for the grid heat table and "
@@ -253,9 +229,6 @@ def main(argv=None) -> int:
     if args.exemplars is not None:
         out.append("")
         out.extend(exemplars_section(args.exemplars))
-    if args.hostprof is not None:
-        out.append("")
-        out.extend(hostprof_section(args.hostprof))
     if args.lint is not None:
         out.append("")
         out.extend(lint_section(args.lint))

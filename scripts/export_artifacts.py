@@ -2,7 +2,7 @@
 """Export observability artifacts for CI upload.
 
 Default mode runs the README quickstart workload on a monitored,
-traced machine and writes three files into ``--out`` (default
+traced machine and writes these files into ``--out`` (default
 ``artifacts/``):
 
 - ``quickstart.trace.json`` — Chrome trace with Perfetto counter
@@ -15,10 +15,7 @@ traced machine and writes three files into ``--out`` (default
 - ``quickstart.waterfalls.json`` / ``.txt`` — the per-op latency
   waterfalls (exact wait/service decomposition of every op),
 - ``quickstart.exemplars.json`` — tail exemplars: full span trees
-  retained for the slowest ops per tenant,
-- ``quickstart.hostprof.json`` / ``quickstart.hostprof.stacks.txt``
-  — the deterministic host profile of the run (self-time per
-  architecture layer, collapsed host stacks).
+  retained for the slowest ops per tenant.
 
 ``--bench`` mode instead runs the full experiment matrix through
 :mod:`repro.bench.runner` (honouring ``--jobs``/``--monitor``) and
@@ -75,10 +72,9 @@ def export_quickstart(out: Path) -> int:
                                        waterfalls_json)
     from repro.obs.exemplar import (ExemplarConfig, capture_exemplars,
                                     exemplars_json)
-    from repro.obs.hostprof import profile_call
 
     out.mkdir(parents=True, exist_ok=True)
-    m, profile = profile_call(quickstart_machine)
+    m = quickstart_machine()
     trace = out / "quickstart.trace.json"
     stacks = out / "quickstart.stacks.txt"
     telemetry = out / "quickstart.telemetry.json"
@@ -101,13 +97,8 @@ def export_quickstart(out: Path) -> int:
     exemplars.write_text(exemplars_json(per_tenant) + "\n",
                          encoding="utf-8")
 
-    hostprof = out / "quickstart.hostprof.json"
-    hostprof.write_text(profile.to_json() + "\n", encoding="utf-8")
-    hostprof_stacks = out / "quickstart.hostprof.stacks.txt"
-    hostprof_stacks.write_text(profile.collapsed(), encoding="utf-8")
-
     for path in (trace, stacks, telemetry, waterfalls, waterfalls_txt,
-                 exemplars, hostprof, hostprof_stacks):
+                 exemplars):
         print(f"wrote {path} ({path.stat().st_size} bytes)")
     return 0
 

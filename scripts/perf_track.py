@@ -62,7 +62,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     matrix = QUICK_MATRIX if args.quick else PERF_MATRIX
-    payload = collect_perf(matrix, names=args.only)
+    try:
+        payload = collect_perf(matrix, names=args.only)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, wl in payload["workloads"].items():
         print(f"{name}: mean {wl['mean_ns']:.0f} ns  "
               f"p99 {wl['p99_ns']} ns  "

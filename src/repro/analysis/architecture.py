@@ -207,11 +207,6 @@ FRIEND_EDGES: Tuple[FriendEdge, ...] = (
         "the perf matrix times every baseline I/O engine from the "
         "registry; the obs data model itself never touches them"),
     FriendEdge(
-        "repro.obs.hostprof", "repro.analysis",
-        "the host profiler folds wall-clock self-time onto the layer "
-        "DAG, so it reads the manifest's module->layer assignment; "
-        "analysis depends on nothing, so the edge adds no cycle"),
-    FriendEdge(
         "repro.chaos", "repro.bench.runner",
         "the chaos CLI fans scenario batches out over the bench "
         "runner's process pool instead of growing a second one, and "

@@ -9,11 +9,18 @@ The poller burns a whole core per ring.  That is exactly why Figure 9
 shows io_uring collapsing past 12 application threads on a 24-CPU box:
 each app thread + poller pair takes two cores, so io_uring "needs twice
 as many cores" (Section 6.3).
+
+Tracing: every ``pread``/``pwrite`` opens an ``op`` root on the app
+thread, and its trace context rides in the SQE.  The poller parents
+its per-SQE ``kernel/sqpoll`` span (with the block layer and driver
+under it) on that context, and stamps the device command with it too,
+so the device phases land under the op rather than under the poller's
+span, which ends at the doorbell.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 from ..fs.ext4.filesystem import FsError
 from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
@@ -88,12 +95,14 @@ class IOUringRing:
             # loop: re-check the idle-park condition
 
     def _poll_loop(self) -> Generator:
-        params = self.kernel.params
+        params, tracer = self.kernel.params, self.kernel.tracer
         scale = params.io_uring_kernel_stack_scale
         while True:
             sqe = yield from self._wait_for_sqe()
             self._last_work_ns = self.sim.now
-            opcode, lba512, nbytes, data, cq = sqe
+            opcode, lba512, nbytes, data, cq, trace = sqe
+            token = tracer.begin("kernel", "sqpoll", thread=self.poller,
+                                 parent=trace)
             yield from self.poller.compute(params.io_uring_poll_interval_ns)
             yield from self.poller.compute(int(params.vfs_ext4_ns * scale))
             extra_pages = max(0, -(-nbytes // PAGE) - 1)
@@ -103,7 +112,8 @@ class IOUringRing:
                     extra_pages * params.kernel_per_page_ns // 2)
             ev = yield from self.kernel.blockio.submit_async(
                 self.poller, opcode, lba512, nbytes, data=data,
-                charge_layers=True)
+                charge_layers=True, trace=trace)
+            tracer.end(token)
             # Completions flow to the app's CQ without poller involvement.
             def completed(event, cq=cq):
                 self.inflight -= 1
@@ -112,10 +122,11 @@ class IOUringRing:
             ev.add_callback(completed)
 
     def submit(self, opcode: Opcode, lba512: int, nbytes: int,
-               data: Optional[bytes], cq: Store) -> None:
+               data: Optional[bytes], cq: Store,
+               trace: Optional[Tuple[int, int]]) -> None:
         self.sqes += 1
         self.inflight += 1
-        self.sq.put((opcode, lba512, nbytes, data, cq))
+        self.sq.put((opcode, lba512, nbytes, data, cq, trace))
 
 
 class IOUringFile:
@@ -158,6 +169,12 @@ class IOUringFile:
 
     def pread(self, thread: Thread, offset: int,
               nbytes: int) -> Generator:
+        return self.kernel.tracer.wrap("op", "pread",
+                                       self._pread(thread, offset, nbytes),
+                                       thread=thread)
+
+    def _pread(self, thread: Thread, offset: int,
+               nbytes: int) -> Generator:
         params = self.kernel.params
         n = max(0, min(nbytes, self.size - offset))
         if n == 0:
@@ -167,7 +184,8 @@ class IOUringFile:
         chunks = []
         for lba512, run_bytes in self._sqe_runs(offset, aligned):
             yield from thread.compute(params.io_uring_sqe_prep_ns)
-            ring.submit(Opcode.READ, lba512, run_bytes, None, cq)
+            ring.submit(Opcode.READ, lba512, run_bytes, None, cq,
+                        self.kernel.tracer.current(thread))
             # The app busy-polls the CQ (leased so oversubscription
             # cannot wedge the machine): together with the SQ poller
             # this is the "two cores per thread" cost of Figure 9.
@@ -182,6 +200,12 @@ class IOUringFile:
 
     def pwrite(self, thread: Thread, offset: int, nbytes: int,
                data: Optional[bytes] = None) -> Generator:
+        return self.kernel.tracer.wrap(
+            "op", "pwrite", self._pwrite(thread, offset, nbytes, data),
+            thread=thread)
+
+    def _pwrite(self, thread: Thread, offset: int, nbytes: int,
+                data: Optional[bytes]) -> Generator:
         params = self.kernel.params
         inode = self.inode
         if offset + nbytes > inode.size:
@@ -196,7 +220,8 @@ class IOUringFile:
             chunk = None if payload is None \
                 else payload[written:written + run_bytes]
             yield from thread.compute(params.io_uring_sqe_prep_ns)
-            ring.submit(Opcode.WRITE, lba512, run_bytes, chunk, cq)
+            ring.submit(Opcode.WRITE, lba512, run_bytes, chunk, cq,
+                        self.kernel.tracer.current(thread))
             completion = yield from thread.poll_leased(cq.get())
             if not completion.ok:
                 raise CQEError(completion)

@@ -8,12 +8,18 @@ versus QD 64.
 ``AIOContext`` exposes batched submission: ``submit`` charges the
 kernel-side CPU for every iocb and returns immediately; the device
 completes asynchronously and ``get_events`` reaps.
+
+Tracing: ``io_submit`` and ``io_getevents`` are ``syscall`` spans, and
+``io_getevents`` sleeps inside a ``device/kernel-io`` wait span like
+the sync path's.  ``LibaioFile`` opens an ``op`` root per read/write
+whose trace context rides in the iocb; the device command is stamped
+with it, so the device phases parent under the op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
 from ..kernel.syscalls import Kernel
@@ -37,6 +43,7 @@ class AioOp:
     offset: int
     nbytes: int
     data: Optional[bytes] = None
+    trace: Optional[Tuple[int, int]] = None
 
 
 class _SplitCompletion:
@@ -97,6 +104,11 @@ class AIOContext:
 
     def submit(self, thread: Thread, ops: List[AioOp]) -> Generator:
         """io_submit(): one mode switch, then per-iocb kernel work."""
+        return self.kernel.tracer.wrap("syscall", "io_submit",
+                                       self._submit(thread, ops),
+                                       thread=thread)
+
+    def _submit(self, thread: Thread, ops: List[AioOp]) -> Generator:
         params = self.kernel.params
         yield from thread.compute(params.user_to_kernel_ns
                                   + params.libaio_submit_extra_ns)
@@ -133,7 +145,8 @@ class AIOContext:
                 chunk = None if op.data is None \
                     else op.data[written:written + run_bytes]
                 part = yield from self.kernel.blockio.submit_async(
-                    thread, op.opcode, lba512, run_bytes, data=chunk)
+                    thread, op.opcode, lba512, run_bytes, data=chunk,
+                    trace=op.trace)
                 parts.append(part)
                 pos += run_bytes
                 written += run_bytes
@@ -153,7 +166,13 @@ class AIOContext:
 
     def get_events(self, thread: Thread, min_nr: int) -> Generator:
         """io_getevents(): block until ``min_nr`` completions, reap all."""
+        return self.kernel.tracer.wrap("syscall", "io_getevents",
+                                       self._get_events(thread, min_nr),
+                                       thread=thread)
+
+    def _get_events(self, thread: Thread, min_nr: int) -> Generator:
         params = self.kernel.params
+        tracer = self.kernel.tracer
         yield from thread.compute(params.user_to_kernel_ns
                                   + params.libaio_getevents_extra_ns)
         min_nr = min(min_nr, len(self._inflight))
@@ -168,7 +187,10 @@ class AIOContext:
                 break
             if not pending:
                 break
-            yield from thread.block(self.sim.any_of(pending))
+            # The interrupt-driven sleep, as in the sync path.
+            yield from tracer.wrap("device", "kernel-io",
+                                   thread.block(self.sim.any_of(pending)),
+                                   thread=thread)
         # Opportunistically reap everything already finished.
         for ev in list(self._inflight):
             if ev.triggered:
@@ -199,12 +221,19 @@ class LibaioFile(KernelFile):
 
     def pread(self, thread: Thread, offset: int,
               nbytes: int) -> Generator:
+        return self.kernel.tracer.wrap("op", "pread",
+                                       self._pread(thread, offset, nbytes),
+                                       thread=thread)
+
+    def _pread(self, thread: Thread, offset: int,
+               nbytes: int) -> Generator:
         n = max(0, min(nbytes, self.size - offset))
         if n == 0:
             return 0, b""
         aligned = -(-n // SECTOR) * SECTOR
         yield from self.ctx.submit(thread, [
-            AioOp(self, Opcode.READ, offset, aligned)])
+            AioOp(self, Opcode.READ, offset, aligned,
+                  trace=self.kernel.tracer.current(thread))])
         completions = yield from self.ctx.get_events(thread, 1)
         self._check(completions[0])
         data = completions[0].data
@@ -212,10 +241,17 @@ class LibaioFile(KernelFile):
 
     def pwrite(self, thread: Thread, offset: int, nbytes: int,
                data: Optional[bytes] = None) -> Generator:
+        return self.kernel.tracer.wrap(
+            "op", "pwrite", self._pwrite(thread, offset, nbytes, data),
+            thread=thread)
+
+    def _pwrite(self, thread: Thread, offset: int, nbytes: int,
+                data: Optional[bytes]) -> Generator:
         aligned = -(-nbytes // SECTOR) * SECTOR
         payload = None if data is None else data + bytes(aligned - nbytes)
         yield from self.ctx.submit(thread, [
-            AioOp(self, Opcode.WRITE, offset, aligned, payload)])
+            AioOp(self, Opcode.WRITE, offset, aligned, payload,
+                  trace=self.kernel.tracer.current(thread))])
         completions = yield from self.ctx.get_events(thread, 1)
         self._check(completions[0])
         return nbytes

@@ -34,15 +34,6 @@ every Machine the experiments build attaches a sampler; after each
 experiment a telemetry section — representative sparklines plus the
 SLO breach table — is appended to the report.
 
-The deterministic host profiler answers "where does the *simulator*
-spend host CPU":
-
-    python -m repro.bench --profile fig6
-
-runs each experiment under :mod:`repro.obs.hostprof` and appends a
-per-architecture-layer self-time table (event counts, byte-stable for
-a same-seed run; one wall-clock total for scale).
-
 A failing experiment no longer takes the exit status down with it
 silently: every failure is reported on stderr, the remaining targets
 still run, and the process exits nonzero.
@@ -100,11 +91,6 @@ def main(argv=None) -> int:
         help="attach a telemetry sampler (with queue-depth/backlog "
              "SLOs) to every machine and append a telemetry section "
              "per experiment")
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run each experiment under the deterministic host "
-             "profiler and append a per-layer self-time table "
-             "(see docs/observability.md)")
     args = parser.parse_args(argv)
 
     if args.targets == ["list"]:
@@ -142,7 +128,6 @@ def main(argv=None) -> int:
         cache_dir=cache_dir,
         faults=args.faults,
         monitor=args.monitor,
-        profile=args.profile,
         start_method=args.start_method,
         timings_path=args.timings,
     )

@@ -212,9 +212,10 @@ def fig6_fio_latency(rw: str = "randread",
 
 def fig7_latency_breakdown(sizes: Sequence[int] = _FIO_SIZES,
                            ops: int = 48) -> ResultTable:
-    """Measured with the span tracer: device time is the tracer's
-    device spans, kernel time is the syscall span minus the device
-    span, and user time is whatever remains of the op."""
+    """Measured with the span tracer: each op's waterfall is folded
+    into user, kernel (``syscall``/``kernel`` spans) and device
+    (``device``/``nvme`` spans) time, which add up to the op's
+    latency (:func:`repro.obs.attribution.fold_sides`)."""
     from ..obs.perf import PerfConfig, measure_breakdown
 
     table = ResultTable(

@@ -57,7 +57,6 @@ from ..faults import (
     canary,
     set_default_injector,
 )
-from ..obs.hostprof import profile_call
 from ..obs.monitor import (
     SLO,
     MonitorConfig,
@@ -82,7 +81,6 @@ __all__ = [
     "execute_jobs",
     "fan_out",
     "normalize_faults_spec",
-    "profile_section",
     "registry_names",
     "reset_ambient_state",
     "run_experiments",
@@ -198,7 +196,7 @@ def normalize_faults_spec(spec: Optional[str]) -> Optional[str]:
 
 
 def job_config(experiment: str, faults: Optional[str],
-               monitor: bool, profile: bool = False,
+               monitor: bool,
                params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The normalized configuration that keys the cache.
 
@@ -212,7 +210,9 @@ def job_config(experiment: str, faults: Optional[str],
         "experiment": experiment,
         "faults": normalize_faults_spec(faults),
         "monitor": bool(monitor),
-        "profile": bool(profile),
+        # The retired host-profiler pass: always off, kept so cache
+        # keys and payloads stay schema 3.
+        "profile": False,
         "params": params,
     }
 
@@ -362,12 +362,6 @@ def telemetry_section(name: str, monitors: Sequence) -> str:
     return "\n".join(lines)
 
 
-def profile_section(name: str, profile) -> str:
-    """The host-profiler report for one experiment (the per-layer
-    table; the collapsed stacks live in the payload for artifacts)."""
-    return f"host profile [{name}]\n{profile.render()}"
-
-
 def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one experiment inside a clean ambient environment.
 
@@ -395,12 +389,8 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
         if config.get("monitor"):
             set_default_monitor(MonitorConfig(slos=MONITOR_SLOS))
         spec = REGISTRY[name]
-        profile = None
         with redirect_stdout(buf):
-            if config.get("profile"):
-                table, profile = profile_call(spec.build)
-            else:
-                table = spec.build()
+            table = spec.build()
         monitors = drain_ambient_monitors() if config.get("monitor") else []
         # Byte-for-byte what the serial path printed: stray experiment
         # stdout, then ResultTable.show() (blank line, table, blank
@@ -408,8 +398,6 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
         text = buf.getvalue() + "\n" + table.render() + "\n\n"
         if config.get("monitor"):
             text += telemetry_section(name, monitors) + "\n"
-        if profile is not None:
-            text += profile_section(name, profile) + "\n"
         payload: Dict[str, Any] = {
             "schema": CACHE_SCHEMA,
             "experiment": name,
@@ -426,8 +414,7 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
                 "samples": sum(m.samples_taken for m in monitors),
                 "breaches": sum(m.breach_count for m in monitors),
             } if config.get("monitor") else None),
-            "profile": (profile.to_dict()
-                        if profile is not None else None),
+            "profile": None,
         }
     except Exception:
         payload = {
@@ -634,7 +621,6 @@ def run_experiments(names: Sequence[str], *,
                     cache_dir: Optional[os.PathLike] = None,
                     faults: Optional[str] = None,
                     monitor: bool = False,
-                    profile: bool = False,
                     start_method: Optional[str] = None,
                     timings_path: Optional[os.PathLike] = None,
                     out: Optional[IO[str]] = None,
@@ -661,7 +647,7 @@ def run_experiments(names: Sequence[str], *,
 
     jobs_by_name: Dict[str, Dict[str, Any]] = {}
     for name in names:
-        config = job_config(name, faults, monitor, profile)
+        config = job_config(name, faults, monitor)
         fp = job_fingerprint(tree, config)
         jobs_by_name[name] = {
             "experiment": name,

@@ -30,7 +30,7 @@ BypassD's UserLib all inherit:
 from __future__ import annotations
 
 import errno as _errno
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..faults import canary
 from ..hw.params import HardwareParams
@@ -239,9 +239,15 @@ class BlockIOLayer(GuardedIO):
 
     def submit_async(self, thread: Thread, opcode: Opcode, lba512: int,
                      nbytes: int, data: Optional[bytes] = None,
-                     charge_layers: bool = True) -> Generator:
+                     charge_layers: bool = True,
+                     trace: Optional[Tuple[int, int]] = None) -> Generator:
         """Charge the submission-side CPU and return the completion
         event without waiting (libaio / io_uring style).
+
+        ``trace`` is the trace context of the operation the SQE or iocb
+        belongs to; the device command is stamped with it so the
+        device phases parent under the op, not under the submitting
+        span (which ends at the doorbell).
 
         Async submitters get no driver retry — errors surface through
         their own reaping API (errno in the io_event, CQE status) — but
@@ -260,7 +266,7 @@ class BlockIOLayer(GuardedIO):
         qp = self._queue_for(thread)
         cmd = Command(opcode, addr=lba512, nbytes=nbytes, data=data)
         self.requests += 1
-        self.tracer.stamp(cmd, thread=thread)
+        self.tracer.stamp(cmd, thread=thread, parent=trace)
         ev = self.device.submit(qp, cmd)
         self._guard_async(qp, cmd, ev, "nvme-timeout")
         return ev

@@ -288,7 +288,9 @@ class NVMeDevice:
                                                    sim.now)
             if spike_ns:
                 # Slow command: correct result, pathological latency.
+                token = tr.begin("nvme", "latency-spike", parent=cmd.trace)
                 yield sim.timeout(spike_ns)
+                tr.end(token)
             if terminal is FaultKind.DROP_COMPLETION:
                 # The CQE evaporates; the command sits in device limbo
                 # until the host times out and aborts it.

@@ -1,6 +1,4 @@
-"""repro.obs — cross-cutting observability.
-
-Three pieces (see ``docs/observability.md``):
+"""repro.obs — cross-cutting observability (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   log-linear histograms (p50/p99/p999 within one bucket's relative
@@ -10,21 +8,21 @@ Three pieces (see ``docs/observability.md``):
   (loadable in Perfetto), collapsed-stack flamegraphs, span-tree
   fingerprints and a pretty-printer.
 * :mod:`repro.obs.perf` — the pinned workload matrix behind
-  ``scripts/perf_track.py`` and the span-measured Table 1 / Figure 7
-  breakdown.  (Import it as ``repro.obs.perf``; it is not imported
-  here to keep ``repro.machine`` ↔ ``repro.obs`` import-cycle free.)
+  ``scripts/perf_track.py`` and the Table 1 / Figure 7 user / kernel /
+  device breakdown, folded from per-op waterfalls.  (Import it as
+  ``repro.obs.perf``; it is not imported here to keep
+  ``repro.machine`` ↔ ``repro.obs`` import-cycle free.)
 * :mod:`repro.obs.monitor` — the continuous-telemetry sampler:
   deterministic time-series gauges across every layer plus declarative
   SLO monitors with edge-triggered breach events.
-* :mod:`repro.obs.diff` — run-to-run regression attribution: aligned
-  span-tree diffing of two trace/metrics dumps, per-layer deltas and
-  retry attribution (``scripts/trace_diff.py``).
+* :mod:`repro.obs.diff` — run-to-run regression attribution: per-layer
+  waterfall deltas of two aligned trace/metrics dumps and retry
+  attribution (``scripts/trace_diff.py``).
 * :mod:`repro.obs.attribution` — per-op latency waterfalls: the exact
-  wait/service decomposition of every operation's span tree.
+  wait/service decomposition of every operation's span tree, and the
+  one fold of it into the user / kernel / device split.
 * :mod:`repro.obs.exemplar` — tail exemplars: full span trees and
   waterfalls retained only for ops above a percentile threshold.
-* :mod:`repro.obs.hostprof` — the deterministic host profiler mapping
-  interpreter self-time onto the architecture layer DAG.
 * :mod:`repro.obs.timings` — the ``bench-timings.json`` schema: per
   experiment wall-clock and simulated-time records written by the
   parallel runner and consumed by the CI sharder.
@@ -34,6 +32,7 @@ from .attribution import (
     Segment,
     Waterfall,
     build_waterfall,
+    fold_sides,
     render_waterfalls,
     waterfalls,
     waterfalls_json,
@@ -58,7 +57,6 @@ from .export import (
     write_chrome_trace,
     write_flamegraph,
 )
-from .hostprof import HostProfile, HostProfiler, profile_call
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .monitor import (
     SLO,
@@ -82,6 +80,7 @@ __all__ = [
     "Segment",
     "Waterfall",
     "build_waterfall",
+    "fold_sides",
     "render_waterfalls",
     "waterfalls",
     "waterfalls_json",
@@ -91,9 +90,6 @@ __all__ = [
     "exemplars_json",
     "render_exemplars",
     "top_exemplars",
-    "HostProfile",
-    "HostProfiler",
-    "profile_call",
     "flow_events",
     "Breach",
     "Counter",

@@ -24,6 +24,14 @@ e.g. arbiter queueing is exactly the gap between the host's doorbell
 and the device's fetch).  Waits never exceed self-time: anything over
 is clamped so conservation always wins.
 
+The same waterfalls are the only source of the paper's user / kernel /
+device latency split (Table 1, Figure 7): :func:`fold_sides` charges
+each segment to the side its span category belongs to (:func:`side_of`
+— ``syscall``/``kernel`` to the kernel, ``device``/``nvme`` to the
+device, everything else to user) and sums ``kernel`` segments per
+label into the intra-kernel layers.  :mod:`repro.obs.perf` and
+:mod:`repro.obs.diff` both read their numbers from here.
+
 Everything here is a pure observer over recorded spans — simlint rule
 SIM019 holds this module (like the chaos oracles under SIM017) to
 inferred purity: reading a trace must never mutate simulation state.
@@ -45,6 +53,8 @@ __all__ = [
     "SERVICE",
     "wait_attrs",
     "op_roots",
+    "side_of",
+    "fold_sides",
     "build_waterfall",
     "waterfalls",
     "waterfalls_json",
@@ -52,12 +62,17 @@ __all__ = [
     "render_waterfalls",
 ]
 
-# Root categories that constitute "one operation" (same rule as
-# repro.obs.diff): userlib ops for the BypassD path, syscalls for the
-# pure-kernel engines.
+# Root categories that constitute "one operation": the ``op`` root
+# UserLib, io_uring and libaio open per read/write, and the syscall
+# root of the sync engine.
 OP_CATEGORIES: Tuple[str, ...] = ("op", "syscall")
 
 SERVICE = "service"
+
+# Span category -> side of the user/kernel/device split; any category
+# not listed is user time.
+_SIDES: Dict[str, str] = {"syscall": "kernel", "kernel": "kernel",
+                          "device": "device", "nvme": "device"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +87,14 @@ class Segment:
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
+
+    @property
+    def category(self) -> str:
+        return self.layer.partition("/")[0]
+
+    @property
+    def label(self) -> str:
+        return self.layer.partition("/")[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,14 +185,37 @@ def wait_attrs(span: Span) -> Dict[str, int]:
 
 
 def op_roots(spans: Iterable[Span]) -> List[Span]:
-    """Operation roots, ordered by (start, span_id)."""
-    spans = list(spans)
+    """Operation roots of non-zero duration, ordered by
+    (start, span_id)."""
     index = span_index(spans)
-    roots = [s for s in spans
-             if s.category in OP_CATEGORIES
+    roots = [s for s in index.values()
+             if s.category in OP_CATEGORIES and s.duration_ns > 0
              and (s.parent_id == 0 or s.parent_id not in index)]
-    roots.sort(key=lambda s: (s.start_ns, s.span_id))
-    return roots
+    return sorted(roots, key=lambda s: (s.start_ns, s.span_id))
+
+
+def side_of(category: str) -> str:
+    """The side of the latency split a span category folds to."""
+    return _SIDES.get(category, "user")
+
+
+def fold_sides(folded: Iterable[Waterfall],
+               ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Sum waterfall segments into ``({side: ns}, {kernel label: ns})``.
+
+    Every nanosecond of every op lands on exactly one of ``user``,
+    ``kernel`` and ``device``, so the sides add up to the ops' total
+    latency; the second dict splits the kernel's ``kernel/<label>``
+    segments per label (``block-layer``, ``nvme-driver``, ...)."""
+    sides = {"user": 0, "kernel": 0, "device": 0}
+    layers: Dict[str, int] = {}
+    for wf in folded:
+        for seg in wf.segments:
+            sides[side_of(seg.category)] += seg.duration_ns
+            if seg.category == "kernel":
+                layers[seg.label] = layers.get(seg.label, 0) \
+                    + seg.duration_ns
+    return sides, layers
 
 
 def _fill_gap(start: int, end: int, layer: str,

@@ -9,15 +9,16 @@ or ``BENCH_perf.json``-style payloads from :mod:`repro.obs.perf` —
 aligns them, and attributes the end-to-end latency delta per layer:
 "p99 grew 18%, of which 92% is nvme-driver retry spans".
 
-Trace attribution works on *aligned span trees*: ops (root spans) are
-paired in start order, each pair's delta is decomposed into per-layer
-self-time deltas, and a synthetic ``retry`` layer captures the extra
-device attempts — each op's wait spans beyond the first, plus the
-backoff gaps between them — which otherwise would smear across device
-self-time and root self-time.  Each layer's delta is further split by
-the stamped ``wait.*`` span attrs (:mod:`repro.sim.trace`) into wait
-states versus service, so the report names the wait that grew
-("arbiter queueing grew 12 us") instead of just the layer.  All
+Trace attribution works on *aligned span trees*: ops (the roots of
+:func:`repro.obs.attribution.op_roots`) are paired in start order, and
+each op's waterfall (:func:`repro.obs.attribution.build_waterfall`)
+gives its per-layer (span category) self time, split into the stamped
+``wait.*`` states and service — the same partition the latency
+breakdowns fold — so the report names the wait that grew ("arbiter
+queueing grew 12 us") instead of just the layer.  A synthetic
+``retry`` layer captures the extra device attempts — each op's wait
+spans beyond the first, plus the backoff gaps between them — which
+otherwise would smear across device self-time and root self-time.  All
 outputs are plain dicts of ints, floats and strings:
 ``scripts/trace_diff.py`` prints them as machine-readable JSON.
 """
@@ -28,9 +29,9 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.stats import percentile
-from ..sim.trace import Span
-from .attribution import wait_attrs
-from .export import children_map, span_index
+from ..sim.trace import Span, WAIT_PREFIX
+from .attribution import SERVICE, build_waterfall, op_roots
+from .export import children_map
 
 __all__ = [
     "load_dump",
@@ -45,10 +46,6 @@ __all__ = [
     "render_diff",
     "render_blame",
 ]
-
-# Root-span categories that represent one end-to-end operation.  "op"
-# is the UserLib root, "syscall" the root on pure-kernel engines.
-_OP_CATEGORIES = ("op", "syscall")
 
 # Categories whose spans represent a device round-trip wait: one span
 # per attempt, so extra spans under one op are retries.
@@ -120,9 +117,9 @@ def load_dump(path) -> Tuple[str, object]:
     """Load a dump file; returns ("trace", spans) or ("perf", payload)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "traceEvents" in doc:
+    if isinstance(doc, dict) and "traceEvents" in doc:
         return "trace", spans_from_chrome_trace(doc)
-    if "workloads" in doc:
+    if isinstance(doc, dict) and "workloads" in doc:
         return "perf", doc
     raise ValueError(
         f"{path}: neither a Chrome trace (traceEvents) nor a perf "
@@ -131,15 +128,6 @@ def load_dump(path) -> Tuple[str, object]:
 
 
 # -- trace diffing ----------------------------------------------------------
-
-def op_roots(spans: Iterable[Span]) -> List[Span]:
-    """Operation roots in start order (ties broken by span_id)."""
-    index = span_index(spans)
-    roots = [s for s in index.values()
-             if (s.parent_id == 0 or s.parent_id not in index)
-             and s.category in _OP_CATEGORIES and s.duration_ns > 0]
-    return sorted(roots, key=lambda s: (s.start_ns, s.span_id))
-
 
 def _subtree(root: Span, kids: Dict[int, List[Span]]) -> List[Span]:
     out = [root]
@@ -152,35 +140,17 @@ def _subtree(root: Span, kids: Dict[int, List[Span]]) -> List[Span]:
     return out
 
 
-def _self_times(tree: List[Span]) -> Dict[str, int]:
-    """Per-category self time (duration minus children) in one tree."""
-    child_time: Dict[int, int] = {}
-    ids = {s.span_id for s in tree}
-    for s in tree:
-        if s.parent_id in ids:
-            child_time[s.parent_id] = (child_time.get(s.parent_id, 0)
-                                       + s.duration_ns)
-    out: Dict[str, int] = {}
-    for s in tree:
-        self_ns = s.duration_ns - child_time.get(s.span_id, 0)
-        if self_ns > 0:
-            out[s.category] = out.get(s.category, 0) + self_ns
-    return out
-
-
-def _wait_times(tree: List[Span]) -> Dict[Tuple[str, str], int]:
-    """Per-(category, wait kind) stamped wait ns in one tree.
-
-    Reads the ``wait.*`` span attrs the models stamp (sq-full stalls,
-    arbiter queueing, journal commits, ...), so a layer's growth can
-    be split into *which wait state* grew versus actual service.
-    """
-    out: Dict[Tuple[str, str], int] = {}
-    for s in tree:
-        for kind, ns in wait_attrs(s).items():
-            key = (s.category, kind)
-            out[key] = out.get(key, 0) + ns
-    return out
+def _fold_op(root: Span, kids: Dict[int, List[Span]],
+             layers: Dict[str, int],
+             waits: Dict[Tuple[str, str], int]) -> None:
+    """Add one op's waterfall to per-category self time (``layers``)
+    and per-(category, wait kind) stamped wait time (``waits``)."""
+    for seg in build_waterfall(root, kids).segments:
+        cat = seg.category
+        layers[cat] = layers.get(cat, 0) + seg.duration_ns
+        if seg.kind != SERVICE:
+            key = (cat, seg.kind[len(WAIT_PREFIX):])
+            waits[key] = waits.get(key, 0) + seg.duration_ns
 
 
 def _attempt_window_ns(tree: List[Span]) -> Tuple[int, int]:
@@ -237,17 +207,11 @@ def diff_traces(base_spans: Iterable[Span],
     extra_attempts = 0
     delta_total_ns = 0
     for b, c in zip(base_roots[:paired], cur_roots[:paired]):
+        delta_total_ns += c.duration_ns - b.duration_ns
+        _fold_op(b, base_kids, layer_base, wait_base)
+        _fold_op(c, cur_kids, layer_cur, wait_cur)
         b_tree = _subtree(b, base_kids)
         c_tree = _subtree(c, cur_kids)
-        delta_total_ns += c.duration_ns - b.duration_ns
-        for cat, ns in _self_times(b_tree).items():
-            layer_base[cat] = layer_base.get(cat, 0) + ns
-        for cat, ns in _self_times(c_tree).items():
-            layer_cur[cat] = layer_cur.get(cat, 0) + ns
-        for key, ns in _wait_times(b_tree).items():
-            wait_base[key] = wait_base.get(key, 0) + ns
-        for key, ns in _wait_times(c_tree).items():
-            wait_cur[key] = wait_cur.get(key, 0) + ns
         b_n, b_window = _attempt_window_ns(b_tree)
         c_n, c_window = _attempt_window_ns(c_tree)
         if c_n > b_n:

@@ -3,24 +3,24 @@
 :func:`measure_breakdown` is the one code path behind the paper-facing
 latency attribution: it runs a fio-shaped loop on a traced machine
 with a *clean measurement window* (setup, open and warm-up happen
-before ``tracer.clear()``), then aggregates real spans into per-op
-layer times.  ``bench.experiments.table1_latency_breakdown`` and
+before ``tracer.clear()``), then folds the window's per-op waterfalls
+(:mod:`repro.obs.attribution`) into per-op layer times.
+``bench.experiments.table1_latency_breakdown`` and
 ``fig7_latency_breakdown`` build their tables from it, and
 ``scripts/perf_track.py`` runs the pinned :data:`PERF_MATRIX` through
 it to write/compare ``BENCH_perf.json`` so CI flags latency-attribution
 drift.
 
-Attribution rules (all in ns/op over the measurement window):
-
-* ``device`` — host-side device wait spans (category ``device``); for
-  engines that poll completions off-thread (io_uring) those spans do
-  not exist and the device-internal ``nvme`` phase spans are used
-  instead;
-* ``kernel`` — syscall span time minus device wait time (clamped at 0);
-* ``user``  — mean latency minus kernel minus device (clamped at 0);
-* ``layers`` — per-label means of the intra-kernel spans
-  (``mode-switch-enter``, ``vfs-ext4``, ``block-layer``,
-  ``nvme-driver``, ``mode-switch-exit``).
+Attribution (ns/op over the measurement window) is the waterfall fold
+of :func:`repro.obs.attribution.fold_sides`: every nanosecond of an op
+belongs to the span that owned it, and ``syscall``/``kernel`` spans
+count as ``kernel``, ``device``/``nvme`` spans as ``device``, and
+everything else (the ``op`` root, UserLib's ``user`` spans) as
+``user``.  The three sides add up to the mean latency on every engine,
+including io_uring, whose SQ poller's work is kernel time.
+``layers`` are the per-label means of the ``kernel`` segments
+(``mode-switch-enter``, ``vfs-ext4``, ``block-layer``, ``nvme-driver``,
+``mode-switch-exit``, io_uring's ``sqpoll``).
 
 Everything is deterministic for a fixed seed, so ``--check`` compares
 exactly by default.
@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence
 from ..hw.params import GiB, MiB
 from ..machine import Machine
 from ..sim.stats import percentile
+from .attribution import fold_sides, waterfalls
 
 __all__ = ["PerfConfig", "Breakdown", "PERF_MATRIX", "QUICK_MATRIX",
            "measure_breakdown", "collect_perf", "compare_perf"]
@@ -151,13 +152,9 @@ def measure_breakdown(config: PerfConfig,
     thread = proc.new_thread("perf-0")
     out = Breakdown(config=config)
     is_write = config.rw in ("randwrite", "write")
-    spdk = config.engine == "spdk"
 
     def body():
-        if spdk:
-            f = engine._files[path]
-        else:
-            f = yield from engine.open(thread, path, write=is_write)
+        f = yield from engine.open(thread, path, write=is_write)
         # Warm the per-thread queue pair / DMA buffer outside the
         # measurement window, then start from a clean trace.
         if is_write:
@@ -182,20 +179,16 @@ def measure_breakdown(config: PerfConfig,
     if len(out.samples) != config.ops:
         raise AssertionError(f"perf worker recorded {len(out.samples)} "
                              f"of {config.ops} ops")
-    ops = config.ops
-    tracer = m.tracer
-    device_total = tracer.total_ns("device")
-    if device_total == 0:
-        # Off-thread completion engines (io_uring) have no host wait
-        # span; charge the device's own phase spans instead.
-        device_total = tracer.total_ns("nvme")
-    syscall_total = tracer.total_ns("syscall")
-    out.device_ns = device_total / ops
-    out.kernel_ns = max(0.0, (syscall_total - device_total) / ops)
-    out.user_ns = max(0.0, out.mean_ns - out.kernel_ns - out.device_ns)
-    out.layers = {label: ns / ops
-                  for label, ns in sorted(
-                      tracer.by_label("kernel").items())}
+    folded = waterfalls(m.tracer)
+    if len(folded) != config.ops:
+        raise AssertionError(f"perf window holds {len(folded)} op "
+                             f"roots for {config.ops} ops")
+    sides, layers = fold_sides(folded)
+    out.user_ns = sides["user"] / config.ops
+    out.kernel_ns = sides["kernel"] / config.ops
+    out.device_ns = sides["device"] / config.ops
+    out.layers = {label: ns / config.ops
+                  for label, ns in sorted(layers.items())}
     out.sim_end_ns = m.now
 
     # Fold the window's latencies into the machine's metrics registry

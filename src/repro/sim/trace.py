@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 __all__ = ["Span", "TraceError", "Tracer", "NullTracer", "NULL_TRACER",
            "WAIT_PREFIX", "WAIT_KINDS"]
@@ -128,6 +128,10 @@ class NullTracer:
 
     def end(self, token: int) -> None:
         pass
+
+    def wrap(self, category: str, label: str, body: Generator, *,
+             thread=None) -> Generator:
+        return body
 
     def record(self, category: str, label: str, start_ns: int,
                end_ns: int, *, thread=None, parent=None,
@@ -273,6 +277,16 @@ class Tracer:
         self.spans.append(Span(rec.category, rec.label, rec.start_ns,
                                end_ns, rec.span_id, rec.parent_id,
                                rec.trace_id, rec.tid, attrs))
+
+    def wrap(self, category: str, label: str, body: Generator, *,
+             thread=None) -> Generator:
+        """Run the model generator ``body`` inside a span:
+        ``return (yield from tracer.wrap("op", "pread", gen, thread=t))``."""
+        token = self.begin(category, label, thread=thread)
+        try:
+            return (yield from body)
+        finally:
+            self.end(token)
 
     @contextmanager
     def span(self, category: str, label: str = "", *,

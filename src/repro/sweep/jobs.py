@@ -83,7 +83,7 @@ def build_job(point: GridPoint, tree: str,
               else effective_faults)
     name = f"sweep/{point.cell}"
     config = runner.job_config(
-        name, faults, monitor, profile=False,
+        name, faults, monitor,
         params={
             "kind": "sweep-cell",
             "engine": point.engine,

@@ -1,21 +1,23 @@
-"""Acceptance tests for latency attribution: waterfalls, tail
-exemplars, flow events, and the deterministic host profiler.
+"""Acceptance tests for latency attribution: waterfalls, their fold
+into the user / kernel / device split, tail exemplars and flow events.
 
 Three contracts are pinned here:
 
 * **conservation** — every op's waterfall segments partition the op's
-  interval exactly (quickstart and the two-tenant Fig. 10 workload),
-  and an injected retry scenario attributes >= 90% of the p99 delta
-  to the ``retry_backoff`` wait state;
+  interval exactly (quickstart, the two-tenant Fig. 10 workload, and
+  the perf breakdown on every engine), and an injected retry scenario
+  attributes >= 90% of the p99 delta to the ``retry_backoff`` wait
+  state;
 * **determinism** — same-seed runs dump byte-identical waterfall,
-  exemplar and flow-event artifacts, and the host profiler is byte
-  stable modulo its one wall-clock field;
+  exemplar and flow-event artifacts;
 * **observer purity** — capturing attribution never perturbs the
   trace it reads (the simlint SIM019 rule enforces the static side;
   here we pin the dynamic side on real workloads).
 """
 
 import json
+
+import pytest
 
 from repro import GiB, Machine
 from repro.apps.fio import FioJob, run_fio
@@ -26,8 +28,8 @@ from repro.obs.exemplar import (ExemplarConfig, capture_exemplars,
                                 exemplars_json, top_exemplars)
 from repro.obs.export import (children_map, chrome_trace_json,
                               flow_events)
-from repro.obs.hostprof import profile_call
 from repro.obs.monitor import MonitorConfig
+from repro.obs.perf import PerfConfig, measure_breakdown
 from repro.sim.stats import percentile
 from repro.sim.trace import Span, WAIT_KINDS, WAIT_PREFIX
 
@@ -296,29 +298,26 @@ def test_monitor_exemplars_key_gated_on_config():
     assert "tail exemplars" in rendered
 
 
-# -- host profiler -----------------------------------------------------------
+# -- the user / kernel / device fold ----------------------------------------
 
-def test_host_profiler_is_byte_stable_modulo_wall_clock():
-    """Two profiled same-seed runs produce identical collapsed stacks
-    and identical normalized JSON; wall_s is the one declared
-    non-deterministic field."""
-    profile_call(_quickstart_machine)        # settle lazy imports/caches
-    _, p1 = profile_call(_quickstart_machine)
-    _, p2 = profile_call(_quickstart_machine)
-    assert p1.collapsed() == p2.collapsed()
-    assert p1.to_json(normalize=True) == p2.to_json(normalize=True)
-    assert p1.total_events == p2.total_events > 0
-    # Only wall_s may differ between the raw dicts.
-    d1, d2 = p1.to_dict(), p2.to_dict()
-    d1.pop("wall_s"), d2.pop("wall_s")
-    assert d1 == d2
-
-
-def test_host_profiler_maps_self_time_onto_layers():
-    _, profile = profile_call(_quickstart_machine)
-    table = profile.layer_table()
-    assert sum(table.values()) == profile.total_events
-    repro_layers = [name for name in table if name != "(external)"]
-    assert repro_layers, "no repro layer charged any self-time"
-    rendered = profile.render()
-    assert "events" in rendered
+@pytest.mark.parametrize("engine", ["sync", "io_uring", "libaio",
+                                    "bypassd"])
+def test_every_engine_breakdown_adds_up(engine):
+    """Each measured read is one op root whose waterfall conserves
+    time, the three sides sum to the mean latency, and every kernel
+    path (io_uring's SQ poller included) books kernel time."""
+    m = Machine(capacity_bytes=1 * GiB, memory_bytes=256 << 20,
+                capture_data=False, trace=True)
+    config = PerfConfig(f"fold-{engine}", engine=engine, ops=8,
+                        file_size=1 << 20)
+    b = measure_breakdown(config, machine=m)
+    folded = waterfalls(m.tracer)
+    assert len(folded) == config.ops
+    for wf in folded:
+        wf.check()
+    assert b.user_ns + b.kernel_ns + b.device_ns == \
+        pytest.approx(b.mean_ns, rel=1e-12)
+    if engine == "bypassd":
+        assert b.kernel_ns == 0
+    else:
+        assert b.kernel_ns > 0

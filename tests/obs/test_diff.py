@@ -213,9 +213,11 @@ def test_trace_diff_cli_attributes_retries(tmp_path):
 
 def test_trace_diff_cli_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{}", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, str(TRACE_DIFF), str(bad), str(bad)],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "error:" in proc.stderr
+    for content in ("{}", "3"):
+        bad.write_text(content, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, str(TRACE_DIFF), str(bad), str(bad)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr

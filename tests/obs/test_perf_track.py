@@ -86,7 +86,7 @@ class TestCli:
                                 str(tmp_path / "absent.json")]) == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_only_filter(self, tmp_path):
+    def test_only_filter(self, tmp_path, capsys):
         baseline = tmp_path / "perf.json"
         assert perf_track.main(["--write", "--quick",
                                 "--only", "quick-sync-4k-randread",
@@ -96,6 +96,10 @@ class TestCli:
         assert perf_track.main(["--check", "--quick",
                                 "--only", "quick-sync-4k-randread",
                                 "--json", str(baseline)]) == 0
+        capsys.readouterr()
+        assert perf_track.main(["--check", "--quick", "--only", "nope",
+                                "--json", str(baseline)]) == 1
+        assert "error: unknown perf config" in capsys.readouterr().err
 
 
 def test_committed_baseline_matches_reality():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench import runner
+from repro.obs.attribution import side_of
+from repro.obs.diff import attribute_regression, spans_from_compact
 from repro.sweep.grid import MANIFEST_SCHEMA, SweepManifest
 from repro.sweep.jobs import RECORD_SCHEMA, build_job, run_sweep_point
 
@@ -125,3 +127,22 @@ class TestRunSweepPoint:
         job["point"]["workload_spec"]["ops"] = "boom"  # int() raises
         payload = run_sweep_point(job)
         assert "error" in payload and "record" not in payload
+
+
+def test_blame_sees_async_io_under_a_latency_spike():
+    """io_uring reads are op roots whose device phases nest under the
+    op, so the wide grid's spike plan is blamed on a device-
+    side layer rather than lost outside every op."""
+    wide = SweepManifest.builtin()
+    records = {}
+    for faults in ("none", "spike"):
+        cell = f"engine=io_uring/wl=randread-4k/faults={faults}"
+        payload = run_sweep_point(build_job(
+            wide.point_for(cell, grid="wide"), "testtree"))
+        assert "error" not in payload, payload.get("error")
+        records[faults] = payload["record"]
+    result = attribute_regression(
+        spans_from_compact(records["none"]["trace"]),
+        spans_from_compact(records["spike"]["trace"]))
+    assert result["blame"] is not None
+    assert side_of(result["blame"]["layer"]) == "device"
