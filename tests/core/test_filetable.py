@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.filetable import PAGES_PER_LEAF, FileTable, build_file_table
 from repro.hw.pagetable import (
+    PMD_SPAN,
+    PageTable,
     fte_devid,
     fte_encode,
     fte_lba,
@@ -117,6 +119,22 @@ class TestSetRange:
         t = build_file_table([(0, 10, 1)], 1, DEFAULT_PARAMS)
         t.set_range(0, 99, 1, DEFAULT_PARAMS)
         assert dict(entries(t))[0] == 99
+
+    def test_negative_logical_page_rejected_before_any_change(self):
+        """A negative page must not wrap around to the last leaf."""
+        t = FileTable(devid=1)
+        t.set_range(0, 100, 600, DEFAULT_PARAMS)
+        before = [list(leaf.entries) for leaf in t.leaves]
+        with pytest.raises(ValueError, match="negative logical page"):
+            t.set_range(-5, 100, 3, DEFAULT_PARAMS)
+        assert [list(leaf.entries) for leaf in t.leaves] == before
+        assert t.pages == 600
+        assert t.build_cost_ns == 600 * DEFAULT_PARAMS.fte_write_ns
+
+    def test_negative_page_has_no_entry(self):
+        t = build_file_table([(0, 100, 600)], 1, DEFAULT_PARAMS)
+        assert not t.has_entry(-1)
+        assert not t.has_entry(-600)
 
 
 class TestTruncate:
@@ -267,7 +285,7 @@ class TestBulkFillMatchesOracle:
                                             count, devid)
             assert run_cost == count * DEFAULT_PARAMS.fte_write_ns
             cost += run_cost
-            assert [None if leaf is None else leaf.entries
+            assert [None if leaf is None else list(leaf.entries)
                     for leaf in t.leaves] == oracle
         assert t.build_cost_ns == cost
 
@@ -284,6 +302,55 @@ class TestBulkFillMatchesOracle:
             leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
             if oracle[leaf_idx] is not None:
                 oracle[leaf_idx][slot] = 0
-        assert [None if leaf is None else leaf.entries
+        assert [None if leaf is None else list(leaf.entries)
                 for leaf in t.leaves] == oracle
         assert t.pages == keep
+
+
+class TestHostBytes:
+    """A leaf costs the host the 4 KiB page the model charges for it."""
+
+    @pytest.mark.parametrize("size", [2 << 20, 64 << 20, 1 << 30])
+    def test_leaf_buffers_are_the_modelled_pages(self, size):
+        t = build_file_table([(0, 4096, size // 4096)], devid=3,
+                             params=DEFAULT_PARAMS)
+        assert len(t.leaves) == size // PMD_SPAN
+        for leaf in t.leaves:
+            assert leaf.entries.itemsize * len(leaf.entries) == 4096
+        assert t.memory_bytes() == sum(
+            leaf.entries.itemsize * len(leaf.entries) for leaf in t.leaves)
+        assert t.memory_bytes() == size // 512   # Section 6.3: 0.2 %
+
+
+class TestTopOfRange:
+    """A run ending at the last 40-bit LBA under the largest DevID."""
+
+    LAST_LBA = (1 << 40) - 1
+    DEVID = 63
+    BASE = 0x4000_0000_0000
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_bulk_fill_and_walk(self, writable):
+        # Starts mid-leaf, fills one whole leaf and ends mid-leaf.
+        logical = PAGES_PER_LEAF - 5
+        count = PAGES_PER_LEAF + 42
+        first_lba = self.LAST_LBA - count + 1
+        t = FileTable(devid=self.DEVID)
+        t.set_range(logical, first_lba, count, DEFAULT_PARAMS)
+        oracle = []
+        _oracle_set_range(oracle, logical, first_lba, count, self.DEVID)
+        assert [None if leaf is None else list(leaf.entries)
+                for leaf in t.leaves] == oracle
+
+        pt = PageTable()
+        pt.attach_leaves(self.BASE, t.leaves, t.leaf_indices(),
+                         writable=writable)
+        for page in (logical, logical + 5, 2 * PAGES_PER_LEAF,
+                     logical + count - 1):
+            walk = pt.walk(self.BASE + page * 4096)
+            assert walk.is_fte
+            assert fte_lba(walk.entry) == first_lba + page - logical
+            assert fte_devid(walk.entry) == self.DEVID
+            assert walk.effective_writable is writable
+        assert not pt.walk(self.BASE + (logical + count) * 4096).present
+        assert not pt.walk(self.BASE + (logical - 1) * 4096).present
