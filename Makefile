@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-track perf-write perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline sweep-timings
+.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline sweep-timings
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -46,9 +46,9 @@ perf-gate:
 	$(PYTHON) scripts/perf_gate.py .perf-gate-timings.json
 
 # metric regression gate: run the default sweep grid (cached) and
-# compare every cell against the committed sweep-baseline.json; a
-# regressed cell fails with the responsible layer named on stderr
-# (docs/sweeps.md)
+# compare every cell, its user/kernel/device split included, against
+# the committed sweep-baseline.json; a regressed cell fails with the
+# responsible layer named on stderr (docs/sweeps.md)
 sweep-gate:
 	$(PYTHON) scripts/sweep_gate.py --jobs auto
 
@@ -73,14 +73,6 @@ bench-engine:
 engine-diff:
 	REPRO_ENGINE_DIFF_FULL=1 $(PYTHON) -m pytest -q \
 	  tests/sim/test_engine_diff.py
-
-# compare the span-measured latency matrix against BENCH_perf.json
-perf-track:
-	$(PYTHON) scripts/perf_track.py --check
-
-# refresh BENCH_perf.json after an intentional timing change
-perf-write:
-	$(PYTHON) scripts/perf_track.py --write
 
 # the latency tour with continuous telemetry on: sparklines, SLO
 # section, Perfetto counter tracks, telemetry dump

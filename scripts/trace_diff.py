@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """trace_diff — attribute a latency regression between two runs.
 
-Loads two dumps (Chrome traces from ``Machine.write_chrome_trace`` or
-``BENCH_perf.json``-style payloads from ``scripts/perf_track.py``),
-aligns them, and reports where the latency delta lives: per-layer
+Loads two Chrome traces (``Machine.write_chrome_trace``), aligns
+their ops, and reports where the latency delta lives: per-layer
 (span category) self-time deltas — each split by stamped wait state
 (``wait.arbiter``, ``wait.journal_commit``, ...) versus service —
 plus the synthetic ``retry`` layer that captures extra device
@@ -33,12 +32,12 @@ from repro.obs.diff import diff_dumps, render_diff  # noqa: E402
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="trace_diff.py",
-        description="Diff two trace/metrics dumps and attribute the "
+        description="Diff two Chrome traces and attribute the "
                     "latency delta per layer.")
     parser.add_argument("baseline", type=Path,
-                        help="baseline dump (Chrome trace or perf JSON)")
+                        help="baseline Chrome trace")
     parser.add_argument("current", type=Path,
-                        help="current dump of the same kind")
+                        help="current Chrome trace of the same workload")
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="also write the machine-readable result here")
     parser.add_argument("--machine", action="store_true",

@@ -7,17 +7,17 @@
   :class:`repro.sim.trace.Tracer`: Chrome ``trace_event`` JSON
   (loadable in Perfetto), collapsed-stack flamegraphs, span-tree
   fingerprints and a pretty-printer.
-* :mod:`repro.obs.perf` — the pinned workload matrix behind
-  ``scripts/perf_track.py`` and the Table 1 / Figure 7 user / kernel /
-  device breakdown, folded from per-op waterfalls.  (Import it as
+* :mod:`repro.obs.perf` — the Table 1 / Figure 7 user / kernel /
+  device breakdown of a clean measurement window, folded from per-op
+  waterfalls.  (Import it as
   ``repro.obs.perf``; it is not imported here to keep
   ``repro.machine`` ↔ ``repro.obs`` import-cycle free.)
 * :mod:`repro.obs.monitor` — the continuous-telemetry sampler:
   deterministic time-series gauges across every layer plus declarative
   SLO monitors with edge-triggered breach events.
 * :mod:`repro.obs.diff` — run-to-run regression attribution: per-layer
-  waterfall deltas of two aligned trace/metrics dumps and retry
-  attribution (``scripts/trace_diff.py``).
+  waterfall deltas of two aligned trace dumps and retry attribution
+  (``scripts/trace_diff.py``).
 * :mod:`repro.obs.attribution` — per-op latency waterfalls: the exact
   wait/service decomposition of every operation's span tree, and the
   one fold of it into the user / kernel / device split.

@@ -3,11 +3,11 @@
 Two same-workload runs (a baseline and a current) rarely differ
 uniformly — a regression concentrates in one layer: extra nvme-driver
 retry attempts after injected media errors, a page-cache hit-rate
-collapse, journal commits serialising.  This module loads two dumps —
-Chrome traces written by :func:`repro.obs.export.write_chrome_trace`
-or ``BENCH_perf.json``-style payloads from :mod:`repro.obs.perf` —
-aligns them, and attributes the end-to-end latency delta per layer:
-"p99 grew 18%, of which 92% is nvme-driver retry spans".
+collapse, journal commits serialising.  This module loads two Chrome
+traces written by :func:`repro.obs.export.write_chrome_trace` (or the
+compact span dumps sweep records embed), aligns them, and attributes
+the end-to-end latency delta per layer: "p99 grew 18%, of which 92% is
+nvme-driver retry spans".
 
 Trace attribution works on *aligned span trees*: ops (the roots of
 :func:`repro.obs.attribution.op_roots`) are paired in start order, and
@@ -40,7 +40,6 @@ __all__ = [
     "spans_from_compact",
     "op_roots",
     "diff_traces",
-    "diff_perf_payloads",
     "diff_dumps",
     "attribute_regression",
     "render_diff",
@@ -113,18 +112,13 @@ def spans_from_compact(rows: Iterable[Sequence]) -> List[Span]:
     return spans
 
 
-def load_dump(path) -> Tuple[str, object]:
-    """Load a dump file; returns ("trace", spans) or ("perf", payload)."""
+def load_dump(path) -> List[Span]:
+    """Load a Chrome trace dump file as spans."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "traceEvents" in doc:
-        return "trace", spans_from_chrome_trace(doc)
-    if isinstance(doc, dict) and "workloads" in doc:
-        return "perf", doc
-    raise ValueError(
-        f"{path}: neither a Chrome trace (traceEvents) nor a perf "
-        "payload (workloads)"
-    )
+        return spans_from_chrome_trace(doc)
+    raise ValueError(f"{path}: not a Chrome trace (no traceEvents)")
 
 
 # -- trace diffing ----------------------------------------------------------
@@ -288,56 +282,9 @@ def diff_traces(base_spans: Iterable[Span],
     }
 
 
-# -- perf-payload diffing ---------------------------------------------------
-
-def diff_perf_payloads(base: dict, cur: dict) -> dict:
-    """Diff two ``BENCH_perf.json``-style payloads workload by workload."""
-    workloads = {}
-    names = sorted(set(base.get("workloads", {}))
-                   & set(cur.get("workloads", {})))
-    for name in names:
-        b = base["workloads"][name]
-        c = cur["workloads"][name]
-        mean_delta = c["mean_ns"] - b["mean_ns"]
-        comp_deltas = {}
-        for comp in ("user_ns", "kernel_ns", "device_ns"):
-            d = c.get(comp, 0.0) - b.get(comp, 0.0)
-            comp_deltas[comp] = {
-                "delta_ns": round(d, 1),
-                "share_of_delta": (round(d / mean_delta, 4)
-                                   if mean_delta else 0.0),
-            }
-        workloads[name] = {
-            "baseline_mean_ns": b["mean_ns"],
-            "current_mean_ns": c["mean_ns"],
-            "delta_ns": round(mean_delta, 1),
-            "delta_pct": (round(100.0 * mean_delta / b["mean_ns"], 2)
-                          if b["mean_ns"] else 0.0),
-            "p99_delta_ns": c["p99_ns"] - b["p99_ns"],
-            "components": comp_deltas,
-        }
-    only_base = sorted(set(base.get("workloads", {})) - set(names))
-    only_cur = sorted(set(cur.get("workloads", {})) - set(names))
-    return {
-        "schema": 1,
-        "kind": "perf",
-        "workloads": workloads,
-        "only_in_baseline": only_base,
-        "only_in_current": only_cur,
-    }
-
-
 def diff_dumps(base_path, cur_path) -> dict:
-    """Load two dump files and dispatch on their kind."""
-    base_kind, base_data = load_dump(base_path)
-    cur_kind, cur_data = load_dump(cur_path)
-    if base_kind != cur_kind:
-        raise ValueError(
-            f"cannot diff a {base_kind} dump against a {cur_kind} dump"
-        )
-    if base_kind == "trace":
-        return diff_traces(base_data, cur_data)
-    return diff_perf_payloads(base_data, cur_data)
+    """Load two Chrome trace files and diff them (:func:`diff_traces`)."""
+    return diff_traces(load_dump(base_path), load_dump(cur_path))
 
 
 # -- regression escalation --------------------------------------------------
@@ -414,52 +361,41 @@ def render_blame(attribution: dict) -> str:
 def render_diff(result: dict, top: Optional[int] = None) -> str:
     """Human-readable summary of a diff result."""
     lines: List[str] = []
-    if result["kind"] == "trace":
-        base, cur, delta = (result["baseline"], result["current"],
-                            result["delta"])
-        lines.append(
-            f"{base['ops']} ops aligned: mean "
-            f"{base['mean_ns']:.0f} -> {cur['mean_ns']:.0f} ns "
-            f"({delta['mean_pct']:+.1f}%), p99 "
-            f"{base['p99_ns']:.0f} -> {cur['p99_ns']:.0f} ns "
-            f"({delta['p99_pct']:+.1f}%)"
-        )
-        ranked = sorted(result["layers"].items(),
-                        key=lambda kv: -abs(kv[1]["delta_ns"]))
-        if top is not None:
-            ranked = ranked[:top]
-        for cat, row in ranked:
-            lines.append(f"  {cat:<12} {row['delta_ns']:>+12} ns  "
-                         f"({100.0 * row['share_of_delta']:+.1f}% of delta)")
-            # Wait-state split: name the wait that grew, not just the
-            # layer ("arbiter queueing grew", not "nvme grew").
-            wait_rows = sorted(
-                (row.get("waits") or {}).items(),
-                key=lambda kv: -abs(kv[1]["delta_ns"]))
-            for kind, w in wait_rows:
-                if w["delta_ns"] == 0:
-                    continue
-                lines.append(
-                    f"    wait.{kind:<16} {w['delta_ns']:>+10} ns  "
-                    f"({100.0 * w['share_of_delta']:+.1f}% of delta)")
-            if wait_rows and row.get("service_delta_ns", 0) != 0:
-                lines.append(
-                    f"    service{'':<14} "
-                    f"{row['service_delta_ns']:>+10} ns")
-        retry = result["attribution"]["retry"]
-        lines.append(
-            f"  retry layer: {retry['extra_attempts']} extra attempts, "
-            f"{retry['delta_ns']:+} ns "
-            f"({100.0 * retry['share_of_delta']:.1f}% of delta)"
-        )
-    else:
-        for name, row in result["workloads"].items():
+    base, cur, delta = (result["baseline"], result["current"],
+                        result["delta"])
+    lines.append(
+        f"{base['ops']} ops aligned: mean "
+        f"{base['mean_ns']:.0f} -> {cur['mean_ns']:.0f} ns "
+        f"({delta['mean_pct']:+.1f}%), p99 "
+        f"{base['p99_ns']:.0f} -> {cur['p99_ns']:.0f} ns "
+        f"({delta['p99_pct']:+.1f}%)"
+    )
+    ranked = sorted(result["layers"].items(),
+                    key=lambda kv: -abs(kv[1]["delta_ns"]))
+    if top is not None:
+        ranked = ranked[:top]
+    for cat, row in ranked:
+        lines.append(f"  {cat:<12} {row['delta_ns']:>+12} ns  "
+                     f"({100.0 * row['share_of_delta']:+.1f}% of delta)")
+        # Wait-state split: name the wait that grew, not just the
+        # layer ("arbiter queueing grew", not "nvme grew").
+        wait_rows = sorted(
+            (row.get("waits") or {}).items(),
+            key=lambda kv: -abs(kv[1]["delta_ns"]))
+        for kind, w in wait_rows:
+            if w["delta_ns"] == 0:
+                continue
             lines.append(
-                f"{name}: mean {row['baseline_mean_ns']:.0f} -> "
-                f"{row['current_mean_ns']:.0f} ns "
-                f"({row['delta_pct']:+.1f}%)"
-            )
-            for comp, d in row["components"].items():
-                lines.append(f"  {comp:<10} {d['delta_ns']:>+12.1f} ns  "
-                             f"({100.0 * d['share_of_delta']:+.1f}%)")
+                f"    wait.{kind:<16} {w['delta_ns']:>+10} ns  "
+                f"({100.0 * w['share_of_delta']:+.1f}% of delta)")
+        if wait_rows and row.get("service_delta_ns", 0) != 0:
+            lines.append(
+                f"    service{'':<14} "
+                f"{row['service_delta_ns']:>+10} ns")
+    retry = result["attribution"]["retry"]
+    lines.append(
+        f"  retry layer: {retry['extra_attempts']} extra attempts, "
+        f"{retry['delta_ns']:+} ns "
+        f"({100.0 * retry['share_of_delta']:.1f}% of delta)"
+    )
     return "\n".join(lines)

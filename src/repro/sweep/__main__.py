@@ -254,7 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "per-layer regression blame")
     parser.add_argument("--manifest", default=None,
                         help="sweep manifest JSON (default: "
-                             "./sweep-manifest.json, else built-in)")
+                             "./sweep-manifest.json, else the committed one)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="list grids and their cells")

@@ -14,8 +14,13 @@ Tolerance model (per metric, manifest-overridable):
 * ``direction: low`` — a *fall* beyond the band regresses
   (throughput).
 * ``direction: exact`` — any drift regresses (op counts, retry and
-  injection counters: these are deterministic, so drift means the
-  simulated behaviour changed).
+  injection counters, the user / kernel / device split and its
+  per-kernel-layer ``<label>.kernel_ns`` rows, the simulated end time:
+  these are deterministic, so drift means the simulated behaviour
+  changed).
+
+A metric the baseline has and the run lacks regresses too: a counter
+that silently stopped being recorded is not a pass.
 
 Moves beyond the band in the *good* direction mark the cell
 ``improved`` — visible in the dashboard, never fatal.  Gate-fatal
@@ -65,6 +70,11 @@ DEFAULT_TOLERANCES: Dict[str, Dict[str, Any]] = {
     "retries": {"direction": "exact"},
     "faults_injected": {"direction": "exact"},
     "slo_breaches": {"direction": "exact"},
+    # ns per data-path op; ``<label>.kernel_ns`` resolves by suffix.
+    "user_ns": {"direction": "exact"},
+    "kernel_ns": {"direction": "exact"},
+    "device_ns": {"direction": "exact"},
+    "sim_end_ns": {"direction": "exact"},
 }
 
 
@@ -146,6 +156,7 @@ def compare_cell(base_record: Dict[str, Any],
     cur_flat = flat_metrics(cur_record)
     regressions: List[Dict[str, Any]] = []
     improvements: List[Dict[str, Any]] = []
+    missing = sorted(base_flat.keys() - cur_flat.keys())
     for key in sorted(base_flat.keys() & cur_flat.keys()):
         band = _tolerance_for(key, tolerances)
         if band is None:
@@ -156,12 +167,13 @@ def compare_cell(base_record: Dict[str, Any],
         kind, detail = verdict
         (regressions if kind == "regression" else improvements) \
             .append(detail)
-    status = ("regressed" if regressions
+    status = ("regressed" if regressions or missing
               else "improved" if improvements else "ok")
     out: Dict[str, Any] = {
         "status": status,
         "regressions": regressions,
         "improvements": improvements,
+        "missing_metrics": missing,
         "metrics": {k: cur_flat[k] for k in sorted(cur_flat)},
         "baseline_metrics": {k: base_flat[k] for k in sorted(base_flat)},
         "attribution": None,
@@ -302,6 +314,25 @@ def _worst_regression(row: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     return max(regs, key=lambda r: abs(r["delta"]), default=None)
 
 
+def _fatal_metrics(row: Dict[str, Any], arrow: str) -> str:
+    """What made a cell fatal: the largest move first, then every
+    other regressed metric and every metric the run no longer has."""
+    parts = []
+    worst = _worst_regression(row)
+    if worst is not None:
+        parts.append(f"{worst['metric']} {worst['baseline']:.12g} "
+                     f"{arrow} {worst['current']:.12g} "
+                     f"({worst['delta']:+.12g})")
+        rest = sorted(r["metric"] for r in row["regressions"]
+                      if r is not worst)
+        if rest:
+            parts.append("also " + ", ".join(rest))
+    missing = row.get("missing_metrics") or []
+    if missing:
+        parts.append("missing from this run: " + ", ".join(missing))
+    return "; ".join(parts) or "out of tolerance"
+
+
 def _cell_label(row: Dict[str, Any]) -> str:
     mark = _STATUS_MARK.get(row["status"], row["status"])
     worst = _worst_regression(row)
@@ -310,6 +341,9 @@ def _cell_label(row: Dict[str, Any]) -> str:
         move = (f"{pct:+.1f}%" if pct is not None
                 else f"{worst['delta']:+g}")
         return f"{mark} ({worst['metric']} {move})"
+    missing = row.get("missing_metrics") or []
+    if missing:
+        return f"{mark} ({missing[0]} missing)"
     return mark
 
 
@@ -366,12 +400,9 @@ def render_markdown(report: Dict[str, Any]) -> str:
             if row["status"] == "missing":
                 lines.append(f"- `{cell}`: missing from this run")
                 continue
-            worst = _worst_regression(row)
-            what = (f"{worst['metric']} "
-                    f"{worst['baseline']:g} → {worst['current']:g}"
-                    if worst else "out of tolerance")
             why = row.get("blame") or "no trace attribution available"
-            lines.append(f"- `{cell}`: {what} — {why}")
+            lines.append(
+                f"- `{cell}`: {_fatal_metrics(row, '→')} — {why}")
     return "\n".join(lines) + "\n"
 
 
@@ -385,12 +416,9 @@ def render_text(report: Dict[str, Any]) -> str:
         if row["status"] == "missing":
             lines.append(f"sweep-gate: {cell}: MISSING from this run")
             continue
-        worst = _worst_regression(row)
-        what = (f"{worst['metric']} {worst['baseline']:g} -> "
-                f"{worst['current']:g} ({worst['delta']:+g})"
-                if worst else "out of tolerance")
         why = row.get("blame") or "no trace attribution available"
-        lines.append(f"sweep-gate: {cell}: REGRESSED: {what}; {why}")
+        lines.append(f"sweep-gate: {cell}: REGRESSED: "
+                     f"{_fatal_metrics(row, '->')}; {why}")
     s = report.get("summary", {})
     lines.append(
         f"sweep-gate: {s.get('total', 0)} cells — "

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MANIFEST_SCHEMA",
-    "DEFAULT_MANIFEST",
+    "COMMITTED_MANIFEST",
     "GridPoint",
     "Injection",
     "SweepManifest",
@@ -35,66 +35,12 @@ __all__ = [
 
 MANIFEST_SCHEMA = 1
 
-#: The built-in manifest: the committed ``sweep-manifest.json`` is a
-#: serialization of this structure.  The ``default`` grid is the
-#: PR-gating sweep (small enough to re-simulate in seconds, wide
-#: enough that every engine sees a clean and a faulted configuration);
-#: ``wide`` is the nightly grid.
-DEFAULT_MANIFEST: Dict[str, Any] = {
-    "schema": MANIFEST_SCHEMA,
-    "workloads": {
-        "randread-4k": {
-            "kind": "fio", "rw": "randread", "block_size": 4096,
-            "tenants": 1, "ops": 24, "file_mib": 4, "seed": 42,
-        },
-        "randwrite-4k-2t": {
-            "kind": "fio", "rw": "randwrite", "block_size": 4096,
-            "tenants": 2, "ops": 16, "file_mib": 4, "seed": 42,
-        },
-        "seqread-64k": {
-            "kind": "fio", "rw": "read", "block_size": 65536,
-            "tenants": 1, "ops": 24, "file_mib": 8, "seed": 42,
-        },
-        "ycsb-b-2t": {
-            "kind": "ycsb", "mix": "b", "block_size": 4096,
-            "tenants": 2, "ops": 24, "records": 256, "seed": 42,
-        },
-    },
-    "faults": {
-        "none": None,
-        # One deterministic media read error mid-run: engines with
-        # retry machinery (bypassd's userlib, sync's kernel block
-        # layer) absorb it as a retry; libaio/io_uring surface raw aio
-        # errors by design, so grids exclude those pairings below.
-        "media-retry": "seed=7,media_read_error_nth=12",
-        # Four deterministic +400 us completion spikes mid-run: fires
-        # identically under every engine (delay, never an error).
-        "spike": "seed=7,latency_spike_nth=10,latency_spike_count=4,"
-                 "latency_spike_ns=400000",
-    },
-    "grids": {
-        "default": {
-            "engines": ["bypassd", "io_uring", "libaio", "sync"],
-            "workloads": ["randread-4k", "randwrite-4k-2t"],
-            "faults": ["none", "media-retry"],
-            "exclude": [
-                {"engine": "io_uring", "faults": "media-retry"},
-                {"engine": "libaio", "faults": "media-retry"},
-            ],
-        },
-        "wide": {
-            "engines": ["bypassd", "io_uring", "libaio", "sync"],
-            "workloads": ["randread-4k", "randwrite-4k-2t",
-                          "seqread-64k", "ycsb-b-2t"],
-            "faults": ["none", "media-retry", "spike"],
-            "exclude": [
-                {"engine": "io_uring", "faults": "media-retry"},
-                {"engine": "libaio", "faults": "media-retry"},
-            ],
-        },
-    },
-    "tolerances": {},      # per-metric overrides; see repro.sweep.compare
-}
+#: The committed manifest at the repo root: the ``default`` grid is the
+#: PR-gating sweep (small enough to re-simulate in seconds, wide enough
+#: that every engine sees a clean and a faulted configuration); ``wide``
+#: is the nightly grid.
+COMMITTED_MANIFEST = Path(__file__).resolve().parents[3] \
+    / "sweep-manifest.json"
 
 
 @dataclass(frozen=True)
@@ -190,7 +136,7 @@ class SweepManifest:
     faults: Dict[str, Optional[str]]
     grids: Dict[str, Dict[str, List[str]]]
     tolerances: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    source: str = "<builtin>"
+    source: str = "<dict>"
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any],
@@ -216,7 +162,9 @@ class SweepManifest:
 
     @classmethod
     def builtin(cls) -> "SweepManifest":
-        return cls.from_dict(DEFAULT_MANIFEST, source="<builtin>")
+        """The committed ``sweep-manifest.json``, wherever the working
+        directory is."""
+        return load_manifest(COMMITTED_MANIFEST)
 
     def validate(self) -> None:
         for name, spec in self.workloads.items():
@@ -338,19 +286,15 @@ class SweepManifest:
 
 
 def load_manifest(path: Optional[Path] = None) -> SweepManifest:
-    """Load ``path``, or fall back to the built-in manifest.
+    """Load ``path``, or fall back to the committed manifest.
 
     The CLI default is ``sweep-manifest.json`` in the working
-    directory when it exists (the committed instance at the repo
-    root); otherwise the built-in grid — so ``python -m repro.sweep``
-    works from any checkout state.
+    directory when it exists; otherwise the committed instance at the
+    repo root — so ``python -m repro.sweep`` works from any directory.
     """
     if path is None:
         candidate = Path("sweep-manifest.json")
-        if candidate.is_file():
-            path = candidate
-        else:
-            return SweepManifest.builtin()
+        path = candidate if candidate.is_file() else COMMITTED_MANIFEST
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     return SweepManifest.from_dict(data, source=str(path))
 

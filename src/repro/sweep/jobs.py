@@ -13,8 +13,10 @@ The worker (:func:`run_sweep_point`) boots one traced, monitored
 :class:`~repro.machine.Machine` per cell, drives the cell's workload
 (fio pattern or YCSB mix across N tenant processes), and emits a
 machine-readable **record**: per-tenant latency percentiles,
-throughput, fault/retry counters, SLO breaches, and a compact wait-
-annotated trace dump that :mod:`repro.sweep.compare` feeds to
+throughput, fault/retry counters, SLO breaches, the user / kernel /
+device split of the data-path ops (the paper's Table 1 / Figure 7
+attribution, per kernel layer too), and a compact wait-annotated trace
+dump that :mod:`repro.sweep.compare` feeds to
 :func:`repro.obs.diff.attribute_regression` when a metric regresses.
 """
 
@@ -30,6 +32,7 @@ from ..apps.ycsb import WORKLOAD_MIXES, YCSBWorkload
 from ..baselines.registry import make_engine
 from ..bench import runner
 from ..machine import Machine
+from ..obs.attribution import fold_sides, waterfalls
 from ..obs.diff import compact_spans
 from ..obs.monitor import SLO, MonitorConfig
 from ..sim.stats import LatencyRecorder, ThroughputCounter
@@ -60,6 +63,10 @@ SWEEP_SLOS = runner.MONITOR_SLOS + (
     SLO("fio_lat_p99", "fio.lat_ns", 1_000_000.0,
         reduce="p99", window_ns=200_000),
 )
+
+# Op roots the latency split folds: the data path only, so setup
+# syscalls (open, fallocate, fsync, fmap, close) stay out of it.
+_DATA_PATH_OPS = ("pread", "pwrite")
 
 # YCSB scans are capped short: a sweep cell budgets tens of ops, and a
 # 100-block scan would turn one op into half the cell's I/O.
@@ -234,6 +241,19 @@ def _latency_stats(lat: LatencyRecorder) -> Dict[str, float]:
     }
 
 
+def _latency_split(spans) -> Dict[str, float]:
+    """ns per data-path op on each side of the user / kernel / device
+    split, plus ``<label>.kernel_ns`` per kernel layer
+    (:func:`repro.obs.attribution.fold_sides`)."""
+    ops = [wf for wf in waterfalls(spans)
+           if wf.op.partition("/")[2] in _DATA_PATH_OPS]
+    sides, layers = fold_sides(ops)
+    out = {f"{side}_ns": ns / len(ops) for side, ns in sides.items()}
+    for label, ns in sorted(layers.items()):
+        out[f"{label}.kernel_ns"] = ns / len(ops)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The worker (picklable module-level function; pool-safe)
 # ---------------------------------------------------------------------------
@@ -279,6 +299,8 @@ def run_sweep_point(job: Dict[str, Any]) -> Dict[str, Any]:
                     v for k, v in counters.items()
                     if k.startswith("injected_"))),
                 "slo_breaches": float(counters.get("slo_breaches", 0)),
+                **_latency_split(machine.tracer.spans),
+                "sim_end_ns": float(machine.now),
             },
             "tenants": [_latency_stats(lat)
                         for lat in driven["per_tenant"]],

@@ -1,10 +1,13 @@
 """Tolerance bands, statuses, attribution escalation, rendering."""
 
 import json
+from pathlib import Path
 
 from repro.sweep import compare as cmp_mod
 from repro.sweep.grid import MANIFEST_SCHEMA, SweepManifest
 from repro.sweep.jobs import build_job, run_sweep_point
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def record(cell="engine=bypassd/wl=rr/faults=none", **metrics):
@@ -69,6 +72,24 @@ class TestJudging:
         rep = cmp_mod.compare_cell(record(), record(p99_ns=20000.0),
                                    bands)
         assert rep["status"] == "ok"
+
+    def test_vanished_metric_regresses(self):
+        """A baseline metric the run no longer records is a
+        regression, not a skipped comparison."""
+        base = record()
+        base["tenants"] = [{"ops": 24.0, "mean_ns": 5000.0}]
+        cur = record()
+        del cur["metrics"]["retries"]
+        rep = cmp_mod.compare_cell(base, cur,
+                                   cmp_mod.resolve_tolerances(None))
+        assert rep["status"] == "regressed"
+        assert rep["missing_metrics"] == ["retries", "tenant0.mean_ns",
+                                          "tenant0.ops"]
+        report = cmp_mod.compare_results(doc({"c": base}),
+                                         doc({"c": cur}))
+        assert not report["ok"]
+        assert "missing from this run: retries" in \
+            cmp_mod.render_text(report)
 
     def test_tenant_metrics_use_suffix_band(self):
         base = record()
@@ -221,3 +242,41 @@ class TestRendering:
         assert "sweep-gate: engine=bypassd/wl=rr/faults=none: " \
                "REGRESSED: p999_ns" in text
         assert "1 regressed" in text
+
+
+class TestCommittedBaseline:
+    SYNC_CELL = "engine=sync/wl=randread-4k/faults=none"
+
+    def cells(self):
+        return cmp_mod.load_json(
+            REPO_ROOT / "sweep-baseline.json")["cells"]
+
+    def test_every_metric_has_a_band(self):
+        """The gate skips a key no band resolves; no committed metric
+        may be skipped, and the latency split is pinned exactly."""
+        bands = cmp_mod.resolve_tolerances(None)
+        for cell, rec in self.cells().items():
+            for key in cmp_mod.flat_metrics(rec):
+                band = cmp_mod._tolerance_for(key, bands)
+                assert band is not None, f"{cell}: {key} has no band"
+                if key.endswith(("user_ns", "kernel_ns", "device_ns")):
+                    assert band["direction"] == "exact", (cell, key)
+
+    def test_sync_cell_folds_to_table1(self):
+        """The committed sync read cell reproduces on a fresh run and
+        folds to Table 1's kernel layers and device time."""
+        committed = self.cells()[self.SYNC_CELL]
+        point = SweepManifest.builtin().point_for(self.SYNC_CELL,
+                                                  grid="default")
+        fresh = run_sweep_point(build_job(point, "t"))["record"]
+        assert fresh["metrics"] == committed["metrics"]
+        metrics = committed["metrics"]
+        assert {label: metrics[f"{label}.kernel_ns"] for label in (
+            "mode-switch-enter", "vfs-ext4", "block-layer",
+            "nvme-driver", "mode-switch-exit")} == {
+            "mode-switch-enter": 160.0, "vfs-ext4": 2810.0,
+            "block-layer": 540.0, "nvme-driver": 220.0,
+            "mode-switch-exit": 100.0}
+        assert metrics["device_ns"] == 4013.0
+        assert metrics["user_ns"] == 0.0
+        assert metrics["kernel_ns"] == 3830.0

@@ -86,10 +86,15 @@ class TestRunSweepPoint:
         metrics = record["metrics"]
         for key in ("ops", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
                     "iops", "mbps", "retries", "faults_injected",
-                    "slo_breaches"):
+                    "slo_breaches", "user_ns", "kernel_ns", "device_ns",
+                    "sim_end_ns"):
             assert key in metrics, key
         assert metrics["ops"] == 24.0
         assert metrics["retries"] == 0.0
+        # The direct path books no kernel time and no kernel layer.
+        assert metrics["kernel_ns"] == 0.0
+        assert not any(k.endswith(".kernel_ns") for k in metrics)
+        assert metrics["sim_end_ns"] == payload["timing"]["sim_time_ns"]
         assert len(record["tenants"]) == 1
         assert record["trace"], "trace dump must be present (diff path)"
         assert payload["timing"]["machines"] == 1
@@ -101,6 +106,8 @@ class TestRunSweepPoint:
         assert len(record["tenants"]) == 2
         assert all(t["ops"] > 0 for t in record["tenants"])
         assert record["metrics"]["ops"] > 0
+        # Every syscall of the data path crosses ext4.
+        assert record["metrics"]["vfs-ext4.kernel_ns"] > 0
 
     def test_cell_is_deterministic(self, manifest):
         a = run_cell(manifest, "engine=bypassd/wl=rr/faults=none")
