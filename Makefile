@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline sweep-timings
+.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline sweep-timings event-sites
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,6 +63,16 @@ sweep-baseline:
 sweep-timings:
 	$(PYTHON) -m repro.sweep run --grid default --jobs 1 --no-cache \
 	  --timings sweep-timings.json --out /dev/null
+
+# engine events posted per op, by posting call site, in the timed
+# window of each perfbench workload at seed 101 (the per-call-site
+# table in docs/engine_performance.md)
+event-sites:
+	for w in randread-bypassd randread-sync ycsb-a-wiredtiger \
+	    fmap-cold-warm; do \
+	  $(PYTHON) scripts/event_sites.py --workload $$w --seed 101 \
+	    || exit 1; \
+	done
 
 # hot-path ops/sec, overhauled engine vs the frozen reference
 bench-engine:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from functools import cached_property
+from typing import Generator, List, Optional, Tuple
 
 from ..machine import Machine
 from ..sim.resources import Lock
 from ..sim.stats import LatencyRecorder, ThroughputCounter
+from ..sim.trace import charge_phases
 from .workload_utils import materialize_file
 from .ycsb import YCSBWorkload
 
@@ -50,13 +52,13 @@ class BTreeGeometry:
     def internal_fanout(self) -> int:
         return max(2, self.page_size // (self.key_size + 8))
 
-    @property
-    def level_sizes(self) -> List[int]:
-        """Pages per level, leaves first, root last."""
+    @cached_property
+    def level_sizes(self) -> Tuple[int, ...]:
+        """Pages per level, leaves first, root last (computed once)."""
         sizes = [-(-self.n_keys // self.entries_per_leaf)]
         while sizes[-1] > 1:
             sizes.append(-(-sizes[-1] // self.internal_fanout))
-        return sizes
+        return tuple(sizes)
 
     @property
     def height(self) -> int:
@@ -79,12 +81,13 @@ class BTreeGeometry:
         if not 0 <= key < self.n_keys:
             raise KeyError(key)
         sizes = self.level_sizes  # leaves first
+        fanout = self.internal_fanout
         leaf = key // self.entries_per_leaf
         # Node index at each level, leaf upward.
         idx = leaf
         per_level_idx = [idx]
         for level in range(1, len(sizes)):
-            idx //= self.internal_fanout
+            idx //= fanout
             per_level_idx.append(idx)
         # File offset bases, root (last entry of sizes) first.
         path = []
@@ -211,8 +214,12 @@ class WiredTigerModel:
         misses: List[int] = []
         yield from thread.block(cache.lock.acquire())
         try:
+            # One lookup per path page, all under the lock: nothing else
+            # touches the LRU meanwhile, so their CPU is one delay.
+            yield from charge_phases(
+                self.machine.sim, ((None, self.CACHE_OP_NS),) * len(path),
+                thread=thread)
             for page in path:
-                yield from thread.compute(self.CACHE_OP_NS)
                 if not cache.lookup(page):
                     cache.insert(page)
                     misses.append(page)

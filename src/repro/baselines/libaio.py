@@ -26,6 +26,7 @@ from ..kernel.syscalls import Kernel
 from ..nvme.spec import Opcode
 from ..sim.cpu import Thread
 from ..sim.engine import Event, Simulator
+from ..sim.trace import charge_phases
 from .sync_io import KernelFile
 
 __all__ = ["AioOp", "AIOContext", "LibaioEngine", "LibaioFile"]
@@ -113,11 +114,11 @@ class AIOContext:
         yield from thread.compute(params.user_to_kernel_ns
                                   + params.libaio_submit_extra_ns)
         for op in ops:
-            yield from thread.compute(params.vfs_ext4_ns)
             extra_pages = max(0, -(-op.nbytes // PAGE) - 1)
-            if extra_pages:
-                yield from thread.compute(
-                    extra_pages * params.kernel_per_page_ns)
+            yield from charge_phases(
+                self.sim, ((None, params.vfs_ext4_ns),
+                           (None, extra_pages * params.kernel_per_page_ns)),
+                thread=thread)
             inode = op.file.inode
             lock = None
             if op.opcode is Opcode.WRITE:

@@ -22,6 +22,7 @@ from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
 from ..kernel.syscalls import Kernel
 from ..nvme.spec import Opcode
 from ..sim.cpu import Thread
+from ..sim.trace import charge_phases
 from .sync_io import KernelFile
 
 __all__ = ["XRPEngine", "XRPFile"]
@@ -51,8 +52,7 @@ class XRPFile(KernelFile):
         params = self.kernel.params
         kernel = self.kernel
         # One normal kernel entry for the first hop.
-        yield from kernel._enter(thread)
-        yield from thread.compute(params.vfs_ext4_ns)
+        yield from kernel._enter(thread, (None, params.vfs_ext4_ns))
         result = (0, None)
         for hop, offset in enumerate(offsets):
             n = max(0, min(nbytes, self.size - offset))
@@ -65,8 +65,10 @@ class XRPFile(KernelFile):
                 # Resubmission from the driver's completion path: the
                 # BPF program runs, re-queues, and the thread stays
                 # asleep in the original syscall.
-                yield from thread.compute(params.xrp_resubmit_ns)
-                yield from thread.compute(params.xrp_bpf_exec_ns)
+                yield from charge_phases(
+                    kernel.sim, ((None, params.xrp_resubmit_ns),
+                                 (None, params.xrp_bpf_exec_ns)),
+                    thread=thread)
                 data = yield from kernel.blockio.rw_bytes(
                     thread, Opcode.READ, lba512, aligned,
                     charge_layers=False)

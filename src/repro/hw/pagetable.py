@@ -232,7 +232,6 @@ class WalkResult:
 
     entry: int                       # leaf entry (0 if not present)
     level: int                       # level at which the walk ended
-    path: List[Tuple[int, int]]      # (level, interior entry flags) visited
     effective_writable: bool
 
     @property
@@ -427,28 +426,31 @@ class PageTable:
     # -- walking ---------------------------------------------------------
 
     def walk(self, va: int) -> WalkResult:
-        """Resolve ``va`` recording the interior entries visited."""
+        """Resolve ``va`` to its leaf entry and effective permission.
+
+        Every ATS request walks, so the tests of :func:`_index`,
+        :func:`pte_present` and :func:`pte_writable` are inlined.
+        """
         self._check_va(va)
         node = self.root
-        path: List[Tuple[int, int]] = []
-        writable = True
+        writable = _WRITABLE
+        shift = PAGE_SHIFT + INDEX_BITS * (LEVEL_PGD - 1)
         for level in (LEVEL_PGD, LEVEL_PUD, LEVEL_PMD):
-            idx = _index(va, level)
+            idx = (va >> shift) & (ENTRIES_PER_NODE - 1)
             entry = node.entries[idx]
-            path.append((level, entry))
-            if not pte_present(entry):
-                return WalkResult(0, level, path, False)
-            writable = writable and pte_writable(entry)
+            if not entry & _PRESENT:
+                return WalkResult(0, level, False)
+            writable &= entry
             assert node.children is not None
             child = node.children[idx]
             if child is None:
-                return WalkResult(0, level, path, False)
+                return WalkResult(0, level, False)
             node = child
-        leaf = node.entries[_index(va, LEVEL_PT)]
-        if not pte_present(leaf):
-            return WalkResult(0, LEVEL_PT, path, False)
-        writable = writable and pte_writable(leaf)
-        return WalkResult(leaf, LEVEL_PT, path, writable)
+            shift -= INDEX_BITS
+        leaf = node.entries[(va >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)]
+        if not leaf & _PRESENT:
+            return WalkResult(0, LEVEL_PT, False)
+        return WalkResult(leaf, LEVEL_PT, bool(writable & leaf))
 
     # -- accounting ---------------------------------------------------------
 

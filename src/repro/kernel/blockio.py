@@ -39,6 +39,7 @@ from ..nvme.queues import QueuePair
 from ..nvme.spec import Command, Completion, Opcode
 from ..sim.cpu import Thread
 from ..sim.engine import Event, Simulator
+from ..sim.trace import NULL_TRACER, charge_phases
 
 __all__ = ["BlockIOLayer", "GuardedIO", "KernelVolume", "IOError_"]
 
@@ -148,7 +149,6 @@ class BlockIOLayer(GuardedIO):
         super().__init__(sim, params, device)
         self._queues: Dict[int, QueuePair] = {}
         self.requests = 0
-        from ..sim.trace import NULL_TRACER
         self.tracer = NULL_TRACER
 
     def _queue_for(self, thread: Thread) -> QueuePair:
@@ -170,6 +170,13 @@ class BlockIOLayer(GuardedIO):
         """Completions posted by the device, not yet seen by a waiter."""
         return sum(qp.cq_backlog for qp in self._queues.values())
 
+    def _charge_layers(self, thread: Thread) -> Generator:
+        """The block layer then the NVMe driver: one delay, two spans."""
+        return charge_phases(
+            self.sim, (("block-layer", self.params.block_layer_ns),
+                       ("nvme-driver", self.params.nvme_driver_ns)),
+            thread=thread, tracer=self.tracer)
+
     # -- guarded submission ---------------------------------------------------
 
     def _rw(self, thread: Thread, opcode: Opcode, lba512: int,
@@ -177,14 +184,7 @@ class BlockIOLayer(GuardedIO):
             charge_irq: bool) -> Generator:
         """Submit + wait with the full retry policy; returns read data."""
         if charge_layers:
-            token = self.tracer.begin("kernel", "block-layer",
-                                      thread=thread)
-            yield from thread.compute(self.params.block_layer_ns)
-            self.tracer.end(token)
-            token = self.tracer.begin("kernel", "nvme-driver",
-                                      thread=thread)
-            yield from thread.compute(self.params.nvme_driver_ns)
-            self.tracer.end(token)
+            yield from self._charge_layers(thread)
         qp = self._queue_for(thread)
         attempt = 0
         while True:
@@ -255,14 +255,7 @@ class BlockIOLayer(GuardedIO):
         completion would strand the reaper forever.
         """
         if charge_layers:
-            token = self.tracer.begin("kernel", "block-layer",
-                                      thread=thread)
-            yield from thread.compute(self.params.block_layer_ns)
-            self.tracer.end(token)
-            token = self.tracer.begin("kernel", "nvme-driver",
-                                      thread=thread)
-            yield from thread.compute(self.params.nvme_driver_ns)
-            self.tracer.end(token)
+            yield from self._charge_layers(thread)
         qp = self._queue_for(thread)
         cmd = Command(opcode, addr=lba512, nbytes=nbytes, data=data)
         self.requests += 1

@@ -14,7 +14,7 @@ simulation process:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 from ..fs.ext4.filesystem import Ext4Filesystem, FsError
 from ..fs.ext4.inode import Inode
@@ -22,6 +22,7 @@ from ..hw.params import HardwareParams
 from ..nvme.spec import Opcode
 from ..sim.cpu import Thread
 from ..sim.engine import Simulator
+from ..sim.trace import NULL_TRACER, charge_phases
 from .blockio import BlockIOLayer
 from .pagecache import PageCache
 from .process import (
@@ -68,7 +69,6 @@ class Kernel:
         # works fine without it (pure kernel-interface machine).
         self.bypassd = None
         self.syscall_count = 0
-        from ..sim.trace import NULL_TRACER
         self.tracer = NULL_TRACER
         # ext4 serialises concurrent writes to one inode (i_rwsem); the
         # paper calls this bottleneck out for KVell on YCSB A, which
@@ -85,24 +85,25 @@ class Kernel:
 
     # -- mode switches ------------------------------------------------------
 
-    def _enter(self, thread: Thread) -> Generator:
+    def _enter(self, thread: Thread,
+               *then: Tuple[Optional[str], int]) -> Generator:
+        """Switch into the kernel, then run the fixed phases ``then``
+        (``(label, ns)`` pairs, a ``None`` label untraced) in the same
+        delay: nothing between them reads shared state."""
         self.syscall_count += 1
-        token = self.tracer.begin("kernel", "mode-switch-enter",
-                                  thread=thread)
-        yield from thread.compute(self.params.user_to_kernel_ns)
-        self.tracer.end(token)
+        return charge_phases(
+            self.sim,
+            (("mode-switch-enter", self.params.user_to_kernel_ns),) + then,
+            thread=thread, tracer=self.tracer)
+
+    def _vfs(self, ns: Optional[int] = None) -> Tuple[str, int]:
+        """The VFS + ext4 software layer, as an :meth:`_enter` phase."""
+        return ("vfs-ext4", self.params.vfs_ext4_ns if ns is None else ns)
 
     def _exit(self, thread: Thread) -> Generator:
         token = self.tracer.begin("kernel", "mode-switch-exit",
                                   thread=thread)
         yield from thread.compute(self.params.kernel_to_user_ns)
-        self.tracer.end(token)
-
-    def _vfs(self, thread: Thread, ns: Optional[int] = None) -> Generator:
-        """Charge (and trace) the VFS + ext4 software layer."""
-        token = self.tracer.begin("kernel", "vfs-ext4", thread=thread)
-        yield from thread.compute(
-            self.params.vfs_ext4_ns if ns is None else ns)
         self.tracer.end(token)
 
     # -- open/close ---------------------------------------------------------
@@ -118,8 +119,8 @@ class Kernel:
         """
         token = self.tracer.begin("syscall", "open", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from thread.compute(self.params.open_base_ns)
+            yield from self._enter(thread,
+                                   (None, self.params.open_base_ns))
             path = proc.resolve_path(path)
             if (flags & O_CREAT) and not self.fs.exists(path):
                 inode = self.fs.create(path, mode, proc.uid,
@@ -179,8 +180,7 @@ class Kernel:
             raise PermissionError_("fd not open for reading")
         token = self.tracer.begin("syscall", "pread", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from self._vfs(thread)
+            yield from self._enter(thread, self._vfs())
             inode = fdesc.inode
             n = max(0, min(nbytes, inode.size - offset))
             data: Optional[bytes] = b"" if n == 0 else None
@@ -266,8 +266,7 @@ class Kernel:
             raise ValueError("payload length mismatch")
         token = self.tracer.begin("syscall", "pwrite", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from self._vfs(thread)
+            yield from self._enter(thread, self._vfs())
             inode = fdesc.inode
             lock = self._write_lock(inode)
             lock_t0 = self.sim.now
@@ -383,8 +382,10 @@ class Kernel:
         while remaining > 0:
             page_idx = pos // PAGE
             in_page = min(remaining, PAGE - pos % PAGE)
-            yield from thread.compute(self.params.page_cache_hit_ns)
-            yield from thread.compute(self.params.memcpy_ns(in_page))
+            yield from charge_phases(
+                self.sim, ((None, self.params.page_cache_hit_ns),
+                           (None, self.params.memcpy_ns(in_page))),
+                thread=thread)
             if in_page == PAGE:
                 page = data[consumed:consumed + PAGE] if data is not None \
                     else None
@@ -414,8 +415,7 @@ class Kernel:
             raise PermissionError_("fd not open for appending")
         token = self.tracer.begin("syscall", "append", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from self._vfs(thread)
+            yield from self._enter(thread, self._vfs())
             inode = fdesc.inode
             lock = self._write_lock(inode)
             lock_t0 = self.sim.now
@@ -446,8 +446,7 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         token = self.tracer.begin("syscall", "fallocate", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from self._vfs(thread)
+            yield from self._enter(thread, self._vfs())
             inode = fdesc.inode
             yield from self.fs.fallocate(inode, offset, length)
             fdesc.modified = True
@@ -462,8 +461,7 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         token = self.tracer.begin("syscall", "ftruncate", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from self._vfs(thread)
+            yield from self._enter(thread, self._vfs())
             inode = fdesc.inode
             if self.bypassd is not None and inode.file_table is not None:
                 # Detach before blocks are freed so no stale FTE survives.
@@ -489,8 +487,8 @@ class Kernel:
         fdesc = proc.get_fd(fd)
         token = self.tracer.begin("syscall", "fsync", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from self._vfs(thread, self.params.vfs_ext4_ns // 2)
+            yield from self._enter(
+                thread, self._vfs(self.params.vfs_ext4_ns // 2))
             inode = fdesc.inode
             yield from self.pagecache.sync_inode(thread, inode)
             if fdesc.accessed or fdesc.modified:
@@ -510,8 +508,8 @@ class Kernel:
                    path: str) -> Generator:
         token = self.tracer.begin("syscall", "unlink", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from thread.compute(self.params.open_base_ns)
+            yield from self._enter(thread,
+                                   (None, self.params.open_base_ns))
             path = proc.resolve_path(path)
             inode = self.fs.lookup(path)
             if self.bypassd is not None and inode.fmap_attachments:
@@ -526,8 +524,8 @@ class Kernel:
                  path: str) -> Generator:
         token = self.tracer.begin("syscall", "stat", thread=thread)
         try:
-            yield from self._enter(thread)
-            yield from thread.compute(self.params.open_base_ns // 2)
+            yield from self._enter(thread,
+                                   (None, self.params.open_base_ns // 2))
             inode = self.fs.lookup(proc.resolve_path(path))
             yield from self._exit(thread)
         finally:

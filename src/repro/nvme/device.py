@@ -35,7 +35,7 @@ from ..hw.iommu import IOMMU, TranslationFault
 from ..hw.params import HardwareParams
 from ..hw.pcie import PCIeLink
 from ..sim.engine import Event, Simulator
-from ..sim.trace import NULL_TRACER
+from ..sim.trace import NULL_TRACER, charge_phases
 from .backend import MediaBackend
 from .queues import QueuePair
 from .scheduler import RoundRobinArbiter
@@ -372,18 +372,16 @@ class NVMeDevice:
                   translation_ns: int):
         # Host->device transfer overlaps the VBA translation (Section 4.3):
         # data lands in device memory while the IOMMU resolves the LBA.
-        tr = self.tracer
-        token = tr.begin("nvme", "transfer", parent=cmd.trace)
+        # Nothing between the link reservation and the media write reads
+        # shared state, so transfer, translate remainder and media are
+        # one delay; the payload lands at media end.
         elapsed = self._reserve_link(cmd.nbytes)
-        yield self.sim.timeout(elapsed)
-        tr.end(token)
+        phases = [("transfer", elapsed)]
         if translation_ns > elapsed:
-            token = tr.begin("nvme", "translate", parent=cmd.trace)
-            yield self.sim.timeout(translation_ns - elapsed)
-            tr.end(token)
-        token = tr.begin("nvme", "media", parent=cmd.trace)
-        yield self.sim.timeout(self.backend.media_ns(Opcode.WRITE))
-        tr.end(token)
+            phases.append(("translate", translation_ns - elapsed))
+        phases.append(("media", self.backend.media_ns(Opcode.WRITE)))
+        yield from charge_phases(self.sim, phases, tracer=self.tracer,
+                                 category="nvme", parent=cmd.trace)
         offset = 0
         for lba, nblocks in segments:
             chunk = None

@@ -20,7 +20,7 @@ not from time-slicing detail.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from .engine import Event, Simulator
 from .resources import Resource
@@ -88,9 +88,15 @@ class Thread:
 
     # -- core ownership ----------------------------------------------------
 
-    def _acquire_core(self) -> Generator[Event, Any, None]:
+    def _acquire_core(self) -> Iterable[Event]:
+        """What to ``yield from`` to be on a core: nothing when the
+        core is held (most calls, so no generator is built), else the
+        wait for a grant."""
         if self._on_core:
-            return
+            return ()
+        return self._wait_for_core()
+
+    def _wait_for_core(self) -> Generator[Event, Any, None]:
         t0 = self.sim.now
         yield self.cpus._pool.request()
         self.run_queue_ns += self.sim.now - t0
@@ -107,11 +113,12 @@ class Thread:
         """Spend ``ns`` of CPU time; the core stays held afterwards."""
         if ns < 0:
             raise ValueError(f"negative compute time: {ns}")
+        ns = int(ns)
         yield from self._acquire_core()
         if ns:
-            yield self.sim.timeout(int(ns))
-        self.compute_ns += int(ns)
-        self.cpus.busy_ns += int(ns)
+            yield self.sim.timeout(ns)
+        self.compute_ns += ns
+        self.cpus.busy_ns += ns
 
     def block(self, event: Event) -> Generator[Event, Any, Any]:
         """Sleep off-core until ``event`` triggers; resume on a core."""

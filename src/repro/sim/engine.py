@@ -585,22 +585,6 @@ class Simulator:
         self._cur = cur
         return cur[0][0]
 
-    def _flush_imm(self) -> None:
-        """File pending current-instant entries by absolute time.
-
-        Only needed when a ``run(until=...)`` call is about to park the
-        clock *below* ``self.now`` (bug-compatible with the reference
-        engine): the FIFO's implicit "at the current instant" no longer
-        holds, so entries move into the time-indexed structures.
-        """
-        imm = self._imm
-        for i in range(self._imm_head, len(imm)):
-            t, seq, event = imm[i]
-            self._place(t, seq, event) if t > (self._cur_abs << _W_SHIFT) \
-                else heappush(self._cur, (t, seq, event))
-        del imm[:]
-        self._imm_head = 0
-
     # -- the event loop ----------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> int:
@@ -612,17 +596,13 @@ class Simulator:
         its own, so with monitoring attached a run ends at the exact
         same simulated instant as without it.
 
-        Returns the simulation time when the run stopped.
+        Returns the simulation time when the run stopped.  A horizon
+        in the past raises :class:`SimulationError` and leaves the clock
+        and the queue untouched: time never runs backwards.
         """
         if until is not None and until < self.now:
-            # Bug-compatible with the reference engine: a horizon in
-            # the past parks the clock there when events are pending.
-            if self._count:
-                self._flush_imm()
-                self.now = until
-            if self._san is not None:
-                self._san.finish()
-            return self.now
+            raise SimulationError(
+                f"run(until={until}) is in the past: now={self.now}")
         if self._instrumented:
             return self._run_slow(until)
         return self._run_fast(until)

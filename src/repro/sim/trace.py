@@ -25,6 +25,13 @@ current ``(trace_id, span_id)`` via :meth:`Tracer.stamp`; the device
 then passes ``parent=cmd.trace`` to parent its media/transfer phases
 under the host's wait span.
 
+A run of fixed delays that crosses no shared-state instant is charged
+as one delay by :func:`charge_phases`, which then traces each phase of
+the run through :meth:`Tracer.record` as a closed span with explicit
+``[start, end)`` bounds — the same spans ``begin()``/``end()`` around
+separate delays would have produced, for one engine event instead of
+one per phase.
+
 Tracing never advances simulated time — with tracing on or off the
 same seed produces a byte-identical timeline.  It is opt-in and
 zero-cost when disabled: the module-level ``NULL_TRACER`` swallows
@@ -35,10 +42,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (Dict, Generator, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 __all__ = ["Span", "TraceError", "Tracer", "NullTracer", "NULL_TRACER",
-           "WAIT_PREFIX", "WAIT_KINDS"]
+           "WAIT_PREFIX", "WAIT_KINDS", "charge_phases"]
 
 # Wait-state attribute namespace.  A span whose interval includes time
 # spent *waiting* (rather than doing work) carries one attr per wait
@@ -225,6 +233,9 @@ class Tracer:
     def record(self, category: str, label: str, start_ns: int,
                end_ns: int, *, thread=None, parent=None,
                attrs=None) -> None:
+        """Record a closed span with explicit ``[start_ns, end_ns)``
+        bounds, parented like :meth:`begin`; :func:`charge_phases`
+        traces each phase of a fused run this way."""
         span_id = self._next_id
         self._next_id += 1
         parent_id, trace_id, tid = self._resolve(span_id, thread, parent)
@@ -341,3 +352,41 @@ class Tracer:
 
 
 NULL_TRACER = NullTracer()
+
+
+def charge_phases(sim, phases: Sequence[Tuple[Optional[str], int]], *,
+                  thread=None, tracer=NULL_TRACER, category: str = "kernel",
+                  parent=None) -> Generator:
+    """Charge a run of fixed-delay phases as one delay.
+
+    ``phases`` are ``(label, ns)`` pairs that run back to back; a
+    ``None`` label charges its time without a span.  With a ``thread``
+    the run is one ``thread.compute`` (the core is acquired once, up
+    front), otherwise one timeout.  Afterwards each labelled phase is
+    recorded as a ``category`` span with explicit bounds, exactly where
+    ``begin()``/``end()`` around one delay per phase would have put it:
+    the first phase starts where this call starts, before the core is
+    granted, so run-queue wait stays inside it, and every later phase
+    starts where the previous one ends.
+
+    Fuse only phases with no shared-state instant between them: nothing
+    that another process can change may be read or written there
+    (docs/engine_performance.md lists the instants that forbid it).
+    """
+    t0 = sim.now
+    total = 0
+    for _label, ns in phases:
+        total += ns
+    if thread is not None:
+        yield from thread.compute(total)
+    elif total:
+        yield sim.timeout(total)
+    if tracer.enabled:
+        start = t0
+        end = sim.now - total
+        for label, ns in phases:
+            end += ns
+            if label is not None:
+                tracer.record(category, label, start, end, thread=thread,
+                              parent=parent)
+            start = end

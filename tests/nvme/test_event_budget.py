@@ -1,21 +1,27 @@
 """Engine events posted per device command.
 
 Pins the exact number of events (``Simulator._seq`` advances once per
-posted event) one uncontended 4 KiB operation costs on a fresh
-``Machine``, host path included.  A dead event that comes back on the
-device path changes these counts and fails here.
+posted event) one uncontended operation costs on a fresh ``Machine``,
+host path included.  A dead event that comes back on the device path,
+or a fixed-delay chain that is no longer charged as one delay (the
+syscall entry and VFS, the block layer and driver, a write's transfer
+and media, a WiredTiger path's cache lookups), changes these counts and
+fails here.
 """
 
 import pytest
 
 from repro import Machine
+from repro.apps.wiredtiger import BTreeGeometry, WiredTigerModel
+from repro.apps.ycsb import YCSBOp
 from repro.baselines.registry import make_engine
 
 # (engine, write, posted events, simulated ns)
 BUDGET = [
     ("bypassd", False, 15, 4872),
-    ("sync", False, 14, 7843),
-    ("bypassd", True, 11, 4402),
+    ("sync", False, 12, 7843),
+    ("bypassd", True, 10, 4402),
+    ("sync", True, 13, 7923),
 ]
 
 
@@ -48,6 +54,30 @@ def _one_op(engine: str, write: bool):
 
 
 @pytest.mark.parametrize("engine,write,events,elapsed_ns", BUDGET,
-                         ids=["bypassd-read", "sync-read", "bypassd-write"])
+                         ids=["bypassd-read", "sync-read", "bypassd-write",
+                              "sync-write"])
 def test_events_per_4k_command(engine, write, events, elapsed_ns):
     assert _one_op(engine, write) == (events, elapsed_ns)
+
+
+def test_events_per_wiredtiger_read_with_one_path_miss():
+    """A YCSB read on bypassd whose 4-page B-tree path misses only at
+    the leaf: one lock grant, one delay for the four cache lookups, one
+    direct 512 B read."""
+    m = Machine()
+    proc = m.spawn_process("wt")
+    thread = proc.new_thread()
+    geom = BTreeGeometry(100_000)
+    model = WiredTigerModel(m, geom, 1 << 20, make_engine(m, proc,
+                                                          "bypassd"))
+    model.setup(proc)
+    # Key 16 is the first key of the leaf after key 0's: the warm-up
+    # read caches the three interior pages they share.
+    assert geom.path_pages(0)[:-1] == geom.path_pages(16)[:-1]
+    assert geom.path_pages(0)[-1] != geom.path_pages(16)[-1]
+    m.run_process(model.do_op(thread, YCSBOp("read", 0)))
+
+    seq, now, ios = m.sim._seq, m.now, model.ios
+    m.run_process(model.do_op(thread, YCSBOp("read", 16)))
+    assert model.ios - ios == 1
+    assert (m.sim._seq - seq, m.now - now) == (19, 6169)

@@ -1,4 +1,4 @@
-"""Regression tests for two engine bugs fixed in the hot-path overhaul.
+"""Regression tests for engine bugs fixed since the hot-path overhaul.
 
 1. ``AnyOf`` (and a failing ``AllOf``) used to leave their ``_check``
    callback registered on the losing events after the condition
@@ -12,6 +12,10 @@
    time and advanced without its real wait completing.  The poke event
    of an interrupt whose target finished in the same tick also stayed
    un-recyclable garbage under pooling.
+3. ``run(until=t)`` with ``t`` before the current time moved the clock
+   backwards to ``t`` when events were pending.  It now raises
+   :class:`~repro.sim.engine.SimulationError` and changes nothing, as
+   SimPy does.
 
 Each test pins the fixed behaviour on the new engine; where the
 pre-overhaul behaviour differed, the companion assertion documents it
@@ -19,8 +23,10 @@ against :mod:`repro.sim.engine_reference` so the difference stays
 deliberate and visible.
 """
 
+import pytest
+
 from repro.sim import engine, engine_reference
-from repro.sim.engine import Interrupt
+from repro.sim.engine import Interrupt, SimulationError
 
 
 # -- 1: condition callbacks detach from losing events ------------------------
@@ -210,3 +216,32 @@ def test_interrupt_after_finish_same_tick_sanitizer_parity():
         return [(d.kind, d.message) for d in sim.sanitizer.findings()]
 
     assert scenario(engine) == scenario(engine_reference)
+
+
+# -- 3: a horizon in the past is refused -------------------------------------
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_run_until_in_the_past_raises_and_changes_nothing(sanitize):
+    sim = engine.Simulator(sanitize=sanitize)
+    fired = []
+    for delay in (0, 5, 2_000, 400_000):
+        sim.timeout(delay, value=delay).add_callback(
+            lambda ev: fired.append((sim.now, ev.value)))
+    assert sim.run(until=1_000) == 1_000
+    sim.timeout(0, value="now").add_callback(
+        lambda ev: fired.append((sim.now, ev.value)))
+    before = (sim.now, sim.pending_events, sim._seq, list(fired))
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run(until=999)
+    assert (sim.now, sim.pending_events, sim._seq, fired) == before
+    # The queue still drains in (time, seq) order from the same clock.
+    assert sim.run() == 400_000
+    assert fired == [(0, 0), (5, 5), (1_000, "now"), (2_000, 2_000),
+                     (400_000, 400_000)]
+
+
+def test_reference_engine_moved_the_clock_backwards():
+    sim = engine_reference.Simulator()
+    sim.timeout(2_000)
+    sim.run(until=1_000)
+    assert sim.run(until=500) == 500

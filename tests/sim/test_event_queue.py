@@ -7,13 +7,16 @@ order the pre-overhaul single-``heapq`` engine guarantees by
 construction.  Hypothesis drives both engines (plus an explicit
 sorted-list oracle computed in the test) with arbitrary interleavings
 of posts and ``until``-bounded drains: duplicate timestamps, bucket
-boundaries, far-horizon spill, and pathological ``until < now`` calls.
+boundaries, far-horizon spill, and pathological ``until < now`` calls
+(which the live engine refuses with the clock and queue untouched; the
+frozen reference parked its clock there, so it skips them).
 
 The freelist properties: recycled events are only ever ones nobody
 else references (a held event is never mutated by later traffic), and
 pooling is off under ``sanitize=True`` so provenance stays exact.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +32,7 @@ INTERESTING_DELAYS = [
 
 # One drain phase: post this batch of delays, then run with a bound
 # ("step" ns ahead), unbounded (None), or deliberately in the past
-# ("past": reference-engine clock parking, exercises _flush_imm).
+# ("past": the live engine must raise and change nothing).
 PHASES = st.lists(
     st.tuples(
         st.lists(st.sampled_from(INTERESTING_DELAYS),
@@ -58,8 +61,15 @@ def _drive(sim, phases):
                 lambda ev, s=sim: history.append(("pop", s.now, ev._value)))
         if bound is None:
             history.append(("ran", sim.run(), None))
+        elif bound == "past" and sim.now == 0:
+            history.append(("ran", sim.run(until=0), None))  # not past
         elif bound == "past":
-            history.append(("ran", sim.run(until=max(sim.now - 1, 0)), None))
+            # The frozen reference parks its clock in the past: skip it.
+            if not isinstance(sim, engine_reference.Simulator):
+                before = (sim.now, sim.pending_events, sim._seq)
+                with pytest.raises(engine.SimulationError):
+                    sim.run(until=sim.now - 1)
+                assert (sim.now, sim.pending_events, sim._seq) == before
         else:
             history.append(("ran", sim.run(until=sim.now + bound), None))
     history.append(("final", sim.run(), sim.pending_events))

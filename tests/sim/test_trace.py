@@ -3,8 +3,10 @@
 import pytest
 
 from repro import GiB, Machine
+from repro.sim.cpu import CPUSet
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACER, Span, TraceError, Tracer
+from repro.sim.trace import (NULL_TRACER, Span, TraceError, Tracer,
+                             charge_phases)
 
 
 class FakeThread:
@@ -167,6 +169,66 @@ class TestHierarchy:
         assert len(groups) == 2
         for spans in groups.values():
             assert {s.category for s in spans} == {"op", "nvme"}
+
+
+class TestChargePhases:
+    """A fused run is one delay but traces every phase as begin()/end()
+    around one delay per phase would."""
+
+    def _spans(self, tracer):
+        return [(s.category, s.label, s.start_ns, s.end_ns, s.tid,
+                 s.parent_id) for s in tracer.spans]
+
+    def test_thread_run_queue_wait_stays_in_the_first_span(self):
+        sim = Simulator()
+        tracer = Tracer(sim)
+        cpus = CPUSet(sim, 1)
+        busy, late = cpus.thread("busy"), cpus.thread("late")
+        phases = (("enter", 160), (None, 40), ("vfs", 2810))
+
+        def hog():
+            yield from busy.compute(1000)
+            busy.release_core()
+
+        def fused():
+            token = tracer.begin("syscall", "pread", thread=late)
+            yield from charge_phases(sim, phases, thread=late,
+                                     tracer=tracer)
+            tracer.end(token)
+
+        seq = sim._seq
+        sim.process(hog())
+        sim.process(fused())
+        sim.run()
+        root = tracer.spans[-1].span_id
+        assert self._spans(tracer)[:2] == [
+            ("kernel", "enter", 0, 1160, late.tid, root),
+            ("kernel", "vfs", 1200, 4010, late.tid, root)]
+        assert late.compute_ns == 3010 and late.run_queue_ns == 1000
+        # Three phases post one timeout: a delay per phase would be 10.
+        assert sim._seq - seq == 8
+
+    def test_device_run_parents_under_the_stamp(self):
+        sim = Simulator()
+        tracer = Tracer(sim)
+        sim.process(charge_phases(
+            sim, [("transfer", 953), ("translate", 1075), ("media", 2900)],
+            tracer=tracer, category="nvme", parent=(7, 9)))
+        sim.run()
+        assert sim.now == 4928
+        assert [(s.label, s.start_ns, s.end_ns, s.trace_id, s.parent_id)
+                for s in tracer.spans] == [
+            ("transfer", 0, 953, 7, 9), ("translate", 953, 2028, 7, 9),
+            ("media", 2028, 4928, 7, 9)]
+
+    def test_null_tracer_only_charges_time(self):
+        sim = Simulator()
+        cpus = CPUSet(sim, 1)
+        th = cpus.thread()
+        sim.process(charge_phases(sim, (("a", 5), ("b", 7)), thread=th))
+        sim.run()
+        assert (sim.now, th.compute_ns, cpus.busy_ns) == (12, 12, 12)
+        assert NULL_TRACER.enabled is False
 
 
 class TestMeasuredBreakdown:
