@@ -8,7 +8,6 @@ saturates.
 
 import pytest
 
-from repro.bench import fig10_device_sharing
 from repro.machine import Machine
 from repro.nvme.device import DeviceBusyError
 
@@ -19,7 +18,7 @@ def series(table, engine):
 
 
 def test_fig10(experiment):
-    table = experiment(fig10_device_sharing)
+    table = experiment("fig10")
     byp = series(table, "bypassd")
     sync = series(table, "sync")
 

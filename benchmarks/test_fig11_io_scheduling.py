@@ -5,11 +5,9 @@ kernel I/O scheduler) is good enough — BypassD's foreground latency
 stays below the sync baseline even with 16 background readers.
 """
 
-from repro.bench import fig11_io_scheduling
-
 
 def test_fig11(experiment):
-    table = experiment(fig11_io_scheduling)
+    table = experiment("fig11")
     lat = {}
     for engine, bg, us in table.rows:
         lat[(engine, bg)] = us

@@ -6,11 +6,9 @@ the reader transparently continues on the kernel interface at a lower
 throughput.
 """
 
-from repro.bench import fig12_revocation_timeline
-
 
 def test_fig12(experiment):
-    table = experiment(fig12_revocation_timeline)
+    table = experiment("fig12")
     points = [(t, v) for t, v in
               zip(table.column("Time (ms)"),
                   table.column("Throughput (K IOPS)"))]

@@ -8,8 +8,6 @@ YCSB E XRP cannot help (scans are single I/Os) while BypassD still
 accelerates every I/O.
 """
 
-from repro.bench import fig13_wiredtiger_threads
-
 
 def grid(table):
     out = {}
@@ -19,7 +17,7 @@ def grid(table):
 
 
 def test_fig13(experiment):
-    table = experiment(fig13_wiredtiger_threads)
+    table = experiment("fig13")
     g = grid(table)
     workloads = sorted({k[0] for k in g})
     threads = sorted({k[2] for k in g})

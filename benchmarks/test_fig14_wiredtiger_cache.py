@@ -5,11 +5,9 @@ misses to chain), while BypassD keeps a consistent improvement — it
 accelerates *every* I/O, not just chained ones.
 """
 
-from repro.bench import fig14_wiredtiger_cache
-
 
 def test_fig14(experiment):
-    table = experiment(fig14_wiredtiger_cache)
+    table = experiment("fig14")
     norm = {}
     for wl, cache_gb, engine, ratio in table.rows:
         norm[(wl, cache_gb, engine)] = ratio

@@ -6,8 +6,6 @@ is the floor, with BypassD ~4 us above it (7 translations x 550 ns);
 overall ~72% throughput over sync and ~9.6% over XRP.
 """
 
-from repro.bench import fig15_bpfkv
-
 
 def series(table, engine):
     out = {}
@@ -18,7 +16,7 @@ def series(table, engine):
 
 
 def test_fig15(experiment):
-    table = experiment(fig15_bpfkv)
+    table = experiment("fig15")
     sync = series(table, "sync")
     xrp = series(table, "xrp")
     spdk = series(table, "spdk")

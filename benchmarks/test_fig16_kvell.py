@@ -6,8 +6,6 @@ serialisation bottlenecks KVell and BypassD gets close while cutting
 latency by around two orders of magnitude.
 """
 
-from repro.bench import fig16_kvell
-
 
 def grid(table):
     out = {}
@@ -17,7 +15,7 @@ def grid(table):
 
 
 def test_fig16(experiment):
-    table = experiment(fig16_kvell)
+    table = experiment("fig16")
     g = grid(table)
     threads = sorted({k[2] for k in g})
     mid = threads[len(threads) // 2]

@@ -5,11 +5,9 @@ one 64 B cacheline holds 8 FTEs, so a single extra memory reference
 extends a request by up to 32 KB.
 """
 
-from repro.bench import fig5_translations_per_request
-
 
 def test_fig5(experiment):
-    table = experiment(fig5_translations_per_request)
+    table = experiment("fig5")
     overhead = dict(zip(table.column("Translations"),
                         table.column("IOMMU overhead (ns)")))
     assert overhead[1] == overhead[2]          # flat 1..2

@@ -11,8 +11,6 @@ Paper claims reproduced here:
 
 import pytest
 
-from repro.bench import fig6_fio_latency
-
 
 def by_engine_size(table):
     out = {}
@@ -23,7 +21,7 @@ def by_engine_size(table):
 
 
 def test_fig6_read(experiment):
-    table = experiment(fig6_fio_latency, rw="randread")
+    table = experiment("fig6")
     data = by_engine_size(table)
     sizes = sorted({kb for _, kb in data})
     for kb in sizes:
@@ -50,7 +48,7 @@ def test_fig6_read(experiment):
 
 
 def test_fig6_write(experiment):
-    table = experiment(fig6_fio_latency, rw="randwrite")
+    table = experiment("fig6-write")
     data = by_engine_size(table)
     sizes = sorted({kb for _, kb in data})
     for kb in sizes:

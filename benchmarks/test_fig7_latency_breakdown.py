@@ -5,11 +5,9 @@ very little time is spent in UserLib, the majority of the non-device
 time being the user/DMA buffer copy, which grows with block size.
 """
 
-from repro.bench import fig7_latency_breakdown
-
 
 def test_fig7(experiment):
-    table = experiment(fig7_latency_breakdown)
+    table = experiment("fig7")
     rows = {}
     for kb, engine, user, kernel, device, total in table.rows:
         rows[(engine, kb)] = (user, kernel, device, total)

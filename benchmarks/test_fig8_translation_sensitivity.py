@@ -6,11 +6,9 @@ bandwidth than the sync baseline; the 350 ns (cached FTE) vs 550 ns
 (uncached) difference is minimal, so an FTE IOTLB is not critical.
 """
 
-from repro.bench import fig8_translation_sensitivity
-
 
 def test_fig8(experiment):
-    table = experiment(fig8_translation_sensitivity)
+    table = experiment("fig8")
     bw = {}
     for delay, engine, gbps in table.rows:
         bw[delay if engine == "bypassd" else "sync"] = gbps

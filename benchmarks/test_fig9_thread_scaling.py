@@ -9,8 +9,6 @@ Paper claims reproduced:
   ring, so on a 24-CPU box 12 app threads already use every core.
 """
 
-from repro.bench import fig9_thread_scaling
-
 
 def series(table, engine):
     out = {}
@@ -21,7 +19,7 @@ def series(table, engine):
 
 
 def test_fig9(experiment):
-    table = experiment(fig9_thread_scaling)
+    table = experiment("fig9")
     sync = series(table, "sync")
     byp = series(table, "bypassd")
     spdk = series(table, "spdk")

@@ -4,11 +4,9 @@ Paper: 160 / 2810 / 540 / 220 / 4020 / 100 ns, total 7850 ns, with the
 device at ~51% and VFS+ext4 at ~36%.
 """
 
-from repro.bench import table1_latency_breakdown
-
 
 def test_table1(experiment):
-    table = experiment(table1_latency_breakdown)
+    table = experiment("table1")
     rows = table.by("Layer")
     total = rows["Total (measured)"][1]
     assert abs(total - 7850) < 60

@@ -4,11 +4,9 @@ Paper: IOMMU off 1120 ns; on with IOTLB hit 1134 ns (+14); on with a
 forced IOTLB miss 1317 ns (+183 page walk).
 """
 
-from repro.bench import table4_iommu_overheads
-
 
 def test_table4(experiment):
-    table = experiment(table4_iommu_overheads)
+    table = experiment("table4")
     lat = dict(zip(table.column("Configuration"),
                    table.column("Latency (ns)")))
     off = lat["IOMMU off"]

@@ -4,11 +4,9 @@ sync: shares but is slow.  SPDK: fast but cannot share.  BypassD: fast
 and shares, with only the minor VBA/ATS device change.
 """
 
-from repro.bench import table6_capabilities
-
 
 def test_table6(experiment):
-    table = experiment(table6_capabilities)
+    table = experiment("table6")
     rows = table.by("Approach")
     assert rows["sync"][1] == "no" and rows["sync"][2] == "yes"
     assert rows["spdk"][1] == "yes" and rows["spdk"][2] == "no"

@@ -26,7 +26,7 @@ bundles every result for artifact upload:
 - ``bench/<experiment>.json`` — each experiment's machine-readable
   payload (ResultTable rows/counters, telemetry counts, timing),
 - ``bench/bench-timings.json`` — per-experiment wall/sim-time records
-  (the file scripts/ci_shard.py balances shards with).
+  and result tables (the shape of the committed perf-gate baseline).
 
 Everything is deterministic, so two CI runs of the same commit upload
 byte-identical artifacts (timing fields aside).

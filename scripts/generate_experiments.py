@@ -1,148 +1,151 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md: run every experiment, record the tables.
+"""Render EXPERIMENTS.md from the committed experiment record.
 
-Usage:  python scripts/generate_experiments.py [output-path]
+    python scripts/generate_experiments.py [output-path]
+
+Every table comes from ``bench-timings.json`` (docs/bench_runner.md
+shows how to refresh it; ``scripts/perf_gate.py`` proves a fresh run
+reproduces it), so rendering simulates nothing and the output is
+byte-stable.
 """
 
-import io
+import argparse
 import sys
-import time
+from pathlib import Path
 
-from repro.bench import (
-    fig5_translations_per_request,
-    fig6_fio_latency,
-    fig7_latency_breakdown,
-    fig8_translation_sensitivity,
-    fig9_thread_scaling,
-    fig10_device_sharing,
-    fig11_io_scheduling,
-    fig12_revocation_timeline,
-    fig13_wiredtiger_threads,
-    fig14_wiredtiger_cache,
-    fig15_bpfkv,
-    fig16_kvell,
-    memory_overheads,
-    table1_latency_breakdown,
-    table2_implementation_size,
-    table4_iommu_overheads,
-    table5_fmap_overheads,
-    table6_capabilities,
-)
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench.report import ResultTable  # noqa: E402
+from repro.bench.runner import registry_names  # noqa: E402
+from repro.obs.timings import load_timings  # noqa: E402
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Generated by ``scripts/generate_experiments.py``.  Every table and
-figure of the paper's evaluation, regenerated on the simulated machine
-with the benchmark-suite settings (scaled operation counts, paper-shaped
+Generated by ``scripts/generate_experiments.py`` from the committed
+``bench-timings.json``.  Every table and figure of the paper's
+evaluation, regenerated on the simulated machine with the
+benchmark-suite settings (scaled operation counts, paper-shaped
 geometry).  The assertions in ``benchmarks/`` pin the *shape* of each
-result; this file records the numbers behind them.
+result; ``scripts/perf_gate.py`` pins these numbers exactly.
 
 Absolute numbers are model outputs calibrated to the constants the
 paper publishes (Table 1, Table 4, Section 6.2); they are not hardware
 measurements.  Known deviations are listed at the bottom.
 """
 
-EXPERIMENTS = [
-    ("Table 1", table1_latency_breakdown, {},
-     "Paper: 160 / 2810 / 540 / 220 / 4020 / 100 ns, total 7850 ns, "
-     "device 51%."),
-    ("Table 2", table2_implementation_size, {},
-     "Paper: 517 kernel / 1303 ext4 / 885 driver / 1496 UserLib lines "
-     "added or modified."),
-    ("Table 4", table4_iommu_overheads, {},
-     "Paper: 1120 / 1134 / 1317 ns."),
-    ("Figure 5", fig5_translations_per_request, {},
-     "Paper: slight increase from 2 to 3 translations, then flat "
-     "(8 FTEs per 64B cacheline)."),
-    ("Figure 6 (reads)", fig6_fio_latency, {"rw": "randread"},
-     "Paper: bypassd ~30.5% lower read latency than sync/libaio on "
-     "average, ~42% at 4KB; close to SPDK; io_uring in between."),
-    ("Figure 6 (writes)", fig6_fio_latency, {"rw": "randwrite"},
-     "Paper: ~27.8% lower write latency; VBA translation hidden by "
-     "the data transfer."),
-    ("Figure 7", fig7_latency_breakdown, {},
-     "Paper: sync dominated by kernel time at small sizes; bypassd "
-     "time mostly device + user/DMA copy."),
-    ("Figure 8", fig8_translation_sensitivity, {},
-     "Paper: slight bandwidth decrease with slower translation; even "
-     "1.35us translation beats the baseline; 350 vs 550 ns minimal."),
-    ("Figure 9", fig9_thread_scaling, {},
-     "Paper: userspace paths fastest at low threads; bypassd flat "
-     "until saturation (~8); all converge at saturation (~1.5M IOPS); "
-     "io_uring collapses past 12 threads."),
-    ("Figure 10", fig10_device_sharing, {},
-     "Paper: no SPDK bars (cannot share); bypassd scales with "
-     "processes and leads kernel paths."),
-    ("Figure 11", fig11_io_scheduling, {},
-     "Paper: device-side round-robin alone keeps bypassd's foreground "
-     "latency at or below the baseline as background readers grow."),
-    ("Figure 12", fig12_revocation_timeline, {},
-     "Paper: steady direct throughput, revocation at mid-run, steady "
-     "lower kernel-interface throughput after."),
-    ("Table 5", table5_fmap_overheads, {},
-     "Paper warm fmap: 1.96us (4KB) to 259.94us (16GB); cold: 2.68us "
-     "to 21.2ms."),
-    ("Memory overheads (Sec 6.3)", memory_overheads, {},
-     "Paper: 4KB of FTEs per 2MB of file, ~0.2%."),
-    ("Figure 13", fig13_wiredtiger_threads, {},
-     "Paper: bypassd ~+18% over sync, ~+13% over XRP, larger at low "
-     "threads; ~no gain on YCSB D; XRP can't help on E."),
-    ("Figure 14", fig14_wiredtiger_cache, {},
-     "Paper: XRP's advantage shrinks as the cache grows; bypassd's "
-     "improvement is consistent across cache sizes."),
-    ("Figure 15", fig15_bpfkv, {},
-     "Paper: sync > XRP > bypassd > SPDK in latency; bypassd ~4us "
-     "over SPDK; +72% throughput over sync, +9.6% over XRP."),
-    ("Figure 16", fig16_kvell, {},
-     "Paper: bypassd beats KVell_1, trails KVell_64 in throughput "
-     "except on YCSB A (ext4 write serialisation), with ~two orders "
-     "of magnitude lower latency."),
-    ("Table 6", table6_capabilities, {},
-     "Paper: kernel FS = slow+sharing; userspace drivers = fast, no "
-     "sharing; bypassd = both."),
-]
+# Registry name -> (section title, the paper's claim).
+SECTIONS = {
+    "table1": ("Table 1",
+               "Paper: 160 / 2810 / 540 / 220 / 4020 / 100 ns, total "
+               "7850 ns, device 51%."),
+    "table2": ("Table 2",
+               "Paper: 517 kernel / 1303 ext4 / 885 driver / 1496 "
+               "UserLib lines added or modified."),
+    "table4": ("Table 4", "Paper: 1120 / 1134 / 1317 ns."),
+    "fig5": ("Figure 5",
+             "Paper: slight increase from 2 to 3 translations, then flat "
+             "(8 FTEs per 64B cacheline)."),
+    "fig6": ("Figure 6 (reads)",
+             "Paper: bypassd ~30.5% lower read latency than sync/libaio "
+             "on average, ~42% at 4KB; close to SPDK; io_uring in "
+             "between."),
+    "fig6-write": ("Figure 6 (writes)",
+                   "Paper: ~27.8% lower write latency; VBA translation "
+                   "hidden by the data transfer."),
+    "fig7": ("Figure 7",
+             "Paper: sync dominated by kernel time at small sizes; "
+             "bypassd time mostly device + user/DMA copy."),
+    "fig8": ("Figure 8",
+             "Paper: slight bandwidth decrease with slower translation; "
+             "even 1.35us translation beats the baseline; 350 vs 550 ns "
+             "minimal."),
+    "fig9": ("Figure 9",
+             "Paper: userspace paths fastest at low threads; bypassd flat "
+             "until saturation (~8); all converge at saturation (~1.5M "
+             "IOPS); io_uring collapses past 12 threads."),
+    "fig10": ("Figure 10",
+              "Paper: no SPDK bars (cannot share); bypassd scales with "
+              "processes and leads kernel paths."),
+    "fig11": ("Figure 11",
+              "Paper: device-side round-robin alone keeps bypassd's "
+              "foreground latency at or below the baseline as background "
+              "readers grow."),
+    "fig12": ("Figure 12",
+              "Paper: steady direct throughput, revocation at mid-run, "
+              "steady lower kernel-interface throughput after."),
+    "table5": ("Table 5",
+               "Paper warm fmap: 1.96us (4KB) to 259.94us (16GB); cold: "
+               "2.68us to 21.2ms."),
+    "memory": ("Memory overheads (Sec 6.3)",
+               "Paper: 4KB of FTEs per 2MB of file, ~0.2%."),
+    "fig13": ("Figure 13",
+              "Paper: bypassd ~+18% over sync, ~+13% over XRP, larger at "
+              "low threads; ~no gain on YCSB D; XRP can't help on E."),
+    "fig14": ("Figure 14",
+              "Paper: XRP's advantage shrinks as the cache grows; "
+              "bypassd's improvement is consistent across cache sizes."),
+    "fig15": ("Figure 15",
+              "Paper: sync > XRP > bypassd > SPDK in latency; bypassd "
+              "~4us over SPDK; +72% throughput over sync, +9.6% over "
+              "XRP."),
+    "fig16": ("Figure 16",
+              "Paper: bypassd beats KVell_1, trails KVell_64 in "
+              "throughput except on YCSB A (ext4 write serialisation), "
+              "with ~two orders of magnitude lower latency."),
+    "table6": ("Table 6",
+               "Paper: kernel FS = slow+sharing; userspace drivers = "
+               "fast, no sharing; bypassd = both."),
+}
 
 DEVIATIONS = """\
 ## Known deviations
 
-- **Figure 11 at 12+ background readers**: with the device fully
-  saturated by closed-loop readers, the model's foreground latencies
-  converge (BypassD within 5% of sync) instead of keeping the paper's
-  small edge; at 1-8 readers BypassD leads as published.
+- **Figure 11 at 16 background readers**: with the device saturated
+  by closed-loop readers, bypassd's foreground latency is 9.71 µs and
+  sync's 9.67 µs. The model's latencies converge (BypassD within 5%
+  of sync) instead of keeping the paper's small edge; at 1-12 readers
+  BypassD leads as published.
 - **Figure 13/14/16 scale**: the stores are geometry-preserving
   scale-downs (1M-key WiredTiger table with the paper's 6/46 cache
   ratio; 1M-object KVell store); Figure 15 uses the smallest store
   that keeps the paper's 6-level index (34M objects).
 - **Relative gains for WiredTiger/BPF-KV** come out larger than the
-  paper's (+30-50% vs +18%) because the behavioural models spend less
-  non-I/O CPU per operation than the real engines.
+  paper's, because the behavioural models spend less non-I/O CPU per
+  operation than the real engines. Figure 13's gain over sync is +43%
+  to +67% on every workload but D (+21% to +49%), against the
+  paper's ~+18%; Figure 15 at one thread has bypassd +20% over XRP,
+  against the paper's +9.6%.
 - All latency/throughput numbers are simulation outputs; see DESIGN.md
   for the calibration table.
 """
 
 
-def main() -> None:
-    out_path = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    buf = io.StringIO()
-    buf.write(HEADER)
-    total_t0 = time.time()
-    for title, fn, kwargs, claim in EXPERIMENTS:
-        t0 = time.time()
-        table = fn(**kwargs)
-        elapsed = time.time() - t0
-        print(f"[{elapsed:6.1f}s] {title}", flush=True)
-        buf.write(f"\n## {title}\n\n")
-        buf.write(f"*{claim}*\n\n")
-        buf.write("```\n")
-        buf.write(table.render())
-        buf.write("\n```\n")
-    buf.write("\n")
-    buf.write(DEVIATIONS)
-    with open(out_path, "w") as fh:
-        fh.write(buf.getvalue())
-    print(f"wrote {out_path} in {time.time() - total_t0:.0f}s")
+def render(record: dict) -> str:
+    """EXPERIMENTS.md for a loaded ``bench-timings.json`` record."""
+    tables = {e["experiment"]: e["table"] for e in record["experiments"]}
+    parts = [HEADER]
+    for name in registry_names():
+        title, claim = SECTIONS[name]
+        table = ResultTable.from_dict(tables[name])
+        parts.append(f"\n## {title}\n\n*{claim}*\n\n```\n"
+                     f"{table.render()}\n```\n")
+    parts.append("\n" + DEVIATIONS)
+    return "".join(parts)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="generate_experiments",
+                                 description=__doc__)
+    ap.add_argument("out", nargs="?", type=Path,
+                    default=REPO_ROOT / "EXPERIMENTS.md")
+    args = ap.parse_args(argv)
+    record = load_timings(REPO_ROOT / "bench-timings.json")
+    args.out.write_text(render(record), encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,7 +14,9 @@ output is byte-identical to a serial run.  ``--cache`` keeps results in
 ``.bench-cache/`` keyed by a content fingerprint (source tree + config)
 so an unchanged experiment is replayed instead of re-simulated;
 ``--no-cache`` forces fresh simulation.  ``--timings`` writes the
-per-experiment wall/sim-time records CI sharding feeds on.
+per-experiment record — wall time, simulated time and result table —
+that ``scripts/perf_gate.py`` compares against the committed
+``bench-timings.json``.
 
 Fault injection applies to any experiment without code changes:
 
@@ -73,8 +75,8 @@ def main(argv=None) -> int:
         help="force fresh simulation even if --cache is given")
     parser.add_argument(
         "--timings", default=None, metavar="PATH",
-        help="write per-experiment wall/sim-time records "
-             "(bench-timings.json schema) to PATH")
+        help="write per-experiment wall/sim-time records and result "
+             "tables (bench-timings.json schema) to PATH")
     parser.add_argument(
         "--start-method", default=None,
         choices=("fork", "spawn", "forkserver"),

@@ -48,6 +48,13 @@ class ResultTable:
             "counters": dict(sorted(self.counters.items())),
         }
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "ResultTable":
+        """Inverse of :meth:`to_dict` (rows come back as lists)."""
+        return cls(data["title"], data["headers"],
+                   [list(row) for row in data["rows"]],
+                   data.get("notes", ""), dict(data.get("counters", {})))
+
     def add(self, *row: Any) -> None:
         if len(row) != len(self.headers):
             raise ValueError(

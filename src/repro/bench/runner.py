@@ -691,5 +691,7 @@ def run_experiments(names: Sequence[str], *,
     if timings_path is not None:
         write_timings(timings_path, report.timings(), tree=tree,
                       jobs=n_workers, start_method=report.start_method,
-                      total_wall_s=report.wall_s)
+                      total_wall_s=report.wall_s,
+                      tables={r.experiment: r.payload.get("table")
+                              for r in report.results})
     return report

@@ -24,8 +24,8 @@
 * :mod:`repro.obs.exemplar` — tail exemplars: full span trees and
   waterfalls retained only for ops above a percentile threshold.
 * :mod:`repro.obs.timings` — the ``bench-timings.json`` schema: per
-  experiment wall-clock and simulated-time records written by the
-  parallel runner and consumed by the CI sharder.
+  experiment wall-clock, simulated time and result table, written by
+  the parallel runner and gated by ``scripts/perf_gate.py``.
 """
 
 from .attribution import (
@@ -68,14 +68,12 @@ from .monitor import (
 from .timings import (
     JobTiming,
     load_timings,
-    timing_weights,
     write_timings,
 )
 
 __all__ = [
     "JobTiming",
     "load_timings",
-    "timing_weights",
     "write_timings",
     "Segment",
     "Waterfall",

@@ -1,25 +1,37 @@
 """Machine-readable benchmark timing records (``bench-timings.json``).
 
-The parallel experiment runner (:mod:`repro.bench.runner`) measures two
-clocks per job: host wall time (how long the orchestrator waited) and
+The experiment runner (:mod:`repro.bench.runner`) measures two clocks
+per job: host wall time (how long the orchestrator waited) and
 simulated time (the sum of ``machine.now`` over every machine the
-experiment built).  The first is what CI sharding balances on; the
-second is the deterministic "size" of the experiment and is identical
-across hosts.
+experiment built).  The first is host-dependent and gated within a
+band; the second is the deterministic "size" of the experiment and is
+identical across hosts.
+
+A registry run also records each experiment's result table
+(``ResultTable.to_dict()``; ``null`` for a failed experiment) and the
+interpreter minor that computed it, since float sums may differ across
+minors.  That makes the committed ``bench-timings.json`` the one
+record of every figure: ``scripts/perf_gate.py`` compares a fresh run
+with it exactly, ``benchmarks/`` asserts the paper's shape claims on
+its rows, and ``scripts/generate_experiments.py`` renders
+EXPERIMENTS.md from it.  Sweep timing records carry no tables.
 
 The on-disk schema is versioned and deliberately flat so shell tooling
-(``jq``, ``scripts/ci_shard.py``, ``scripts/ci_summary.py``) can
+(``jq``, ``scripts/perf_gate.py``, ``scripts/ci_summary.py``) can
 consume it without importing the simulator::
 
     {
       "schema": 1,
       "tree": "<sha256 of src/repro>",
-      "jobs": 4,
-      "start_method": "fork",
+      "jobs": 1,
+      "start_method": "",
+      "python": "3.11",
       "total_wall_s": 12.5,
       "experiments": [
         {"experiment": "fig6", "wall_s": 3.1, "sim_time_ns": 812000,
-         "machines": 30, "cached": false, "ok": true},
+         "machines": 30, "cached": false, "ok": true,
+         "table": {"title": ..., "headers": [...], "rows": [...],
+                   "notes": ..., "counters": {...}}},
         ...
       ]
     }
@@ -32,12 +44,13 @@ host-dependent.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 __all__ = ["TIMINGS_SCHEMA", "JobTiming", "write_timings",
-           "load_timings", "timing_weights", "slowest"]
+           "load_timings", "slowest"]
 
 TIMINGS_SCHEMA = 1
 
@@ -64,17 +77,32 @@ def write_timings(path: Union[str, Path],
                   tree: str = "",
                   jobs: int = 1,
                   start_method: str = "",
-                  total_wall_s: float = 0.0) -> str:
-    """Write a timings dump; returns the path written."""
+                  total_wall_s: float = 0.0,
+                  tables: Optional[Mapping[str, Optional[dict]]] = None
+                  ) -> str:
+    """Write a timings dump; returns the path written.
+
+    ``tables`` maps each experiment to its ``ResultTable.to_dict()``
+    (None when it failed); given, every entry carries its ``table``
+    and the header the interpreter minor.
+    """
+    entries = []
+    for t in sorted(timings, key=lambda t: t.experiment):
+        entry = t.to_dict()
+        if tables is not None:
+            entry["table"] = tables.get(t.experiment)
+        entries.append(entry)
     payload = {
         "schema": TIMINGS_SCHEMA,
         "tree": tree,
         "jobs": jobs,
         "start_method": start_method,
         "total_wall_s": round(total_wall_s, 4),
-        "experiments": [t.to_dict() for t in
-                        sorted(timings, key=lambda t: t.experiment)],
+        "experiments": entries,
     }
+    if tables is not None:
+        payload["python"] = (f"{sys.version_info.major}."
+                             f"{sys.version_info.minor}")
     p = Path(path)
     if p.parent != Path(""):
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -92,27 +120,6 @@ def load_timings(path: Union[str, Path]) -> Dict[str, object]:
             f"{path}: unsupported timings schema {schema!r} "
             f"(expected {TIMINGS_SCHEMA})")
     return data
-
-
-def timing_weights(data: Dict[str, object],
-                   key: str = "wall_s") -> Dict[str, float]:
-    """``experiment -> weight`` from a loaded dump (sharding input).
-
-    Cache hits report ~0 wall seconds, which would starve the balancer;
-    they fall back to simulated milliseconds so every experiment keeps
-    a meaningful relative size.
-    """
-    out: Dict[str, float] = {}
-    experiments: List[dict] = data.get("experiments", [])  # type: ignore
-    for entry in experiments:
-        name = entry.get("experiment")
-        if not name:
-            continue
-        weight = float(entry.get(key, 0.0) or 0.0)
-        if weight <= 0.0:
-            weight = float(entry.get("sim_time_ns", 0) or 0) / 1e6
-        out[str(name)] = weight
-    return out
 
 
 def slowest(data: Dict[str, object], n: int = 10) -> List[dict]:

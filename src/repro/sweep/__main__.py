@@ -50,8 +50,7 @@ def run_grid(manifest: SweepManifest, grid: str, *,
              start_method: Optional[str] = None,
              err=None) -> Tuple[Dict[str, Any], List[runner.JobResult],
                                 int]:
-    """Execute every cell of ``grid`` (or the ``cells`` subset — how a
-    sharded CI job runs its ``ci_shard.py --kind cells`` slice);
+    """Execute every cell of ``grid`` (or only the ``cells`` subset);
     returns (results_doc, job_results, n_workers).
 
     The results document is deterministic — records only, no tree
@@ -243,8 +242,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                         "'engine=bypassd:seed=7,media_read_error_nth=12'")
     p.add_argument("--cell", action="append", default=[],
                    metavar="CELL_ID",
-                   help="run only this grid cell (repeatable; the "
-                        "ci_shard.py --kind cells slice)")
+                   help="run only this grid cell (repeatable)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,5 +1,6 @@
-"""Tests for the CI sharding and summary tools in scripts/."""
+"""Tests for the CI gate and summary tools in scripts/."""
 
+import copy
 import importlib
 import json
 import sys
@@ -11,8 +12,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SCRIPTS = REPO_ROOT / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 
-ci_shard = importlib.import_module("ci_shard")
 ci_summary = importlib.import_module("ci_summary")
+generate_experiments = importlib.import_module("generate_experiments")
 perf_gate = importlib.import_module("perf_gate")
 
 
@@ -25,106 +26,6 @@ def timings_file(tmp_path, entries):
         "experiments": entries,
     }))
     return path
-
-
-class TestShardPartition:
-    def test_experiment_name_extraction(self):
-        assert ci_shard.experiment_for(
-            Path("benchmarks/test_fig10_device_sharing.py")) == "fig10"
-        assert ci_shard.experiment_for(
-            Path("benchmarks/test_table1_latency_breakdown.py")) == "table1"
-
-    def test_partition_is_deterministic_and_total(self):
-        files = [Path(f"benchmarks/test_fig{i}_x.py") for i in range(8)]
-        weights = {f: float(i + 1) for i, f in enumerate(files)}
-        a = ci_shard.partition(files, weights, 2)
-        b = ci_shard.partition(files, weights, 2)
-        assert a == b
-        combined = sorted(p for shard in a for p in shard)
-        assert combined == sorted(files)
-
-    def test_partition_balances_loads(self):
-        files = [Path(f"t{i}.py") for i in range(6)]
-        weights = dict.fromkeys(files, 1.0)
-        weights[files[0]] = 10.0
-        shards = ci_shard.partition(files, weights, 2)
-        loads = [sum(weights[f] for f in s) for s in shards]
-        # LPT: the heavy file sits alone-ish; loads within one unit of
-        # optimal (10 vs 5).
-        assert max(loads) == 10.0
-
-    def test_every_benchmark_file_lands_in_exactly_one_shard(self):
-        files = sorted((REPO_ROOT / "benchmarks").glob("test_*.py"))
-        assert files, "benchmarks/ suite is missing"
-        weights = ci_shard.file_weights(files, {})
-        shards = ci_shard.partition(files, weights, 2)
-        combined = sorted(p for shard in shards for p in shard)
-        assert combined == files
-
-    def test_cli_json_format(self, tmp_path, capsys):
-        timings = timings_file(tmp_path, [
-            {"experiment": "fig6", "wall_s": 3.0, "sim_time_ns": 10,
-             "machines": 1, "cached": False, "ok": True},
-        ])
-        rc = ci_shard.main(["--shards", "2", "--index", "0",
-                            "--timings", str(timings),
-                            "--format", "json"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["shards"] == 2 and data["shard"] == 0
-        assert all(f.startswith("benchmarks/") for f in data["files"])
-
-    def test_cli_rejects_bad_index(self, tmp_path):
-        assert ci_shard.main(["--shards", "2", "--index", "2"]) == 2
-
-
-class TestShardCells:
-    def sweep_timings(self, tmp_path, cells, wall_s):
-        return timings_file(tmp_path, [
-            {"experiment": f"sweep/{c}", "wall_s": w, "sim_time_ns": 1,
-             "machines": 1, "cached": False, "ok": True}
-            for c, w in zip(cells, wall_s)])
-
-    def test_cell_weights_strip_prefix_and_fall_back_to_median(self):
-        weights = {"sweep/a": 1.0, "sweep/b": 3.0, "sweep/c": 5.0,
-                   "fig6": 100.0}
-        per_cell = ci_shard.cell_weights(["a", "b", "c", "new"], weights)
-        assert per_cell["a"] == 1.0 and per_cell["c"] == 5.0
-        # Unseen cell gets the median of known *cell* weights; registry
-        # experiment entries never leak in.
-        assert per_cell["new"] == 3.0
-
-    def test_every_default_grid_cell_lands_in_exactly_one_shard(self):
-        from repro.sweep.grid import SweepManifest
-        cells = SweepManifest.builtin().cells("default")
-        per_cell = ci_shard.cell_weights(cells, {})
-        shards = ci_shard.partition(cells, per_cell, 3)
-        combined = sorted(c for shard in shards for c in shard)
-        assert combined == sorted(cells)
-
-    def test_cli_cells_json_format(self, tmp_path, capsys):
-        from repro.sweep.grid import SweepManifest
-        cells = SweepManifest.builtin().cells("default")
-        timings = self.sweep_timings(tmp_path, cells,
-                                     range(1, len(cells) + 1))
-        rc = ci_shard.main(["--shards", "2", "--index", "1",
-                            "--kind", "cells",
-                            "--sweep-timings", str(timings),
-                            "--format", "json"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["shards"] == 2 and data["shard"] == 1
-        assert data["cells"]
-        assert all(c in cells for c in data["cells"])
-        assert data["weight_s"] > 0
-
-    def test_cli_cells_args_format_is_space_separated(self, capsys):
-        rc = ci_shard.main(["--shards", "1", "--index", "0",
-                            "--kind", "cells"])
-        assert rc == 0
-        out = capsys.readouterr().out.strip()
-        from repro.sweep.grid import SweepManifest
-        assert out.split(" ") == SweepManifest.builtin().cells("default")
 
 
 class TestSummary:
@@ -284,9 +185,14 @@ class TestEngineBenchSection:
 
 
 class TestPerfGate:
+    TABLE = {"title": "Figure 6", "notes": "", "counters": {},
+             "headers": ["Engine", "Block (KB)", "Mean latency (us)"],
+             "rows": [["bypassd", 4, 5.81], ["sync", 4, 9.02]]}
+
     def entry(self, name, wall_s, ok=True):
         return {"experiment": name, "wall_s": wall_s, "sim_time_ns": 1,
-                "machines": 1, "cached": False, "ok": ok}
+                "machines": 1, "cached": False, "ok": ok,
+                "table": copy.deepcopy(self.TABLE)}
 
     def test_within_band_passes(self, tmp_path, capsys):
         base = timings_file(tmp_path / "b", [self.entry("fig13", 10.0)])
@@ -322,7 +228,9 @@ class TestPerfGate:
         fresh = timings_file(tmp_path / "f", [self.entry("fig13", 10.0)])
         rc = perf_gate.main([str(fresh), "--baseline", str(base)])
         assert rc == 1
-        assert "missing" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "missing" in out
+        assert "FAIL: fig14" in out.splitlines()
 
     def test_improvement_is_reported_not_failed(self, tmp_path, capsys):
         base = timings_file(tmp_path / "b", [self.entry("fig13", 10.0)])
@@ -350,17 +258,128 @@ class TestPerfGate:
         assert perf_gate.main([str(path),
                                "--baseline", str(path)]) == 0
 
+    # -- exact compare of the deterministic fields ---------------------
 
-class TestCommittedTimings:
-    def test_committed_timings_cover_benchmark_files(self):
-        """The repo-root bench-timings.json drives shard balancing;
-        it must parse and give every benchmark file a usable weight."""
-        path = REPO_ROOT / "bench-timings.json"
-        if not path.exists():
-            pytest.skip("bench-timings.json not generated yet")
-        from repro.obs.timings import load_timings, timing_weights
-        weights = timing_weights(load_timings(path))
-        assert weights, "committed timings are empty"
-        files = sorted((REPO_ROOT / "benchmarks").glob("test_*.py"))
-        per_file = ci_shard.file_weights(files, weights)
-        assert all(w > 0 for w in per_file.values())
+    def gate(self, tmp_path, capsys, fresh_entry, name="fig6", flags=()):
+        """Run the gate on one baseline entry and its edited twin;
+        returns (exit status, stdout)."""
+        base = timings_file(tmp_path / "b", [self.entry(name, 1.0)])
+        fresh = timings_file(tmp_path / "f", [fresh_entry])
+        rc = perf_gate.main([str(fresh), "--baseline", str(base), *flags])
+        return rc, capsys.readouterr().out
+
+    def test_changed_cell_names_experiment_row_column_and_values(
+            self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["table"]["rows"][1][2] = 9.03
+        rc, out = self.gate(tmp_path, capsys, fresh)
+        assert rc == 1
+        assert ('fig6: row 1 ("sync"), column "Mean latency (us)": '
+                '9.02 -> 9.03') in out
+        assert "FAIL: fig6" in out.splitlines()
+        assert "1 moved" in out
+
+    def test_markdown_lists_each_moved_field(self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["table"]["rows"][1][2] = 9.03
+        fresh["sim_time_ns"] = 2
+        rc, out = self.gate(tmp_path, capsys, fresh, flags=["--markdown"])
+        assert rc == 1
+        lines = out.splitlines()
+        i = lines.index("moved:")
+        # A blank line, then one list item per field: GitHub would
+        # join plain lines into one paragraph.
+        assert lines[i + 1:i + 4] == [
+            "",
+            "- fig6: sim_time_ns: 1 -> 2",
+            '- fig6: row 1 ("sync"), column "Mean latency (us)": '
+            '9.02 -> 9.03']
+
+    def test_changed_header_fails(self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["table"]["headers"][2] = "Latency (us)"
+        rc, out = self.gate(tmp_path, capsys, fresh)
+        assert rc == 1
+        assert 'fig6: headers: ' in out and '"Latency (us)"]' in out
+
+    def test_changed_title_fails(self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["table"]["title"] = "Figure 6 (reads)"
+        rc, out = self.gate(tmp_path, capsys, fresh)
+        assert rc == 1
+        assert 'fig6: title: "Figure 6" -> "Figure 6 (reads)"' in out
+
+    def test_changed_sim_time_fails(self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["sim_time_ns"] = 2
+        rc, out = self.gate(tmp_path, capsys, fresh)
+        assert rc == 1
+        assert "fig6: sim_time_ns: 1 -> 2" in out
+
+    def test_ok_experiment_without_table_fails(self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["table"] = None
+        rc, out = self.gate(tmp_path, capsys, fresh)
+        assert rc == 1
+        assert "fig6: no table in the fresh run" in out
+
+    def test_table2_rows_are_not_pinned(self, tmp_path, capsys):
+        fresh = self.entry("table2", 1.0)
+        fresh["table"]["rows"][0][1] = 5
+        rc, out = self.gate(tmp_path, capsys, fresh, name="table2")
+        assert rc == 0
+        assert "0 moved" in out
+
+    def test_failure_names_both_interpreter_minors(self, tmp_path, capsys):
+        fresh = self.entry("fig6", 1.0)
+        fresh["sim_time_ns"] = 2
+        base = timings_file(tmp_path / "b", [self.entry("fig6", 1.0)])
+        path = timings_file(tmp_path / "f", [fresh])
+        for p, minor in ((base, "3.11"), (path, "3.12")):
+            data = json.loads(p.read_text())
+            data["python"] = minor
+            p.write_text(json.dumps(data))
+        assert perf_gate.main([str(path), "--baseline", str(base)]) == 1
+        assert ("baseline written by Python 3.11, fresh run by "
+                "Python 3.12") in capsys.readouterr().out
+
+
+class TestCommittedRecord:
+    def record(self):
+        from repro.obs.timings import load_timings
+        return {e["experiment"]: e for e in
+                load_timings(REPO_ROOT / "bench-timings.json")
+                ["experiments"]}
+
+    def test_record_holds_every_registry_experiment_with_rows(self):
+        from repro.bench.runner import registry_names
+        record = self.record()
+        for name in registry_names():
+            assert record[name]["ok"], name
+            assert record[name]["table"]["rows"], name
+
+    def test_benchmarks_read_only_recorded_experiments(self):
+        """Every ``experiment("name")`` in benchmarks/ names an
+        experiment whose table the committed record holds."""
+        import ast
+        record = self.record()
+        read = []
+        for path in sorted((REPO_ROOT / "benchmarks").glob("test_*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "experiment"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    name = node.args[0].value
+                    assert (record.get(name) or {}).get("table"), \
+                        f"{path.name} reads {name!r}"
+                    read.append(name)
+        assert "fig6-write" in read
+
+    def test_experiments_md_renders_from_committed_record(self):
+        """EXPERIMENTS.md is exactly what the committed record renders
+        to (``python scripts/generate_experiments.py`` refreshes it)."""
+        from repro.obs.timings import load_timings
+        record = load_timings(REPO_ROOT / "bench-timings.json")
+        assert generate_experiments.render(record) == \
+            (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import machine as machine_mod
+from repro.bench.report import ResultTable
 from repro.bench.runner import (
     CACHE_SCHEMA,
     REGISTRY,
@@ -22,7 +23,7 @@ from repro.bench.runner import (
     run_experiments,
     source_tree_hash,
 )
-from repro.obs.timings import load_timings, slowest, timing_weights
+from repro.obs.timings import load_timings, slowest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -221,10 +222,20 @@ class TestTimings:
             assert entry["ok"] is True
             assert entry["cached"] is False
             assert entry["machines"] >= 0
-        weights = timing_weights(data)
-        assert set(weights) == set(FAST)
-        assert all(w >= 0 for w in weights.values())
+            assert entry["table"]["rows"]
+        assert data["python"] == "%d.%d" % sys.version_info[:2]
         assert len(slowest(data, 2)) == 2
+
+    def test_failed_experiment_records_null_table(self, tmp_path):
+        path = tmp_path / "timings.json"
+        run_experiments(["selftest-fail", "table4"], jobs=1,
+                        timings_path=path, out=io.StringIO(),
+                        err=io.StringIO())
+        by = {e["experiment"]: e for e in load_timings(path)["experiments"]}
+        assert by["selftest-fail"]["ok"] is False
+        assert by["selftest-fail"]["table"] is None
+        assert ResultTable.from_dict(by["table4"]["table"]).render() == \
+            REGISTRY["table4"].build().render()
 
     def test_load_timings_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
