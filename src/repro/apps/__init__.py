@@ -1,47 +1,6 @@
-"""Workloads: fio, YCSB, WiredTiger, BPF-KV, KVell, and a real KV store."""
+"""Workloads: fio, YCSB, WiredTiger, BPF-KV, KVell, and a real KV store.
 
-from .fio import FioJob, FioResult, run_fio
-from .ycsb import (
-    WORKLOAD_MIXES,
-    LatestGenerator,
-    YCSBWorkload,
-    ZipfianGenerator,
-)
-from .wiredtiger import (
-    BTreeGeometry,
-    WiredTigerModel,
-    WTResult,
-    run_wiredtiger_ycsb,
-)
-from .bpfkv import BPFKVGeometry, BPFKVResult, run_bpfkv
-from .kvell import KVellConfig, KVellResult, run_kvell
-from .kvstore import KVError, KVStore
-from .lsm import BloomFilter, LSMStore, SSTableInfo
-from .workload_utils import StartGate, materialize_file
-
-__all__ = [
-    "FioJob",
-    "FioResult",
-    "run_fio",
-    "WORKLOAD_MIXES",
-    "LatestGenerator",
-    "YCSBWorkload",
-    "ZipfianGenerator",
-    "BTreeGeometry",
-    "WiredTigerModel",
-    "WTResult",
-    "run_wiredtiger_ycsb",
-    "BPFKVGeometry",
-    "BPFKVResult",
-    "run_bpfkv",
-    "KVellConfig",
-    "KVellResult",
-    "run_kvell",
-    "KVError",
-    "KVStore",
-    "BloomFilter",
-    "LSMStore",
-    "SSTableInfo",
-    "StartGate",
-    "materialize_file",
-]
+The package re-exports nothing: import each model by its full name
+(``repro.apps.fio``, ``repro.apps.wiredtiger``, ...), so a run loads
+only the models it drives.
+"""

@@ -41,28 +41,35 @@ WORKLOAD_MIXES = {
 
 _EXACT_ZETA_LIMIT = 1_000_000
 
-# _zeta is a pure function of (n, theta) and every workload instance in
-# a sweep recomputes it for the same handful of arguments — a 1M-term
-# loop each time, which used to dominate the wall clock of the YCSB
-# experiments.  Memoizing is timeline-neutral: the value is identical,
-# only the wall-clock cost changes.
-_ZETA_CACHE: dict = {}
+# Exact partial sums S(m, theta), keyed by (m, theta).  Every n above
+# the exact limit shares S(10^6, theta), so the cache is keyed by the
+# summed prefix, not by n.  The paper's theta = 0.99 entry ships
+# precomputed, as YCSB's ScrambledZipfianGenerator ships its ZETAN: a
+# fresh interpreter would otherwise spend ~0.13 s on 10^6 pow calls
+# before drawing its first key.  tests/apps/test_ycsb.py re-derives the
+# literal from _sum_terms bit for bit.
+_PARTIAL_SUMS = {
+    (_EXACT_ZETA_LIMIT, 0.99): float.fromhex("0x1.ec8a087a85a53p+3"),
+}
+
+
+def _sum_terms(m: int, theta: float) -> float:
+    """S(m, theta) = sum_{i=1..m} 1/i^theta, summed term by term."""
+    total = 0.0
+    for i in range(1, m + 1):
+        total += 1.0 / (i ** theta)
+    return total
 
 
 def _zeta(n: int, theta: float) -> float:
     """zeta(n, theta) = sum_{i=1..n} 1/i^theta, exact then integral."""
-    key = (n, theta)
-    cached = _ZETA_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = min(n, _EXACT_ZETA_LIMIT)
-    total = 0.0
-    for i in range(1, m + 1):
-        total += 1.0 / (i ** theta)
+    total = _PARTIAL_SUMS.get((m, theta))
+    if total is None:
+        total = _PARTIAL_SUMS[(m, theta)] = _sum_terms(m, theta)
     if n > m:
         total += ((n + 0.5) ** (1 - theta) - (m + 0.5) ** (1 - theta)) \
             / (1 - theta)
-    _ZETA_CACHE[key] = total
     return total
 
 

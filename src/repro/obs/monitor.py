@@ -38,10 +38,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Tuple,
+                    Union)
 
 from ..sim.stats import TimeSeries, percentile
-from .exemplar import ExemplarConfig, capture_exemplars, render_exemplars
+
+if TYPE_CHECKING:
+    from .exemplar import ExemplarConfig
 
 __all__ = [
     "DEFAULT_PERIOD_NS",
@@ -288,6 +291,9 @@ class Monitor:
         tracer = self.machine.tracer
         if not getattr(tracer, "enabled", False):
             return None
+        # Imported here, not at module level: exemplar pulls in the
+        # exporters, which a run without exemplar capture never needs.
+        from .exemplar import capture_exemplars
         return capture_exemplars(tracer, self.config.exemplars)
 
     # -- dumps ---------------------------------------------------------
@@ -368,6 +374,7 @@ class Monitor:
         if exemplars is not None:
             lines.append(f"tail exemplars (p{cfg.exemplars.percentile:g}"
                          f", window {cfg.exemplars.capacity}):")
+            from .exemplar import render_exemplars
             text = render_exemplars(exemplars)
             lines.extend("  " + ln for ln in text.splitlines())
         return "\n".join(lines)

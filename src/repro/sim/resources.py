@@ -9,7 +9,7 @@ models deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional
 
 from .engine import Event, Simulator
 
@@ -55,10 +55,6 @@ class Semaphore:
             self._waiters.popleft().succeed()
         else:
             self._value += 1
-
-    def held(self) -> Generator[Event, Any, Any]:
-        """``yield from sem.held()`` is not supported; use acquire/release."""
-        raise NotImplementedError
 
 
 class Lock(Semaphore):

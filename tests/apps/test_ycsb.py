@@ -1,8 +1,12 @@
 """Unit + property tests for the YCSB generators."""
 
+import importlib.util
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import ycsb
 from repro.apps.ycsb import (
     WORKLOAD_MIXES,
     LatestGenerator,
@@ -61,6 +65,77 @@ class TestZipfian:
         g = ZipfianGenerator(n, seed=seed)
         for _ in range(20):
             assert 0 <= g.next() < n
+
+
+def _reference_zetas(ns, theta):
+    """zeta(n, theta) for each n: one term-by-term loop up to 10^6, then
+    the integral continuation -- the definition, independent of the
+    module's cache and shipped constant."""
+    limit = 1_000_000
+    prefix = {}
+    checkpoints = {min(n, limit) for n in ns}
+    total = 0.0
+    for i in range(1, max(checkpoints) + 1):
+        total += 1.0 / (i ** theta)
+        if i in checkpoints:
+            prefix[i] = total
+    out = {}
+    for n in ns:
+        m = min(n, limit)
+        z = prefix[m]
+        if n > m:
+            z += ((n + 0.5) ** (1 - theta) - (m + 0.5) ** (1 - theta)) \
+                / (1 - theta)
+        out[n] = z
+    return out
+
+
+@pytest.fixture
+def fresh_ycsb(monkeypatch):
+    """A new instance of the ycsb module: its cache holds exactly what
+    ships, whatever earlier tests summed into the imported one."""
+    spec = importlib.util.spec_from_file_location("fresh_ycsb",
+                                                  ycsb.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestZeta:
+    def test_shipped_sum_is_the_term_by_term_sum(self, fresh_ycsb):
+        shipped = fresh_ycsb._PARTIAL_SUMS[(1_000_000, 0.99)]
+        assert shipped == fresh_ycsb._sum_terms(1_000_000, 0.99)
+
+    def test_zeta_equals_the_reference_loop(self):
+        ns = [1, 2, 256, 125_000, 10**6, 2 * 10**6, 34 * 10**6]
+        want = _reference_zetas(ns, 0.99)
+        for n in ns:
+            assert ycsb._zeta(n, 0.99) == want[n], n
+
+    def test_paper_theta_never_sums_at_or_above_the_exact_limit(
+            self, fresh_ycsb, monkeypatch):
+        def boom(m, theta):
+            raise AssertionError(f"summed {m} terms at theta {theta}")
+
+        monkeypatch.setattr(fresh_ycsb, "_sum_terms", boom)
+        for n in (10**6, 10**6 + 1, 2 * 10**6, 34 * 10**6, 10**9):
+            assert fresh_ycsb._zeta(n, 0.99) == ycsb._zeta(n, 0.99)
+
+    def test_partial_sum_is_cached_by_prefix_not_by_n(self, monkeypatch):
+        calls = []
+        real = ycsb._sum_terms
+
+        def counting(m, theta):
+            calls.append((m, theta))
+            return real(m, theta)
+
+        monkeypatch.setattr(ycsb, "_EXACT_ZETA_LIMIT", 1000)
+        monkeypatch.setattr(ycsb, "_PARTIAL_SUMS", {})
+        monkeypatch.setattr(ycsb, "_sum_terms", counting)
+        for n in (1000, 2000, 3000, 10**9):
+            ycsb._zeta(n, 0.5)
+        assert calls == [(1000, 0.5)]
 
 
 class TestLatest:
