@@ -19,15 +19,18 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..hw.pagetable import (
     ENTRIES_PER_NODE,
     LEVEL_PT,
+    NEXT_LEAF_LANES,
     PMD_SPAN,
     PageTableNode,
     fill_run,
     fte_range,
+    lanes_entries,
+    leaf_lanes,
     pte_present,
 )
 from ..hw.params import HardwareParams
@@ -58,9 +61,22 @@ class FileTable:
         return (len(self.leaves) - self.leaves.count(None)) * PAGE
 
     def leaf_indices(self) -> List[int]:
-        """Indices of the allocated leaves; holes have none."""
-        return [idx for idx, leaf in enumerate(self.leaves)
-                if leaf is not None]
+        """Indices of the allocated leaves; holes have none.
+
+        One C-level scan finds each hole, so a table takes one Python
+        step per hole and none per leaf.  Leaves are always true, so
+        ``all`` rules out holes without the equality test per leaf that
+        ``count(None)`` makes.
+        """
+        indices: List[int] = []
+        start = 0
+        holes = 0 if all(self.leaves) else self.leaves.count(None)
+        for _ in range(holes):
+            hole = self.leaves.index(None, start)
+            indices += range(start, hole)
+            start = hole + 1
+        indices += range(start, len(self.leaves))
+        return indices
 
     # -- construction / growth -----------------------------------------------
 
@@ -81,17 +97,33 @@ class FileTable:
         end = logical + count
         last_leaf = (end - 1) // PAGES_PER_LEAF
         self.leaves.extend([None] * (last_leaf + 1 - len(self.leaves)))
-        page = logical
-        while page < end:
-            leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
-            n = min(PAGES_PER_LEAF - slot, end - page)
+        leaf_idx, slot = divmod(logical, PAGES_PER_LEAF)
+        # A new leaf the run covers whole is made straight from its
+        # lanes: one multiply for the first such leaf, one add for each
+        # next one.  Partial slices and existing leaves take ``fill_run``.
+        lanes = 0
+        lanes_leaf: Optional[int] = None   # the leaf ``lanes`` was made for
+        done = 0
+        while done < count:
+            n = min(PAGES_PER_LEAF - slot, count - done)
             leaf = self.leaves[leaf_idx]
-            if leaf is None:
-                leaf = self.leaves[leaf_idx] = PageTableNode(LEVEL_PT)
+            if leaf is None and n == PAGES_PER_LEAF:
+                if lanes_leaf == leaf_idx - 1:
+                    lanes += NEXT_LEAF_LANES
+                else:
+                    lanes = leaf_lanes(entries[done])
+                lanes_leaf = leaf_idx
+                self.leaves[leaf_idx] = PageTableNode(LEVEL_PT,
+                                                      lanes_entries(lanes))
                 new_leaves.append(leaf_idx)
-            done = page - logical
-            fill_run(leaf.entries, slot, entries[done:done + n])
-            page += n
+            else:
+                if leaf is None:
+                    leaf = self.leaves[leaf_idx] = PageTableNode(LEVEL_PT)
+                    new_leaves.append(leaf_idx)
+                fill_run(leaf.entries, slot, entries[done:done + n])
+            done += n
+            leaf_idx += 1
+            slot = 0
         self.pages = max(self.pages, end)
         cost = count * params.fte_write_ns
         self.build_cost_ns += cost

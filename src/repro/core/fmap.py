@@ -123,10 +123,10 @@ class FmapManager:
         attachment = Attachment(
             proc=proc, base_va=base_va, region_leaves=region_leaves,
             writable=fdesc.writable)
-        indices = table.leaf_indices()
+        attachment.attached.update(table.leaf_indices())
         proc.aspace.page_table.attach_leaves(
-            base_va, table.leaves, indices, writable=fdesc.writable)
-        attachment.attached.update(indices)
+            base_va, table.leaves, attachment.attached,
+            writable=fdesc.writable)
         yield from thread.compute(
             max(1, len(attachment.attached)) * self.params.pmd_attach_ns)
 

@@ -45,6 +45,9 @@ __all__ = [
     "fte_encode",
     "fte_range",
     "fill_run",
+    "leaf_lanes",
+    "lanes_entries",
+    "NEXT_LEAF_LANES",
     "pte_present",
     "pte_writable",
     "pte_user",
@@ -94,6 +97,9 @@ def _lanes(values: Iterable[int]) -> int:
 # ``first * _LANES + _STEPS`` is ``first + i * _FRAME_STEP``.
 _LANES = _lanes([1] * ENTRIES_PER_NODE)
 _STEPS = _lanes(range(0, ENTRIES_PER_NODE * _FRAME_STEP, _FRAME_STEP))
+# Adding this to a leaf's lanes moves every entry on by 512 frames: the
+# lanes of the next leaf of the same run.
+NEXT_LEAF_LANES = ENTRIES_PER_NODE * _FRAME_STEP * _LANES
 
 
 def level_span(level: int) -> int:
@@ -151,18 +157,39 @@ def fill_run(entries: "array[int]", slot: int, run: range) -> None:
     """Write ``run``, a slice of what ``fte_range`` returned, to
     ``entries[slot:slot + len(run)]``.
 
-    One big-integer multiply-add lays out a whole node's lanes, so no
-    Python int is made per entry.  Entries never set a bit above 58,
-    and ``fte_range`` has checked that the run's last entry is a valid
+    ``leaf_lanes`` lays out a whole node's lanes, so no Python int is
+    made per entry.  Entries never set a bit above 58, and
+    ``fte_range`` has checked that the run's last entry is a valid
     encoding, so no lane carries into the next one below ``len(run)``;
     lanes past it are dropped.
     """
     count = len(run)
-    lanes = (run.start * _LANES + _STEPS).to_bytes(PAGE_SIZE, "little")
+    lanes = leaf_lanes(run.start).to_bytes(PAGE_SIZE, "little")
     block = array("Q", lanes[:count * 8])
     if sys.byteorder == "big":
         block.byteswap()
     entries[slot:slot + count] = block
+
+
+def leaf_lanes(first: int) -> int:
+    """One big-integer multiply-add: the 512 entries that count up one
+    frame at a time from ``first``, as the 64-bit lanes of one integer
+    (lane i is ``first + i * 4096``).  Adding ``NEXT_LEAF_LANES`` gives
+    the next 512."""
+    return first * _LANES + _STEPS
+
+
+def lanes_entries(lanes: int) -> "array[int]":
+    """A node's 512 entries, entry i from lane i of ``lanes``.
+
+    ``array("Q", bytes)`` over-allocates its buffer by about 7 %; the
+    slice is an exact 4 KiB copy, so a leaf costs the host the page it
+    models.
+    """
+    block = array("Q", lanes.to_bytes(PAGE_SIZE, "little"))
+    if sys.byteorder == "big":
+        block.byteswap()
+    return block[:]
 
 
 def pte_present(entry: int) -> bool:
@@ -199,11 +226,16 @@ class PageTableNode:
 
     __slots__ = ("level", "entries", "children")
 
-    def __init__(self, level: int):
+    def __init__(self, level: int,
+                 entries: "Optional[array[int]]" = None):
         if not LEVEL_PT <= level <= LEVEL_PGD:
             raise ValueError(f"bad node level {level}")
+        if entries is None:
+            entries = array("Q", [0]) * ENTRIES_PER_NODE
+        elif entries.typecode != "Q" or len(entries) != ENTRIES_PER_NODE:
+            raise ValueError("a node's entries are 512 uint64s")
         self.level = level
-        self.entries = array("Q", [0]) * ENTRIES_PER_NODE
+        self.entries = entries
         self.children: Optional[List[Optional["PageTableNode"]]] = (
             None if level == LEVEL_PT else [None] * ENTRIES_PER_NODE
         )
@@ -332,7 +364,7 @@ class PageTable:
         The alignment and "already mapped" errors name the VA the
         per-leaf calls would, and are raised before anything is linked.
         """
-        order = sorted(indices)
+        order = sorted(set(indices))
         if not order:
             return
         if va % PMD_SPAN:
@@ -344,7 +376,9 @@ class PageTable:
         runs = self._leaf_runs(va, order)
         for start, slot, count in runs:
             run = leaves[start:start + count]
-            if len(run) < count or None in run:
+            # Nodes are always true, so ``all`` finds a hole without the
+            # equality test that ``None in run`` makes per leaf.
+            if len(run) < count or not all(run):
                 raise ValueError(f"no leaf to attach at index {start}")
             node = self._interior_node(va + start * PMD_SPAN, LEVEL_PMD,
                                        create=False)
@@ -368,7 +402,7 @@ class PageTable:
     def detach_leaves(self, va: int, indices: Iterable[int]) -> None:
         """Batched ``detach_subtree``: unlink the leaves at
         ``va + i * PMD_SPAN`` for every ``i`` in ``indices``."""
-        for start, slot, count in self._leaf_runs(va, sorted(indices)):
+        for start, slot, count in self._leaf_runs(va, sorted(set(indices))):
             node = self._interior_node(va + start * PMD_SPAN, LEVEL_PMD,
                                        create=False)
             if node is None:
@@ -379,22 +413,30 @@ class PageTable:
 
     def _leaf_runs(self, va: int,
                    order: List[int]) -> List[Tuple[int, int, int]]:
-        """Split sorted leaf offsets into ``(first offset, PMD slot,
-        count)`` runs of consecutive leaves sharing one PMD node."""
+        """Split sorted, distinct leaf offsets into ``(first offset, PMD
+        slot, count)`` runs of consecutive leaves sharing one PMD node.
+
+        ``order[k] - k`` stays the same along a run of consecutive
+        offsets and grows at every gap, so a binary search finds where
+        a run ends: O(log n) steps per run and none per leaf.
+        """
         if not order:
             return []
         self._check_va(va + order[0] * PMD_SPAN)
         self._check_va(va + order[-1] * PMD_SPAN)
-        spans: List[Tuple[int, int]] = []
-        start = prev = order[0]
-        for idx in order[1:]:
-            if idx > prev + 1:
-                spans.append((start, prev + 1 - start))
-                start = idx
-            prev = idx
-        spans.append((start, prev + 1 - start))
         runs: List[Tuple[int, int, int]] = []
-        for start, count in spans:
+        i = 0
+        while i < len(order):
+            start = order[i]
+            lo, hi = i + 1, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if order[mid] - mid == start - i:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            count = lo - i
+            i = lo
             while count:
                 slot = _index(va + start * PMD_SPAN, LEVEL_PMD)
                 n = min(count, ENTRIES_PER_NODE - slot)

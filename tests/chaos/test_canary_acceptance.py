@@ -9,6 +9,8 @@ here a 50-scenario slice of the same seed chain keeps tier-1 fast
 while still covering several independent hits.
 """
 
+import pytest
+
 from repro.chaos import generate, run_scenario, scenario_seed, shrink
 
 BATCH_SEED = 1234
@@ -20,10 +22,15 @@ def batch():
     return [generate(scenario_seed(BATCH_SEED, i)) for i in range(BATCH)]
 
 
-def test_seeded_batch_finds_the_canary_and_only_the_canary():
+@pytest.fixture(scope="module")
+def armed_batch():
+    """The batch run once with the canary armed: (scenario, result)."""
+    return [(s, run_scenario(s, canaries=CANARY)) for s in batch()]
+
+
+def test_seeded_batch_finds_the_canary_and_only_the_canary(armed_batch):
     hits = []
-    for i, s in enumerate(batch()):
-        result = run_scenario(s, canaries=CANARY)
+    for i, (_, result) in enumerate(armed_batch):
         kinds = {v.oracle for v in result.violations}
         assert kinds <= {"retry-bounds"}, (i, sorted(kinds))
         if kinds:
@@ -37,9 +44,8 @@ def test_same_batch_without_canary_is_silent():
         assert result.ok, (i, [v.to_dict() for v in result.violations])
 
 
-def test_first_hit_shrinks_to_a_stable_reproducer():
-    first = next(s for s in batch()
-                 if not run_scenario(s, canaries=CANARY).ok)
+def test_first_hit_shrinks_to_a_stable_reproducer(armed_batch):
+    first = next(s for s, result in armed_batch if not result.ok)
     r1 = shrink(first, canaries=CANARY)
     r2 = shrink(first, canaries=CANARY)
     # same seed, same scenario, byte-identical shrink

@@ -1,12 +1,17 @@
 """Unit + property tests for file tables (FTE subtrees)."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import GiB, Machine
 from repro.core.filetable import PAGES_PER_LEAF, FileTable, build_file_table
 from repro.hw.pagetable import (
+    LEVEL_PT,
     PMD_SPAN,
     PageTable,
+    PageTableNode,
     fte_devid,
     fte_encode,
     fte_lba,
@@ -14,6 +19,7 @@ from repro.hw.pagetable import (
     pte_writable,
 )
 from repro.hw.params import DEFAULT_PARAMS
+from repro.kernel.process import O_CREAT, O_DIRECT, O_RDWR
 
 
 def entries(table):
@@ -259,21 +265,32 @@ def _oracle_set_range(leaves, logical, device_page, count, devid):
     return new
 
 
+# A run's start: leaf-aligned half the time, else mid-leaf.
+_OFFSETS = st.one_of(st.just(0), st.integers(1, PAGES_PER_LEAF - 1))
+# A run's length: inside a leaf or two, or 2–6 whole leaves' worth with
+# a partial tail (none when the tail draws 0).
+_COUNTS = st.one_of(
+    st.integers(1, PAGES_PER_LEAF),
+    st.builds(lambda whole, tail: whole * PAGES_PER_LEAF + tail,
+              st.integers(2, 6), st.integers(0, PAGES_PER_LEAF - 1)))
+
+
 class TestBulkFillMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(runs=st.lists(
                st.tuples(
                    # logical start: leaf index and offset within the leaf
-                   st.integers(0, 5), st.integers(0, PAGES_PER_LEAF - 1),
-                   st.integers(0, (1 << 40) - 4 * PAGES_PER_LEAF),
-                   st.integers(1, 3 * PAGES_PER_LEAF)),
+                   st.integers(0, 5), _OFFSETS,
+                   st.integers(0, (1 << 40) - 8 * PAGES_PER_LEAF),
+                   _COUNTS),
                min_size=1, max_size=8),
-           keep=st.integers(0, 9 * PAGES_PER_LEAF),
+           keep=st.integers(0, 13 * PAGES_PER_LEAF),
            devid=st.integers(0, 63))
     def test_runs_then_truncate(self, runs, keep, devid):
-        """Runs that start mid-leaf, cross leaf boundaries, overwrite
-        existing leaves and leave holes give exactly the per-page
-        entries, new-leaf indices and cost; so does a later truncate."""
+        """Runs that start leaf-aligned or mid-leaf, cover whole new
+        leaves, end in a partial tail, overwrite existing leaves and
+        leave holes give exactly the per-page entries, new-leaf indices
+        and cost; so does a later truncate."""
         t = FileTable(devid=devid)
         oracle = []
         cost = 0
@@ -329,6 +346,22 @@ class TestTopOfRange:
     DEVID = 63
     BASE = 0x4000_0000_0000
 
+    @pytest.mark.parametrize("logical, count", [
+        (0, 4 * PAGES_PER_LEAF),                          # whole leaves
+        (PAGES_PER_LEAF - 7, 4 * PAGES_PER_LEAF + 30),    # head, 3, tail
+    ])
+    def test_whole_leaves_match_oracle(self, logical, count):
+        """Whole leaves made from stepped lanes keep every bit of the
+        fullest entries; the run ends at the last LBA."""
+        first_lba = self.LAST_LBA - count + 1
+        t = FileTable(devid=self.DEVID)
+        new, _cost = t.set_range(logical, first_lba, count, DEFAULT_PARAMS)
+        oracle = []
+        assert new == _oracle_set_range(oracle, logical, first_lba, count,
+                                        self.DEVID)
+        assert [None if leaf is None else list(leaf.entries)
+                for leaf in t.leaves] == oracle
+
     @pytest.mark.parametrize("writable", [True, False])
     def test_bulk_fill_and_walk(self, writable):
         # Starts mid-leaf, fills one whole leaf and ends mid-leaf.
@@ -354,3 +387,65 @@ class TestTopOfRange:
             assert walk.effective_writable is writable
         assert not pt.walk(self.BASE + (logical + count) * 4096).present
         assert not pt.walk(self.BASE + (logical - 1) * 4096).present
+
+
+class TestLeafAllocation:
+    def test_leaf_buffers_are_not_over_allocated(self):
+        """Whole leaves from lanes and leaves filled by ``fill_run`` hold
+        the same exact 4 KiB buffer as a zeroed node, not the ~7 % larger
+        one ``array("Q", bytes)`` allocates."""
+        t = build_file_table([(5, 4096, 3 * PAGES_PER_LEAF)], devid=3,
+                             params=DEFAULT_PARAMS)
+        exact = sys.getsizeof(PageTableNode(LEVEL_PT).entries)
+        assert [sys.getsizeof(leaf.entries) for leaf in t.leaves] == (
+            [exact] * 4)
+
+
+class TestGrowthThroughFmap:
+    """``FmapManager.on_extents_added`` on a table a process has
+    attached: the shared leaves match the per-page oracle and every
+    page of the process's region walks to its oracle entry."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(growth=st.lists(
+        st.tuples(st.integers(0, 7), _OFFSETS,
+                  st.integers(0, (1 << 40) - 8 * PAGES_PER_LEAF), _COUNTS),
+        min_size=1, max_size=3))
+    def test_growth_matches_oracle(self, growth):
+        m = Machine(capacity_bytes=1 * GiB, memory_bytes=256 << 20,
+                    capture_data=False)
+        proc = m.spawn_process()
+        thread = proc.new_thread()
+
+        def open_and_fmap():
+            fd = yield from m.kernel.sys_open(
+                proc, thread, "/f", O_RDWR | O_CREAT | O_DIRECT,
+                bypass_intent=True)
+            yield from m.kernel.sys_fallocate(proc, thread, fd, 0, 1 << 20)
+            return (yield from m.kernel.sys_fmap(proc, thread, fd))
+
+        vba = m.run_process(open_and_fmap())
+        inode = m.fs.lookup("/f")
+        table = inode.file_table
+        oracle = []
+        for mapping in inode.extents.mappings():
+            _oracle_set_range(oracle, *mapping, table.devid)
+        extents = [(leaf * PAGES_PER_LEAF + offset, device_page,
+                    # stay inside the region's growth headroom
+                    min(count, 9 * PAGES_PER_LEAF
+                        - leaf * PAGES_PER_LEAF - offset))
+                   for leaf, offset, device_page, count in growth]
+        m.bypassd.on_extents_added(inode, extents)
+        for logical, device_page, count in extents:
+            _oracle_set_range(oracle, logical, device_page, count,
+                              table.devid)
+        assert [None if leaf is None else list(leaf.entries)
+                for leaf in table.leaves] == oracle
+        pt = proc.aspace.page_table
+        for leaf_idx, leaf in enumerate(oracle):
+            for slot in range(PAGES_PER_LEAF):
+                walk = pt.walk(vba + (leaf_idx * PAGES_PER_LEAF + slot)
+                               * 4096)
+                want = 0 if leaf is None else leaf[slot]
+                assert walk.entry == want
+                assert walk.effective_writable is bool(want)

@@ -3,7 +3,7 @@
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.pagetable import (
     ENTRIES_PER_NODE,
@@ -452,3 +452,47 @@ class TestBatchedLeafAttach:
                 _per_leaf_detach(pt, self.BASE, sorted(detach))
 
         self._both(build)
+
+    @settings(max_examples=60, deadline=None)
+    @given(attach=st.lists(st.integers(0, ENTRIES_PER_NODE + 12),
+                           max_size=60),
+           detach=st.lists(st.integers(0, ENTRIES_PER_NODE + 12),
+                           max_size=60),
+           mapped=st.lists(st.integers(0, ENTRIES_PER_NODE + 12),
+                           max_size=2),
+           writable=st.booleans())
+    # A duplicate beside a gap: counting positions alone reads
+    # [0, 0, 2] as the dense run 0..2 and links leaf 1.
+    @example(attach=[0, 0, 2], detach=[2, 0, 0], mapped=[], writable=True)
+    @example(attach=[9, 7, 7, 5, 6, 4, 4], detach=[6, 6, 4, 9],
+             mapped=[], writable=False)
+    @example(attach=[8, 3, 3, 5, 7, 6], detach=[], mapped=[7, 6],
+             writable=True)
+    def test_index_lists_match_per_leaf(self, attach, detach, mapped,
+                                        writable):
+        """Index lists with gaps, duplicates and any order, across the
+        1 GiB boundary, against per-leaf calls over the distinct
+        indices: the same links after attach and after detach, or the
+        same "already mapped" VA with nothing linked."""
+        leaves = self._leaves(ENTRIES_PER_NODE + 13)
+        distinct = sorted(set(attach))
+        batched, looped = PageTable(), PageTable()
+        for pt in (batched, looped):
+            _per_leaf_attach(pt, self.BASE, leaves, sorted(set(mapped)),
+                             True)
+        if set(mapped) & set(attach):
+            before = _tree_state(batched)
+            with pytest.raises(ValueError) as err_batched:
+                batched.attach_leaves(self.BASE, leaves, attach, writable)
+            with pytest.raises(ValueError) as err_looped:
+                _per_leaf_attach(looped, self.BASE, leaves, distinct,
+                                 writable)
+            assert str(err_batched.value) == str(err_looped.value)
+            assert _tree_state(batched) == before
+            return
+        batched.attach_leaves(self.BASE, leaves, attach, writable)
+        _per_leaf_attach(looped, self.BASE, leaves, distinct, writable)
+        assert _tree_state(batched) == _tree_state(looped)
+        batched.detach_leaves(self.BASE, detach)
+        _per_leaf_detach(looped, self.BASE, detach)
+        assert _tree_state(batched) == _tree_state(looped)
