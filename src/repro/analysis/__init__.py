@@ -37,6 +37,7 @@ from .architecture import (
     FriendEdge,
     Layer,
     Manifest,
+    ManifestError,
     default_manifest,
 )
 from .program import (
@@ -73,6 +74,7 @@ __all__ = [
     "Layer",
     "FriendEdge",
     "Manifest",
+    "ManifestError",
     "default_manifest",
     "Program",
     "ProgramResult",

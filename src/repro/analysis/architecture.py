@@ -41,6 +41,7 @@ __all__ = [
     "Layer",
     "FriendEdge",
     "Manifest",
+    "ManifestError",
     "LAYERS",
     "FRIEND_EDGES",
     "HOT_ENTRY_POINTS",
@@ -49,6 +50,11 @@ __all__ = [
     "ATTRIBUTION_MODULES",
     "default_manifest",
 ]
+
+
+class ManifestError(ValueError):
+    """The manifest names something the analysed program does not have
+    (a hot entry point that resolves to no function)."""
 
 
 @dataclass(frozen=True)
@@ -215,17 +221,20 @@ FRIEND_EDGES: Tuple[FriendEdge, ...] = (
 
 # Per-event dispatch: everything the engine executes once per event.
 # Reachability from these seeds defines "the hot path" for SIM018.
-# The overhauled engine splits run()/_post into pre-bound fast and
-# instrumented variants — both sides are per-event dispatch.
+# The engine has a fast and an instrumented drain loop, posts inline
+# in timeout() and succeed() on the fast path, and resumes a process
+# in one call to Process._resume — all of it is per-event dispatch.
+# An entry that names no function is a ManifestError, so a rename
+# cannot quietly take a function off the hot path.
 HOT_ENTRY_POINTS: Tuple[str, ...] = (
     "repro.sim.engine:Simulator.run",
     "repro.sim.engine:Simulator._run_fast",
     "repro.sim.engine:Simulator._run_slow",
+    "repro.sim.engine:Simulator.timeout",
     "repro.sim.engine:Simulator._post_fast",
     "repro.sim.engine:Simulator._post_slow",
     "repro.sim.engine:Simulator._place",
     "repro.sim.engine:Simulator._advance",
-    "repro.sim.engine:Process._step",
     "repro.sim.engine:Process._resume",
     "repro.sim.engine:Event.succeed",
     "repro.sim.engine:Event.fail",

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .architecture import Layer, Manifest, default_manifest
+from .architecture import Layer, Manifest, ManifestError, default_manifest
 from .linter import (
     Violation,
     _SKIP_FILE_RE,
@@ -834,9 +834,25 @@ def _propagate_impurity(result: ProgramResult) -> None:
 
 
 def _compute_hot(result: ProgramResult) -> None:
-    """Forward reachability from the manifest's dispatch entries."""
+    """Forward reachability from the manifest's dispatch entries.
+
+    Raises :class:`ManifestError` for an entry that names no function
+    (unless its module failed to parse, which SIM000 reports): a
+    renamed or inlined dispatch function would otherwise drop out of
+    SIM018's coverage without a word.
+    """
     program = result.program
     hot = result.hot
+    unresolved = [
+        entry for entry in result.manifest.hot_entries
+        if entry not in program.functions
+        and entry.partition(":")[0] not in program.parse_failures]
+    if unresolved:
+        raise ManifestError(
+            "hot entry point(s) name no function in the program: "
+            + ", ".join(unresolved)
+            + " (point the manifest's hot_entries at the engine's "
+            "per-event dispatch functions)")
     work: List[str] = []
     for entry in result.manifest.hot_entries:
         if entry in program.functions:

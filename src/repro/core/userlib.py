@@ -34,7 +34,7 @@ from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
 from ..kernel.syscalls import Kernel
 from ..nvme.device import NVMeDevice
 from ..nvme.queues import QueuePair
-from ..nvme.spec import AddressKind, Command, Opcode, Status
+from ..nvme.spec import ADDR_VBA, OP_READ, OP_WRITE, Command, Opcode, Status
 from ..sim.cpu import Thread
 from ..sim.engine import Event, Simulator
 
@@ -154,69 +154,77 @@ class UserLib(GuardedIO):
     def pread(self, thread: Thread, state: FileState, offset: int,
               nbytes: int) -> Generator:
         """Returns (bytes_read, payload-or-None)."""
-        tracer = self.kernel.tracer
-        op = tracer.begin("op", "pread", thread=thread)
-        try:
-            if not state.direct:
-                return (yield from self._kernel_read(thread, state,
-                                                     offset, nbytes))
-            self._refresh_size(state)
-            n = max(0, min(nbytes, state.size - offset))
-            if n == 0:
-                return 0, b""
-            if self.nonblocking_writes and state.pending_writes:
-                # Reads must see the latest data: order behind
-                # overlapping in-flight writes (Section 5.1's
-                # consistency cost).
-                yield from self._wait_pending(thread, state, offset, n)
+        return self.kernel.tracer.wrap(
+            "op", "pread", self._pread(thread, state, offset, nbytes),
+            thread=thread)
+
+    def _pread(self, thread: Thread, state: FileState, offset: int,
+               nbytes: int) -> Generator:
+        if not state.direct:
+            return (yield from self._kernel_read(thread, state,
+                                                 offset, nbytes))
+        self._refresh_size(state)
+        n = max(0, min(nbytes, state.size - offset))
+        if n == 0:
+            return 0, b""
+        if self.nonblocking_writes and state.pending_writes:
+            # Reads must see the latest data: order behind overlapping
+            # in-flight writes (Section 5.1's consistency cost).
+            yield from self._wait_pending(thread, state, offset, n)
+        params, tracer = self.params, self.kernel.tracer
+        traced = tracer.enabled
+        if traced:
             token = tracer.begin("user", "submit", thread=thread)
-            yield from thread.compute(self.params.userlib_submit_ns)
+        yield from thread.compute(params.userlib_submit_ns)
+        if traced:
             tracer.end(token)
-            aligned_off = (offset // SECTOR) * SECTOR
-            aligned_len = -(-(offset - aligned_off + n) // SECTOR) * SECTOR
-            completion = yield from self._issue(
-                thread, state, Opcode.READ, aligned_off, aligned_len, None)
-            if completion is None:
-                # Access revoked mid-stream; retry through the kernel.
-                return (yield from self._kernel_read(thread, state,
-                                                     offset, nbytes))
-            self.direct_reads += 1
+        aligned_off = (offset // SECTOR) * SECTOR
+        aligned_len = -(-(offset - aligned_off + n) // SECTOR) * SECTOR
+        completion = yield from self._issue(
+            thread, state, OP_READ, aligned_off, aligned_len, None)
+        if completion is None:
+            # Access revoked mid-stream; retry through the kernel.
+            return (yield from self._kernel_read(thread, state,
+                                                 offset, nbytes))
+        self.direct_reads += 1
+        if traced:
             token = tracer.begin("user", "complete+copy", thread=thread)
-            yield from thread.compute(self.params.userlib_complete_ns
-                                      + self.params.memcpy_ns(n))
+        yield from thread.compute(params.userlib_complete_ns
+                                  + params.memcpy_ns(n))
+        if traced:
             tracer.end(token)
-            data = None
-            if completion.data is not None:
-                skip = offset - aligned_off
-                data = completion.data[skip:skip + n]
-            return n, data
-        finally:
-            tracer.end(op)
+        data = completion.data
+        if data is not None:
+            skip = offset - aligned_off
+            data = data[skip:skip + n]
+        return n, data
 
     # -- writes ------------------------------------------------------------
 
     def pwrite(self, thread: Thread, state: FileState, offset: int,
                nbytes: int, data: Optional[bytes] = None) -> Generator:
         """Returns bytes written."""
-        tracer = self.kernel.tracer
-        op = tracer.begin("op", "pwrite", thread=thread)
-        try:
-            if not state.direct:
-                return (yield from self.kernel.sys_pwrite(
-                    self.proc, thread, state.fd, offset, nbytes, data))
-            if not state.writable:
-                raise PermissionError("file opened read-only")
-            self._refresh_size(state)
-            if offset + nbytes > state.size:
-                return (yield from self._extending_write(
-                    thread, state, offset, nbytes, data))
-            if offset % SECTOR or nbytes % SECTOR:
-                return (yield from self._partial_write(
-                    thread, state, offset, nbytes, data))
-            return (yield from self._overwrite(thread, state, offset,
-                                               nbytes, data))
-        finally:
-            tracer.end(op)
+        return self.kernel.tracer.wrap(
+            "op", "pwrite",
+            self._pwrite(thread, state, offset, nbytes, data),
+            thread=thread)
+
+    def _pwrite(self, thread: Thread, state: FileState, offset: int,
+                nbytes: int, data: Optional[bytes]) -> Generator:
+        if not state.direct:
+            return (yield from self.kernel.sys_pwrite(
+                self.proc, thread, state.fd, offset, nbytes, data))
+        if not state.writable:
+            raise PermissionError("file opened read-only")
+        self._refresh_size(state)
+        if offset + nbytes > state.size:
+            return (yield from self._extending_write(
+                thread, state, offset, nbytes, data))
+        if offset % SECTOR or nbytes % SECTOR:
+            return (yield from self._partial_write(
+                thread, state, offset, nbytes, data))
+        return (yield from self._overwrite(thread, state, offset,
+                                           nbytes, data))
 
     @staticmethod
     def _refresh_size(state: FileState) -> None:
@@ -238,7 +246,7 @@ class UserLib(GuardedIO):
         yield from thread.compute(self.params.userlib_submit_ns
                                   + self.params.memcpy_ns(nbytes))
         completion = yield from self._issue(
-            thread, state, Opcode.WRITE, offset, nbytes, data)
+            thread, state, OP_WRITE, offset, nbytes, data)
         if completion is None:
             return (yield from self.kernel.sys_pwrite(
                 self.proc, thread, state.fd, offset, nbytes, data))
@@ -265,8 +273,8 @@ class UserLib(GuardedIO):
             yield from thread.block(oldest)
             tracer.add_wait("sq_full", self.sim.now - stall_t0,
                             thread=thread)
-        cmd = Command(Opcode.WRITE, addr=state.vba + offset,
-                      nbytes=nbytes, addr_kind=AddressKind.VBA,
+        cmd = Command(OP_WRITE, addr=state.vba + offset,
+                      nbytes=nbytes, addr_kind=ADDR_VBA,
                       buffer_iova=ctx.buf.iova, data=data)
         self.kernel.tracer.stamp(cmd, thread=thread)
         ev = self.device.submit(ctx.qp, cmd)
@@ -370,7 +378,7 @@ class UserLib(GuardedIO):
             aligned_off = first * SECTOR
             aligned_len = (last - first + 1) * SECTOR
             yield from thread.compute(self.params.userlib_submit_ns)
-            read_c = yield from self._issue(thread, state, Opcode.READ,
+            read_c = yield from self._issue(thread, state, OP_READ,
                                             aligned_off, aligned_len, None)
             merged: Optional[bytes] = None
             if read_c is not None and read_c.data is not None:
@@ -380,7 +388,7 @@ class UserLib(GuardedIO):
                 merged = old[:skip] + new + old[skip + nbytes:]
             yield from thread.compute(self.params.userlib_submit_ns
                                       + self.params.memcpy_ns(nbytes))
-            write_c = yield from self._issue(thread, state, Opcode.WRITE,
+            write_c = yield from self._issue(thread, state, OP_WRITE,
                                              aligned_off, aligned_len,
                                              merged)
             if read_c is None or write_c is None:
@@ -411,23 +419,27 @@ class UserLib(GuardedIO):
         """
         ctx = self._ctx(thread)
         tracer = self.kernel.tracer
+        traced = tracer.enabled
         fault_attempts = 0
         attempt = 0
         while True:
             cmd = Command(opcode, addr=state.vba + file_off,
-                          nbytes=nbytes, addr_kind=AddressKind.VBA,
+                          nbytes=nbytes, addr_kind=ADDR_VBA,
                           buffer_iova=ctx.buf.iova, data=data)
-            # Open the wait span before ringing the doorbell and stamp
-            # the command with it, so device-side phase spans parent
-            # here (a retry opens a fresh span under the same op).
-            token = tracer.begin("device", "direct-io", thread=thread)
-            try:
+            if traced:
+                # Open the wait span before ringing the doorbell and
+                # stamp the command with it, so device-side phase spans
+                # parent here (a retry opens a fresh span under the
+                # same op).
+                token = tracer.begin("device", "direct-io", thread=thread)
                 tracer.stamp(cmd, thread=thread)
+            try:
                 ev = self.device.submit(ctx.qp, cmd)
                 completion = yield from self._guarded_wait(
                     thread.poll, ctx.qp, cmd, ev)
             finally:
-                tracer.end(token)
+                if traced:
+                    tracer.end(token)
             if completion.ok:
                 return completion
             if completion.status is Status.TRANSLATION_FAULT:

@@ -80,7 +80,7 @@ class FaultInjector:
 
     @property
     def active(self) -> bool:
-        return not self.plan.empty
+        return bool(self.plan.rules)    # not plan.empty: asked per command
 
     @property
     def may_drop(self) -> bool:

@@ -92,12 +92,20 @@ class GuardedIO:
 
     def _guarded_wait(self, wait: Callable[[Event], Generator],
                       qp: QueuePair, cmd: Command, ev: Event) -> Generator:
-        """Wait for ``ev`` with ``wait`` (``thread.block``,
-        ``thread.poll`` or a bare yield), timing out and aborting the
-        command if its completion is lost.  The timeout is only armed
-        when the fault plan can drop completions."""
+        """What to ``yield from`` to wait for ``ev`` with ``wait``
+        (``thread.block``, ``thread.poll`` or a bare yield), timing out
+        and aborting the command if its completion is lost.  The
+        timeout is only armed when the fault plan can drop completions;
+        otherwise this is ``wait(ev)`` itself, with no generator of its
+        own around it."""
         if not self.device.injector.may_drop:
-            return (yield from wait(ev))
+            return wait(ev)
+        return self._wait_with_timeout(wait, qp, cmd, ev)
+
+    def _wait_with_timeout(self, wait: Callable[[Event], Generator],
+                           qp: QueuePair, cmd: Command,
+                           ev: Event) -> Generator:
+        """The armed wait: one timeout per round, abort on expiry."""
         while not ev.processed:
             deadline = self.sim.timeout(self.params.io_timeout_ns)
             yield from wait(self.sim.any_of([ev, deadline]))

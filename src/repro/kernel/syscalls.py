@@ -19,7 +19,7 @@ from typing import Generator, Optional, Tuple
 from ..fs.ext4.filesystem import Ext4Filesystem, FsError
 from ..fs.ext4.inode import Inode
 from ..hw.params import HardwareParams
-from ..nvme.spec import Opcode
+from ..nvme.spec import OP_READ, OP_WRITE
 from ..sim.cpu import Thread
 from ..sim.engine import Simulator
 from ..sim.trace import NULL_TRACER, charge_phases
@@ -226,7 +226,7 @@ class Kernel:
                 run_bytes = min(remaining,
                                 mapping[1] * PAGE - pos % PAGE)
                 data = yield from self.blockio.rw_bytes(
-                    thread, Opcode.READ, lba512, run_bytes)
+                    thread, OP_READ, lba512, run_bytes)
                 if data is not None:
                     chunks.append(data)
                 pos += run_bytes
@@ -368,7 +368,7 @@ class Kernel:
             chunk = None
             if payload is not None:
                 chunk = payload[written:written + run_bytes]
-            yield from self.blockio.rw_bytes(thread, Opcode.WRITE, lba512,
+            yield from self.blockio.rw_bytes(thread, OP_WRITE, lba512,
                                              run_bytes, data=chunk)
             pos += run_bytes
             remaining -= run_bytes

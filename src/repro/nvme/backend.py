@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..hw.params import HardwareParams
-from .spec import LBA_SIZE, Opcode
+from .spec import LBA_SIZE, OP_FLUSH, OP_READ, OP_WRITE, Opcode
 
 __all__ = ["MediaBackend"]
 
@@ -111,11 +111,11 @@ class MediaBackend:
 
     def media_ns(self, opcode: Opcode) -> int:
         """Media access latency before/around the data transfer."""
-        if opcode is Opcode.READ:
+        if opcode is OP_READ:
             return self.params.read_media_ns
-        if opcode is Opcode.WRITE:
+        if opcode is OP_WRITE:
             return self.params.write_media_ns
-        if opcode is Opcode.FLUSH:
+        if opcode is OP_FLUSH:
             return self.params.flush_ns
         raise ValueError(f"unknown opcode {opcode}")
 

@@ -40,12 +40,15 @@ from .backend import MediaBackend
 from .queues import QueuePair
 from .scheduler import RoundRobinArbiter
 from .spec import (
+    ADDR_VBA,
     DEVICE_PAGE_SIZE,
     LBA_SIZE,
-    AddressKind,
+    OP_FLUSH,
+    OP_READ,
+    OP_WRITE,
+    ST_SUCCESS,
     Command,
     Completion,
-    Opcode,
     Status,
 )
 
@@ -92,6 +95,10 @@ class NVMeDevice:
             Tuple[QueuePair, Command, List[Tuple[int, int]]]] = deque()
         # The instant the shared link's last reserved transfer leaves it.
         self._link_free_at = 0
+        # Transfer size -> (link hold, controller tail off the link).
+        # Both follow from the frozen params, so each size is worked
+        # out once.
+        self._link_timing: Dict[int, Tuple[int, int]] = {}
         # Commands whose completion the injector swallowed, keyed by
         # (qid, cid): the host's only way out is abort().
         self._lost: Dict[Tuple[int, int], Tuple[QueuePair, Command]] = {}
@@ -226,35 +233,45 @@ class NVMeDevice:
                  cmd: Command) -> Generator[Event, object, None]:
         sim, params = self.sim, self.params
         tr = self.tracer
-        # Time spent queued behind other tenants at the arbiter —
-        # doorbell write to fetch start — lands as arbiter wait on the
-        # host's still-open wait span (the gap before this fetch child
-        # in its self-time), reached through the command's trace stamp.
-        if cmd.trace is not None and cmd.submit_ns >= 0:
+        traced = tr.enabled
+        if traced and cmd.trace is not None and cmd.submit_ns >= 0:
+            # Time spent queued behind other tenants at the arbiter —
+            # doorbell write to fetch start — lands as arbiter wait on
+            # the host's still-open wait span (the gap before this
+            # fetch child in its self-time), reached through the
+            # command's trace stamp.
             tr.add_wait("arbiter", sim.now - cmd.submit_ns,
                         token=cmd.trace[1])
         # The doorbell write plus command fetch over PCIe.
-        token = tr.begin("nvme", "fetch", parent=cmd.trace)
+        if traced:
+            token = tr.begin("nvme", "fetch", parent=cmd.trace)
         yield sim.timeout(params.command_fetch_ns)
-        tr.end(token)
-
-        if cmd.opcode is Opcode.FLUSH:
-            token = tr.begin("nvme", "flush", parent=cmd.trace)
-            yield sim.timeout(params.flush_ns)
+        if traced:
             tr.end(token)
+
+        opcode = cmd.opcode
+        if opcode is OP_FLUSH:
+            if traced:
+                token = tr.begin("nvme", "flush", parent=cmd.trace)
+            yield sim.timeout(params.flush_ns)
+            if traced:
+                tr.end(token)
             self._complete(qp, cmd, Status.SUCCESS)
             return
 
-        fault = self._validate(cmd)
-        if fault is not None:
-            self._complete(qp, cmd, fault[0], reason=fault[1])
+        write = opcode is OP_WRITE
+        vba = cmd.addr_kind is ADDR_VBA
+        if vba and (cmd.addr % LBA_SIZE or cmd.nbytes % LBA_SIZE):
+            self._complete(qp, cmd, Status.INVALID_FIELD,
+                           reason="VBA I/O must be device-block aligned")
             return
 
         inj = self.injector
+        faults = inj.active
         translation_ns = 0
         segments: Optional[List[Tuple[int, int]]] = None
-        if cmd.addr_kind is AddressKind.VBA:
-            if inj.active and inj.translation_fault(sim.now):
+        if vba:
+            if faults and inj.translation_fault(sim.now):
                 # Spurious ATS refusal: same error completion as a real
                 # fault, and like one it never touches media.  UserLib
                 # reacts with re-fmap, then kernel-path fallback.
@@ -265,7 +282,7 @@ class NVMeDevice:
             try:
                 ats = self.iommu.translate_vba(
                     qp.pasid, cmd.addr, cmd.nbytes,
-                    write=cmd.is_write, requester_devid=self.devid,
+                    write=write, requester_devid=self.devid,
                 )
             except TranslationFault as exc:
                 self.translation_faults += 1
@@ -283,14 +300,16 @@ class NVMeDevice:
                                reason=f"lba {lba} x{nblocks}")
                 return
 
-        if inj.active:
-            spike_ns, terminal = inj.media_verdict(cmd.is_write, segments,
-                                                   sim.now)
+        if faults:
+            spike_ns, terminal = inj.media_verdict(write, segments, sim.now)
             if spike_ns:
                 # Slow command: correct result, pathological latency.
-                token = tr.begin("nvme", "latency-spike", parent=cmd.trace)
+                if traced:
+                    token = tr.begin("nvme", "latency-spike",
+                                     parent=cmd.trace)
                 yield sim.timeout(spike_ns)
-                tr.end(token)
+                if traced:
+                    tr.end(token)
             if terminal is FaultKind.DROP_COMPLETION:
                 # The CQE evaporates; the command sits in device limbo
                 # until the host times out and aborts it.
@@ -298,7 +317,7 @@ class NVMeDevice:
                 self._lost[(qp.qid, cmd.cid)] = (qp, cmd)
                 return
             if terminal is not None:
-                status = (Status.MEDIA_WRITE_FAULT if cmd.is_write
+                status = (Status.MEDIA_WRITE_FAULT if write
                           else Status.MEDIA_READ_ERROR)
                 self._complete(qp, cmd, status,
                                reason=f"injected {terminal.value}")
@@ -308,7 +327,7 @@ class NVMeDevice:
         if cmd.buffer_iova and qp.pasid:
             try:
                 _, buf_cost = self.iommu.translate_iova(
-                    qp.pasid, cmd.buffer_iova, write=not cmd.is_write)
+                    qp.pasid, cmd.buffer_iova, write=not write)
             except TranslationFault as exc:
                 self.translation_faults += 1
                 self._complete(qp, cmd, Status.TRANSLATION_FAULT,
@@ -316,14 +335,14 @@ class NVMeDevice:
                 return
             yield sim.timeout(buf_cost)
 
-        if cmd.is_write:
+        if write:
             yield from self._do_write(cmd, segments, translation_ns)
-            data = None
-            token = tr.begin("nvme", "complete", parent=cmd.trace)
+            if traced:
+                token = tr.begin("nvme", "complete", parent=cmd.trace)
             yield sim.timeout(params.completion_post_ns)
-            tr.end(token)
-            self._complete(qp, cmd, Status.SUCCESS, data=data,
-                           nbytes=cmd.nbytes)
+            if traced:
+                tr.end(token)
+            self._complete(qp, cmd, ST_SUCCESS, nbytes=cmd.nbytes)
             return
 
         if translation_ns:
@@ -338,21 +357,29 @@ class NVMeDevice:
     def _await_translation(self, qp: QueuePair, cmd: Command,
                            segments: List[Tuple[int, int]],
                            translation_ns: int):
-        token = self.tracer.begin("nvme", "translate", parent=cmd.trace)
+        tr = self.tracer
+        traced = tr.enabled
+        if traced:
+            token = tr.begin("nvme", "translate", parent=cmd.trace)
         yield self.sim.timeout(translation_ns)
-        self.tracer.end(token)
+        if traced:
+            tr.end(token)
         self._translated.append((qp, cmd, segments))
         self._notify()
 
     def _serve_read(self, qp: QueuePair, cmd: Command,
                     segments: List[Tuple[int, int]]):
         sim, tr = self.sim, self.tracer
-        token = tr.begin("nvme", "media", parent=cmd.trace)
-        yield sim.timeout(self.backend.media_ns(Opcode.READ))
-        tr.end(token)
-        token = tr.begin("nvme", "transfer", parent=cmd.trace)
+        traced = tr.enabled
+        if traced:
+            token = tr.begin("nvme", "media", parent=cmd.trace)
+        yield sim.timeout(self.backend.media_ns(OP_READ))
+        if traced:
+            tr.end(token)
+            token = tr.begin("nvme", "transfer", parent=cmd.trace)
         yield sim.timeout(self._reserve_link(cmd.nbytes))
-        tr.end(token)
+        if traced:
+            tr.end(token)
         # The payload is read when the transfer ends, not when it
         # starts, so a write that lands meanwhile is visible: that read
         # keeps the completion post a timeout of its own.
@@ -361,10 +388,12 @@ class NVMeDevice:
             chunk = self.backend.read_blocks(lba, nblocks)
             if chunk is not None:
                 chunks.append(chunk)
-        token = tr.begin("nvme", "complete", parent=cmd.trace)
+        if traced:
+            token = tr.begin("nvme", "complete", parent=cmd.trace)
         yield sim.timeout(self.params.completion_post_ns)
-        tr.end(token)
-        self._complete(qp, cmd, Status.SUCCESS,
+        if traced:
+            tr.end(token)
+        self._complete(qp, cmd, ST_SUCCESS,
                        data=b"".join(chunks) if chunks else None,
                        nbytes=cmd.nbytes)
 
@@ -379,7 +408,7 @@ class NVMeDevice:
         phases = [("transfer", elapsed)]
         if translation_ns > elapsed:
             phases.append(("translate", translation_ns - elapsed))
-        phases.append(("media", self.backend.media_ns(Opcode.WRITE)))
+        phases.append(("media", self.backend.media_ns(OP_WRITE)))
         yield from charge_phases(self.sim, phases, tracer=self.tracer,
                                  category="nvme", parent=cmd.trace)
         offset = 0
@@ -394,19 +423,17 @@ class NVMeDevice:
         """Reserve the shared link for a transfer starting now; return
         its duration: the wait behind earlier reservations, the link
         hold, then the controller tail off the link."""
-        backend, now = self.backend, self.sim.now
-        link_ns = backend.link_ns(nbytes)
+        timing = self._link_timing.get(nbytes)
+        if timing is None:
+            link_ns = self.backend.link_ns(nbytes)
+            tail_ns = self.backend.transfer_ns(nbytes) - link_ns
+            timing = self._link_timing[nbytes] = (
+                link_ns, tail_ns if tail_ns > 0 else 0)
+        link_ns, tail_ns = timing
+        now = self.sim.now
         start = self._link_free_at if self._link_free_at > now else now
         self._link_free_at = start + link_ns
-        tail_ns = backend.transfer_ns(nbytes) - link_ns
-        return start - now + link_ns + (tail_ns if tail_ns > 0 else 0)
-
-    def _validate(self, cmd: Command) -> Optional[Tuple[Status, str]]:
-        if cmd.addr_kind is AddressKind.VBA:
-            if cmd.addr % LBA_SIZE or cmd.nbytes % LBA_SIZE:
-                return (Status.INVALID_FIELD,
-                        "VBA I/O must be device-block aligned")
-        return None
+        return start - now + link_ns + tail_ns
 
     def _segments(self, pairs: List[Tuple[int, int]], vba: int,
                   nbytes: int) -> List[Tuple[int, int]]:

@@ -40,7 +40,14 @@ class QueuePair:
         self.pasid = pasid
         self.depth = depth
         self.sq: Deque[Command] = deque()
-        self.cq: Deque[Completion] = deque()
+        # Completions reach hosts through their wait events and nothing
+        # reaps ``cq``, so it is bounded to ``depth`` entries to cap
+        # memory: a long run would otherwise hold every CQE (and
+        # payload) it ever posted.  Once full, a new entry drops the
+        # oldest.  That is a simulator shortcut, not NVMe semantics: a
+        # controller stops posting to a full CQ, so a host that polls
+        # ``pop_completion`` must drain it within ``depth`` entries.
+        self.cq: Deque[Completion] = deque(maxlen=depth)
         self._events: Dict[int, Event] = {}
         self.submitted = 0
         self.completed = 0
@@ -54,7 +61,7 @@ class QueuePair:
         """Place a command on the SQ; returns its completion event."""
         if not self.active:
             raise QueueFullError(f"queue {self.qid} has been deleted")
-        if self.inflight >= self.depth:
+        if len(self._events) >= self.depth:
             raise QueueFullError(
                 f"queue {self.qid} full (depth {self.depth})"
             )

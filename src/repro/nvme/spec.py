@@ -23,6 +23,12 @@ __all__ = [
     "Completion",
     "LBA_SIZE",
     "DEVICE_PAGE_SIZE",
+    "OP_READ",
+    "OP_WRITE",
+    "OP_FLUSH",
+    "ADDR_LBA",
+    "ADDR_VBA",
+    "ST_SUCCESS",
 ]
 
 LBA_SIZE = 512
@@ -57,7 +63,7 @@ class Status(enum.Enum):
 
     @property
     def ok(self) -> bool:
-        return self is Status.SUCCESS
+        return self is ST_SUCCESS
 
     @property
     def retryable(self) -> bool:
@@ -74,6 +80,14 @@ class Status(enum.Enum):
 class AddressKind(enum.Enum):
     LBA = "lba"  # classic: logical block address, 512 B units
     VBA = "vba"  # BypassD: virtual block address, byte-granular
+
+
+# Members read on every command, bound once here for every module on
+# the command path: on CPython 3.11 an ``Enum.MEMBER`` read is an
+# unspecialised class-attribute lookup, a module global is not.
+OP_READ, OP_WRITE, OP_FLUSH = Opcode.READ, Opcode.WRITE, Opcode.FLUSH
+ADDR_LBA, ADDR_VBA = AddressKind.LBA, AddressKind.VBA
+ST_SUCCESS = Status.SUCCESS
 
 
 @dataclass(slots=True)
@@ -97,12 +111,12 @@ class Command:
     submit_ns: int = -1
 
     def __post_init__(self) -> None:
-        if self.opcode is not Opcode.FLUSH:
+        if self.opcode is not OP_FLUSH:
             if self.nbytes <= 0:
                 raise ValueError("I/O command needs a positive size")
             if self.addr < 0:
                 raise ValueError("negative address")
-            if (self.addr_kind is AddressKind.LBA
+            if (self.addr_kind is ADDR_LBA
                     and self.nbytes % LBA_SIZE):
                 raise ValueError(
                     f"LBA I/O must be {LBA_SIZE}-byte aligned, got {self.nbytes}"
@@ -110,7 +124,7 @@ class Command:
 
     @property
     def is_write(self) -> bool:
-        return self.opcode is Opcode.WRITE
+        return self.opcode is OP_WRITE
 
 
 @dataclass(slots=True)
@@ -124,7 +138,7 @@ class Completion:
 
     @property
     def ok(self) -> bool:
-        return self.status.ok
+        return self.status is ST_SUCCESS
 
     @property
     def errno(self) -> int:

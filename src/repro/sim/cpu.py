@@ -114,7 +114,8 @@ class Thread:
         if ns < 0:
             raise ValueError(f"negative compute time: {ns}")
         ns = int(ns)
-        yield from self._acquire_core()
+        if not self._on_core:
+            yield from self._wait_for_core()
         if ns:
             yield self.sim.timeout(ns)
         self.compute_ns += ns
@@ -131,7 +132,8 @@ class Thread:
 
     def poll(self, event: Event) -> Generator[Event, Any, Any]:
         """Busy-wait on-core until ``event`` triggers."""
-        yield from self._acquire_core()
+        if not self._on_core:
+            yield from self._wait_for_core()
         t0 = self.sim.now
         value = yield event
         waited = self.sim.now - t0

@@ -22,15 +22,20 @@ so the scheduler is organised around four hot-path ideas (see
   references (checked by refcount) are recycled, so steady-state runs
   allocate near-zero events.  Pooling is disabled under
   ``sanitize=True`` so per-event provenance stays exact.
-- **pre-bound fast paths** — with no sanitizer and no observer
-  processes attached, ``run()`` and ``_post`` skip every
-  instrumentation check; creating a sanitizer or an observer process
-  switches the simulator (even mid-run) to the instrumented loop.
-- **flattened process dispatch** — ``Process._step`` calls cached
-  ``gen.send``/``gen.throw`` bound methods and duck-types the yielded
-  event; ``AllOf``/``AnyOf`` accumulate results incrementally instead
-  of rescanning their event list, and detach their callbacks from
-  losing events when they trigger.
+- **inline fast paths** — with no sanitizer and no observer processes
+  attached, ``run()`` drains in ``_run_fast`` and the two commonest
+  posts, ``Simulator.timeout`` and ``Event.succeed``, bump ``_seq`` and
+  file the event themselves, one ``_instrumented`` test away from the
+  instrumented ``_post_slow``; creating a sanitizer or an observer
+  process switches the simulator (even mid-run) to the instrumented
+  loop.
+- **one-call process dispatch** — ``Process._resume`` is a process's
+  wait callback and does the whole resumption: it drives the generator
+  through cached ``gen.send``/``gen.throw`` bound methods, duck-types
+  the yielded event and registers itself on it; ``AllOf``/``AnyOf``
+  accumulate results incrementally instead of rescanning their event
+  list, and detach their callbacks from losing events when they
+  trigger.
 
 Set ``REPRO_ENGINE=reference`` in the environment to swap in the
 frozen pre-overhaul engine for differential testing.
@@ -39,9 +44,11 @@ frozen pre-overhaul engine for differential testing.
 from __future__ import annotations
 
 import os
+from collections import deque
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
+                    Optional)
 
 __all__ = [
     "Event",
@@ -130,7 +137,14 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._post(self)
+        sim = self.sim
+        if sim._instrumented:
+            sim._post_slow(self)
+        else:
+            # Simulator._post_fast inlined: the commonest post of a run.
+            sim._seq += 1
+            sim._count += 1
+            sim._imm.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -178,6 +192,10 @@ class Process(Event):
 
     The process triggers (with the generator's return value) when the
     generator finishes, or fails with the escaping exception.
+
+    A process waits by registering its ``_resume`` bound method on the
+    event it yielded; ``_resume`` runs the generator to its next yield
+    and registers again, so a resumption is one call.
     """
 
     __slots__ = ("gen", "name", "daemon", "observer", "_waiting_on",
@@ -185,14 +203,23 @@ class Process(Event):
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "",
                  daemon: bool = False, observer: bool = False):
-        if not hasattr(gen, "send"):
-            raise SimulationError(f"process target must be a generator, got {gen!r}")
-        super().__init__(sim)
+        try:
+            # Cached bound methods: _resume drives the generator once
+            # per resumption, so the attribute lookups are per-event cost.
+            self._send = gen.send
+            self._throw = gen.throw
+        except AttributeError:
+            raise SimulationError(
+                f"process target must be a generator, got {gen!r}") from None
+        # Event.__init__, inlined.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._defused = False
+        self._observer = False
         self.gen = gen
-        # Cached bound methods: _step drives the generator once per
-        # resumption, so the attribute lookups are per-event cost.
-        self._send = gen.send
-        self._throw = gen.throw
         self.name = name or getattr(gen, "__name__", "process")
         # Daemon processes are perpetual servers (device channels,
         # poller threads): the sanitizer exempts them from stranded/
@@ -205,13 +232,17 @@ class Process(Event):
         self.observer = observer
         self._waiting_on: Optional[Event] = None
         if sim._san is not None:
+            sim._san.note_event_created(self)
             sim._san.note_process_created(self)
-        if observer and not sim._instrumented:
-            sim._switch_to_instrumented()
-        bootstrap = sim.event()
-        if observer:
-            bootstrap._observer = True
+        # Bootstrap: a triggered event whose one callback resumes this
+        # process, so the generator starts at the current instant.
+        pool = sim._pool_ev
+        bootstrap = pool.pop() if pool else Event(sim)
         bootstrap.callbacks.append(self._resume)
+        if observer:
+            if not sim._instrumented:
+                sim._switch_to_instrumented()
+            bootstrap._observer = True
         bootstrap.succeed()
 
     @property
@@ -222,13 +253,7 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:
             return
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
+        self._detach()
         # The cause rides in the poke event's value; delivery happens in
         # _deliver_interrupt when the poke is processed.  If the process
         # finishes before then, the poke is inert (and recyclable) —
@@ -241,12 +266,8 @@ class Process(Event):
 
     # -- internal ---------------------------------------------------------
 
-    def _deliver_interrupt(self, poke: Event) -> None:
-        if self._triggered:
-            return      # finished in the same tick: nothing to deliver
-        # The process may have started a *new* wait between the
-        # interrupt() call and this delivery; detach from it so the
-        # target cannot step a process that already saw the Interrupt.
+    def _detach(self) -> None:
+        """Stop waiting: unregister from the event this process yielded."""
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
@@ -254,34 +275,41 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
-        self._step(None, Interrupt(poke._value))
+
+    def _deliver_interrupt(self, poke: Event) -> None:
+        if self._triggered:
+            return      # finished in the same tick: nothing to deliver
+        # The process may have started a *new* wait between the
+        # interrupt() call and this delivery; detach from it so the
+        # target cannot step a process that already saw the Interrupt.
+        self._detach()
+        # Resume on the poke as a failed event: _resume throws the
+        # Interrupt into the generator and marks the poke defused.
+        poke._exc = Interrupt(poke._value)
+        self._resume(poke)
 
     def _resume(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome, then register
+        on whatever it yields next (or finish the process)."""
         self._waiting_on = None
         exc = event._exc
-        if exc is None:
-            self._step(event._value)
-        else:
+        if exc is not None:
             event._defused = True
-            self._step(None, exc)
-
-    def _step(self, send: Any = None,
-              throw: Optional[BaseException] = None) -> None:
         if self._triggered:
             return
         sim = self.sim
         sim._active_process = self
         try:
-            if throw is None:
-                target = self._send(send)
+            if exc is None:
+                target = self._send(event._value)
             else:
-                target = self._throw(throw)
+                target = self._throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             sim._active_process = None
             return
-        except BaseException as exc:
-            self.fail(exc)
+        except BaseException as err:
+            self.fail(err)
             sim._active_process = None
             return
         sim._active_process = None
@@ -425,9 +453,9 @@ class Simulator:
     ``docs/static_analysis.md``).  ``strict_sanitize=True`` additionally
     raises :class:`repro.sim.sanitizer.SanitizerError` from :meth:`run`
     when leak-class findings exist.  With sanitize off (the default)
-    and no observer processes attached, ``run()`` and ``_post`` use
-    fast paths with no instrumentation checks at all; timelines are
-    byte-identical either way.
+    and no observer processes attached, ``run()`` and every post use
+    fast paths with no instrumentation checks beyond one
+    ``_instrumented`` test; timelines are byte-identical either way.
 
     ``pooling`` controls the event freelists (default: on exactly when
     the sanitizer is off).  Recycled events are only ever ones with no
@@ -441,15 +469,13 @@ class Simulator:
         self._seq = 0
         self._count = 0              # queued events, all structures
         self._obs_count = 0          # queued observer events
-        # current-instant FIFO: (time, seq, event) triples at self.now
-        self._imm: List = []
-        self._imm_head = 0
+        # current-instant FIFO: events posted at self.now, in seq order
+        self._imm: Deque[Event] = deque()
         # calendar ring + current bucket
         self._cur: List = []         # heap: this bucket's entries
         self._cur_abs = 0            # absolute bucket number of _cur
         self._buckets: List[List] = [[] for _ in range(_N_BUCKETS)]
         self._bucket_heap: List[int] = []   # populated absolute buckets
-        self._near_count = 0         # entries across _buckets
         self._far: List = []         # heap: beyond the near horizon
         self._active_process: Optional[Process] = None
         self._san = None
@@ -489,7 +515,16 @@ class Simulator:
             to.delay = d = int(delay)
             to._value = value
             to._triggered = True
-            self._post(to, d)
+            if self._instrumented:
+                self._post_slow(to, d)
+                return to
+            # _post_fast inlined: one call less on every pooled timeout.
+            self._seq = seq = self._seq + 1
+            self._count += 1
+            if d:
+                self._place(self.now + d, seq, to)
+            else:
+                self._imm.append(to)
             return to
         return Timeout(self, delay, value)
 
@@ -509,9 +544,10 @@ class Simulator:
     def _switch_to_instrumented(self) -> None:
         """Swap in the instrumented post path (sanitizer/observers).
 
-        A running fast loop notices ``_instrumented`` on its next
-        iteration and defers to the instrumented loop, so the switch is
-        safe mid-run.
+        ``timeout`` and ``succeed`` test ``_instrumented`` on every
+        post, and a running fast loop notices it on its next iteration
+        and defers to the instrumented loop, so the switch is safe
+        mid-run.
         """
         self._instrumented = True
         self._post = self._post_slow
@@ -520,7 +556,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         self._count += 1
         if delay == 0:
-            self._imm.append((self.now, seq, event))
+            self._imm.append(event)
             return
         self._place(self.now + delay, seq, event)
 
@@ -534,7 +570,7 @@ class Simulator:
             self._obs_count += 1
         when = self.now + delay
         if delay == 0:
-            self._imm.append((when, seq, event))
+            self._imm.append(event)
         else:
             self._place(when, seq, event)
         if self._san is not None:
@@ -554,7 +590,6 @@ class Simulator:
             if not slot:
                 heappush(self._bucket_heap, ab)
             slot.append((t, seq, event))
-            self._near_count += 1
         else:
             heappush(self._far, (t, seq, event))
 
@@ -574,7 +609,6 @@ class Simulator:
             slot_i = ab & _B_MASK
             cur = self._buckets[slot_i]
             self._buckets[slot_i] = self._cur     # recycle the empty list
-            self._near_count -= len(cur)
         else:
             ab = far[0][0] >> _W_SHIFT
             cur = self._cur
@@ -610,6 +644,8 @@ class Simulator:
     def _run_fast(self, until: Optional[int]) -> int:
         """The no-sanitizer/no-observer drain loop."""
         pooling = self._pooling
+        pool_to, pool_ev = self._pool_to, self._pool_ev
+        imm = self._imm
         while self._count:
             if self._instrumented:
                 # An observer process appeared mid-run.
@@ -617,49 +653,41 @@ class Simulator:
             cur = self._cur
             if cur and cur[0][0] == self.now:
                 event = heappop(cur)[2]
-            elif self._imm_head < len(self._imm):
-                imm = self._imm
-                h = self._imm_head
-                event = imm[h][2]
-                imm[h] = None
-                h += 1
-                if h == len(imm):
-                    del imm[:]
-                    self._imm_head = 0
-                else:
-                    self._imm_head = h
+            elif imm:
+                event = imm.popleft()
             else:
                 when = cur[0][0] if cur else self._advance()
                 if until is not None and when > until:
                     self.now = until
-                    return self.now
+                    return until
                 self.now = when
                 continue
             self._count -= 1
             callbacks = event.callbacks
             event.callbacks = None
-            if callbacks:
-                for fn in callbacks:
-                    fn(event)
+            for fn in callbacks:
+                fn(event)
             if event._exc is not None and not event._defused:
                 raise event._exc
             if pooling and getrefcount(event) == 2:
                 cls = event.__class__
                 if cls is Timeout:
-                    pool = self._pool_to
-                elif cls is Event:
-                    pool = self._pool_ev
-                else:
-                    continue
-                if len(pool) < _POOL_CAP:
+                    # A timeout never fails, so _exc and _defused are
+                    # still clear, and _triggered is set again on reuse.
+                    if len(pool_to) < _POOL_CAP:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event._value = None
+                        pool_to.append(event)
+                elif cls is Event and len(pool_ev) < _POOL_CAP:
+                    # _observer is only ever set on the instrumented path.
                     callbacks.clear()
                     event.callbacks = callbacks
                     event._value = None
                     event._exc = None
                     event._triggered = False
                     event._defused = False
-                    event._observer = False
-                    pool.append(event)
+                    pool_ev.append(event)
         if until is not None and until > self.now:
             self.now = until
         return self.now
@@ -674,17 +702,8 @@ class Simulator:
             cur = self._cur
             if cur and cur[0][0] == self.now:
                 event = heappop(cur)[2]
-            elif self._imm_head < len(self._imm):
-                imm = self._imm
-                h = self._imm_head
-                event = imm[h][2]
-                imm[h] = None
-                h += 1
-                if h == len(imm):
-                    del imm[:]
-                    self._imm_head = 0
-                else:
-                    self._imm_head = h
+            elif self._imm:
+                event = self._imm.popleft()
             else:
                 when = cur[0][0] if cur else self._advance()
                 if until is not None and when > until:

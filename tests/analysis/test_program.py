@@ -9,10 +9,13 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
     FriendEdge,
     Layer,
     Manifest,
+    ManifestError,
     build_program,
     default_manifest,
     export_dot,
@@ -417,6 +420,24 @@ def test_sim018_dataclass_slots_and_exceptions_exempt(tmp_path):
     assert not [v for v in vs if v.rule.id == "SIM018"]
 
 
+def test_sim018_unresolved_hot_entry_is_an_error(tmp_path):
+    # a renamed or inlined dispatch function must not silently leave
+    # the hot path: an entry naming no function stops the pass
+    pkg = write_pkg(tmp_path, {
+        "engine.py": """
+            class Engine:
+                def run(self):
+                    return 1
+        """,
+    })
+    manifest = empty_manifest(hot_entries=("pkg.engine:Engine.run",
+                                           "pkg.engine:Engine.bogus"))
+    with pytest.raises(ManifestError, match="pkg.engine:Engine.bogus"):
+        lint_program(pkg, manifest=manifest, repo_root=tmp_path)
+    manifest = empty_manifest(hot_entries=("pkg.engine:Engine.run",))
+    assert lint_program(pkg, manifest=manifest, repo_root=tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # Graph building details
 # ---------------------------------------------------------------------------
@@ -488,6 +509,7 @@ def test_unparseable_module_does_not_crash_the_pass(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_real_repo_program_pass_is_clean():
+    # also proves every default hot entry resolves (ManifestError)
     vs = lint_program(REPO_ROOT / "src" / "repro",
                       repo_root=REPO_ROOT)
     assert vs == [], "\n".join(

@@ -58,6 +58,25 @@ class TestQueuePair:
         qp.post_completion(Completion(cid=cmd.cid, status=Status.SUCCESS))
         assert qp.pop_completion().cid == cmd.cid
 
+    def test_cq_ring_is_bounded_by_depth(self):
+        sim = Simulator()
+        depth, extra = 4, 3
+        qp = QueuePair(sim, qid=1, pasid=0, depth=depth)
+        cids = []
+        for _ in range(depth + extra):
+            cmd = mkcmd()
+            qp.submit(cmd)
+            qp.fetch()
+            qp.post_completion(Completion(cid=cmd.cid,
+                                          status=Status.SUCCESS))
+            cids.append(cmd.cid)
+        assert qp.completed == depth + extra
+        assert len(qp.cq) == depth
+        # the oldest entries were overwritten; the newest `depth` remain
+        popped = [qp.pop_completion().cid for _ in range(depth)]
+        assert popped == cids[extra:]
+        assert qp.pop_completion() is None
+
 
 class TestRoundRobin:
     def _queues(self, sim, n):
