@@ -19,18 +19,16 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..hw.pagetable import (
     ENTRIES_PER_NODE,
     LEVEL_PT,
-    NEXT_LEAF_LANES,
     PMD_SPAN,
     PageTableNode,
     fill_run,
+    fte_block,
     fte_range,
-    lanes_entries,
-    leaf_lanes,
     pte_present,
 )
 from ..hw.params import HardwareParams
@@ -60,23 +58,26 @@ class FileTable:
         """FTE memory overhead: one 4 KB page per leaf (Section 6.3)."""
         return (len(self.leaves) - self.leaves.count(None)) * PAGE
 
-    def leaf_indices(self) -> List[int]:
-        """Indices of the allocated leaves; holes have none.
+    def leaf_runs(self) -> List[Tuple[int, int]]:
+        """``(first index, count)`` runs of allocated leaves, ascending;
+        holes have none.
 
         One C-level scan finds each hole, so a table takes one Python
         step per hole and none per leaf.  Leaves are always true, so
         ``all`` rules out holes without the equality test per leaf that
         ``count(None)`` makes.
         """
-        indices: List[int] = []
+        runs: List[Tuple[int, int]] = []
         start = 0
         holes = 0 if all(self.leaves) else self.leaves.count(None)
         for _ in range(holes):
             hole = self.leaves.index(None, start)
-            indices += range(start, hole)
+            if hole > start:
+                runs.append((start, hole - start))
             start = hole + 1
-        indices += range(start, len(self.leaves))
-        return indices
+        if start < len(self.leaves):
+            runs.append((start, len(self.leaves) - start))
+        return runs
 
     # -- construction / growth -----------------------------------------------
 
@@ -98,23 +99,14 @@ class FileTable:
         last_leaf = (end - 1) // PAGES_PER_LEAF
         self.leaves.extend([None] * (last_leaf + 1 - len(self.leaves)))
         leaf_idx, slot = divmod(logical, PAGES_PER_LEAF)
-        # A new leaf the run covers whole is made straight from its
-        # lanes: one multiply for the first such leaf, one add for each
-        # next one.  Partial slices and existing leaves take ``fill_run``.
-        lanes = 0
-        lanes_leaf: Optional[int] = None   # the leaf ``lanes`` was made for
         done = 0
         while done < count:
             n = min(PAGES_PER_LEAF - slot, count - done)
             leaf = self.leaves[leaf_idx]
             if leaf is None and n == PAGES_PER_LEAF:
-                if lanes_leaf == leaf_idx - 1:
-                    lanes += NEXT_LEAF_LANES
-                else:
-                    lanes = leaf_lanes(entries[done])
-                lanes_leaf = leaf_idx
-                self.leaves[leaf_idx] = PageTableNode(LEVEL_PT,
-                                                      lanes_entries(lanes))
+                # A whole new leaf takes the builder's exact array as is.
+                self.leaves[leaf_idx] = PageTableNode(
+                    LEVEL_PT, fte_block(entries[done], n))
                 new_leaves.append(leaf_idx)
             else:
                 if leaf is None:

@@ -25,8 +25,9 @@ brand-new leaves are attached to every mapped process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..fs.ext4.filesystem import Ext4Filesystem
 from ..fs.ext4.inode import Inode
@@ -43,17 +44,35 @@ __all__ = ["FmapManager", "Attachment"]
 PAGE = 4096
 _GROWTH_HEADROOM_LEAVES = 8
 
+Runs = List[Tuple[int, int]]  # (first leaf index, count), ascending
+
+
+def _runs(indices: Sequence[int]) -> Runs:
+    """Ascending, distinct leaf indices as ``(first, count)`` runs."""
+    runs: Runs = []
+    for idx in indices:
+        if runs and runs[-1][0] + runs[-1][1] == idx:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((idx, 1))
+    return runs
+
 
 @dataclass
 class Attachment:
-    """One process's live mapping of one file."""
+    """One process's live mapping of one file.
+
+    It links every allocated leaf of the inode's table: fmap links them
+    all, growth links each new one (or dooms the attachment) and
+    truncate unlinks each dropped one, so the table's ``leaf_runs()``
+    are always what it has linked.
+    """
 
     proc: Process
     base_va: int
     region_leaves: int   # VA capacity in leaves (growth headroom)
     writable: bool
     refcount: int = 1
-    attached: Set[int] = field(default_factory=set)  # leaf indices
 
 
 class FmapManager:
@@ -93,9 +112,10 @@ class FmapManager:
                 # Permission upgrade: re-attach with the R/W bit set at
                 # the private intermediate entries.
                 pt = proc.aspace.page_table
-                pt.detach_leaves(existing.base_va, existing.attached)
+                runs = inode.file_table.leaf_runs()
+                pt.detach_leaves(existing.base_va, runs)
                 pt.attach_leaves(existing.base_va, inode.file_table.leaves,
-                                 existing.attached, writable=True)
+                                 runs, writable=True)
                 self.iommu.invalidate_range(
                     proc.pasid, existing.base_va,
                     existing.region_leaves * PMD_SPAN)
@@ -123,12 +143,12 @@ class FmapManager:
         attachment = Attachment(
             proc=proc, base_va=base_va, region_leaves=region_leaves,
             writable=fdesc.writable)
-        attachment.attached.update(table.leaf_indices())
+        runs = table.leaf_runs()
         proc.aspace.page_table.attach_leaves(
-            base_va, table.leaves, attachment.attached,
-            writable=fdesc.writable)
+            base_va, table.leaves, runs, writable=fdesc.writable)
+        linked = sum(map(itemgetter(1), runs))
         yield from thread.compute(
-            max(1, len(attachment.attached)) * self.params.pmd_attach_ns)
+            max(1, linked) * self.params.pmd_attach_ns)
 
         attachments[proc.pasid] = attachment
         inode.fmap_attachments[proc.pasid] = base_va
@@ -161,16 +181,16 @@ class FmapManager:
         attachment.refcount -= 1
         if attachment.refcount > 0:
             return
-        self._detach(inode, attachment)
+        self._detach(attachment, inode.file_table.leaf_runs())
         del attachments[proc.pasid]
         inode.fmap_attachments.pop(proc.pasid, None)
         if not attachments:
             self._attachments.pop(inode.ino, None)
 
-    def _detach(self, inode: Inode, attachment: Attachment) -> None:
+    def _detach(self, attachment: Attachment, linked: Runs) -> None:
+        """Unlink ``linked``, the leaf runs ``attachment`` has linked."""
         attachment.proc.aspace.page_table.detach_leaves(
-            attachment.base_va, attachment.attached)
-        attachment.attached.clear()
+            attachment.base_va, linked)
         self.iommu.invalidate_range(
             attachment.proc.pasid, attachment.base_va,
             attachment.region_leaves * PMD_SPAN)
@@ -183,8 +203,9 @@ class FmapManager:
         if not attachments and not inode.fmap_attachments:
             return
         self.revocations += 1
+        linked = inode.file_table.leaf_runs() if attachments else []
         for attachment in attachments.values():
-            self._detach(inode, attachment)
+            self._detach(attachment, linked)
         inode.fmap_attachments.clear()
         inode.bypass_revoked = True
 
@@ -203,27 +224,31 @@ class FmapManager:
         table: Optional[FileTable] = inode.file_table
         if table is None:
             return
-        new_leaf_indices: List[int] = []
-        for logical, phys, count in extents:
-            created, _cost = table.set_range(logical, phys, count,
-                                             self.params)
-            new_leaf_indices.extend(created)
-        if not new_leaf_indices:
-            return
         attachments = self._attachments.get(inode.ino, {})
+        # What every attachment has linked before the growth.  A doomed
+        # one unlinks just these: its region is followed directly by the
+        # next one, so a new leaf past its end is another file's slot.
+        linked = table.leaf_runs() if attachments else []
+        created: List[int] = []
+        for logical, phys, count in extents:
+            new, _cost = table.set_range(logical, phys, count, self.params)
+            created += new
+        if not created:
+            return
+        new_runs = _runs(sorted(created))
+        last_new = new_runs[-1][0] + new_runs[-1][1] - 1
         doomed: List[Attachment] = []
         for attachment in attachments.values():
-            if max(new_leaf_indices) >= attachment.region_leaves:
+            if last_new >= attachment.region_leaves:
                 doomed.append(attachment)
                 continue
             attachment.proc.aspace.page_table.attach_leaves(
-                attachment.base_va, table.leaves, new_leaf_indices,
+                attachment.base_va, table.leaves, new_runs,
                 writable=attachment.writable)
-            attachment.attached.update(new_leaf_indices)
         for attachment in doomed:
             # The VA region cannot hold the grown file: revoke just this
             # process; its UserLib will re-fmap into a larger region.
-            self._detach(inode, attachment)
+            self._detach(attachment, linked)
             attachments.pop(attachment.proc.pasid, None)
             inode.fmap_attachments.pop(attachment.proc.pasid, None)
 
@@ -234,13 +259,11 @@ class FmapManager:
         if table is None:
             return
         keep_pages = -(-new_size // PAGE)
-        dead = table.truncate_pages(keep_pages)
+        dead = _runs(table.truncate_pages(keep_pages))
         attachments = self._attachments.get(inode.ino, {})
         for attachment in attachments.values():
-            gone = attachment.attached.intersection(dead)
             attachment.proc.aspace.page_table.detach_leaves(
-                attachment.base_va, gone)
-            attachment.attached -= gone
+                attachment.base_va, dead)
             self.iommu.invalidate_range(
                 attachment.proc.pasid,
                 attachment.base_va + keep_pages * PAGE,

@@ -26,16 +26,19 @@ Per the paper, FTEs are *not* inserted into the IOTLB by default
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .pagetable import (
+    _DEVID_MASK,
+    _DEVID_SHIFT,
+    _FRAME_MASK,
+    _FRAME_SHIFT,
+    _FT,
+    _PRESENT,
     PAGE_SHIFT,
     PAGE_SIZE,
     PageTable,
-    WalkResult,
     fte_devid,
-    fte_lba,
     pte_is_fte,
     pte_pfn,
 )
@@ -45,6 +48,7 @@ from .pcie import PCIeLink
 __all__ = ["IOMMU", "TranslationFault", "AtsResult"]
 
 _ENTRIES_PER_CACHELINE = 8  # 64 B / 8 B
+_LEAF_SHIFT = PAGE_SHIFT + 9  # VA bits below one leaf node's 2 MiB
 
 
 class TranslationFault(Exception):
@@ -57,12 +61,14 @@ class TranslationFault(Exception):
         self.pasid = pasid
 
 
-@dataclass
 class AtsResult:
     """Reply to a device's ATS translation request."""
 
-    pairs: List[Tuple[int, int]]  # (LBA, length-in-blocks-of-PAGE_SIZE)
-    cost_ns: int
+    __slots__ = ("pairs", "cost_ns")
+
+    def __init__(self, pairs: List[Tuple[int, int]], cost_ns: int):
+        self.pairs = pairs        # (LBA, length-in-blocks-of-PAGE_SIZE)
+        self.cost_ns = cost_ns
 
     @property
     def total_pages(self) -> int:
@@ -122,6 +128,10 @@ class IOMMU:
         self.enabled = True
         self.ats_requests = 0
         self.pagewalks = 0
+        # ``HardwareParams`` is frozen: the per-request terms are fixed.
+        self._ats_ns = params.pcie_round_trip_ns + params.ats_processing_ns
+        self._walk_ns = params.full_pagewalk_ns()
+        self._hit_ns = params.iotlb_hit_ns
 
     # -- PASID management (SVA) ---------------------------------------------
 
@@ -202,79 +212,76 @@ class IOMMU:
         if nbytes <= 0:
             raise ValueError("translation size must be positive")
         self.ats_requests += 1
-        table = self.table_for(pasid)
+        table = self._pasids.get(pasid)
+        if table is None:
+            table = self.table_for(pasid)   # raises: unbound PASID
         first_page = vba >> PAGE_SHIFT
         last_page = (vba + nbytes - 1) >> PAGE_SHIFT
-        pages = last_page - first_page + 1
+        # A present FTE of the requester's device has exactly these bits
+        # under ``fte_mask``; no FTE matches a DevID out of range.
+        fte_mask = _PRESENT | _FT | _DEVID_MASK
+        fte_key = (_PRESENT | _FT | (requester_devid << _DEVID_SHIFT)
+                   if 0 <= requester_devid <= 0x3F else -1)
 
         pairs: List[Tuple[int, int]] = []
+        run_lba = run_len = 0          # the pair being coalesced
         iotlb_hits = 0
         for vpn in range(first_page, last_page + 1):
             va = vpn << PAGE_SHIFT
-            entry_info = None
+            cached = None
             if self.cache_ftes:
-                entry_info = self.iotlb.get((pasid, vpn))
-            if entry_info is None:
-                result = table.walk(va)
+                cached = self.iotlb.get((pasid, vpn))
+            if cached is None:
+                entry, writable, _level = table.lookup(va)
                 self.pagewalks += 1
-                self._check_fte(result, va, pasid, write, requester_devid)
-                lba = fte_lba(result.entry)
+                if entry & fte_mask != fte_key:
+                    if not entry & _PRESENT:
+                        raise TranslationFault("no file table entry",
+                                               va=va, pasid=pasid)
+                    if not entry & _FT:
+                        raise TranslationFault(
+                            "regular PTE in block translation",
+                            va=va, pasid=pasid)
+                    raise TranslationFault(
+                        f"DevID mismatch (FTE dev {fte_devid(entry)}, "
+                        f"requester {requester_devid})", va=va, pasid=pasid)
+                if write and not writable:
+                    raise TranslationFault("write to read-only file mapping",
+                                           va=va, pasid=pasid)
+                lba = (entry & _FRAME_MASK) >> _FRAME_SHIFT
                 if self.cache_ftes:
-                    self.iotlb.put((pasid, vpn),
-                                   (lba, result.effective_writable))
+                    self.iotlb.put((pasid, vpn), (lba, writable))
             else:
-                lba, writable = entry_info
+                lba, writable = cached
                 iotlb_hits += 1
                 if write and not writable:
                     raise TranslationFault("write to read-only file mapping",
                                            va=va, pasid=pasid)
-            if pairs and pairs[-1][0] + pairs[-1][1] == lba:
-                pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)
+            if run_len and run_lba + run_len == lba:
+                run_len += 1
             else:
-                pairs.append((lba, 1))
+                if run_len:
+                    pairs.append((run_lba, run_len))
+                run_lba, run_len = lba, 1
+        pairs.append((run_lba, run_len))
 
-        cost = (self.params.pcie_round_trip_ns
-                + self.params.ats_processing_ns
-                + self._walk_cost_ns(vba, pages - iotlb_hits)
-                + iotlb_hits * self.params.iotlb_hit_ns)
-        return AtsResult(pairs=pairs, cost_ns=cost)
-
-    def _check_fte(self, result: WalkResult, va: int, pasid: int,
-                   write: bool, requester_devid: int) -> None:
-        if not result.present:
-            raise TranslationFault("no file table entry", va=va, pasid=pasid)
-        if not pte_is_fte(result.entry):
-            raise TranslationFault("regular PTE in block translation",
-                                   va=va, pasid=pasid)
-        if fte_devid(result.entry) != requester_devid:
-            raise TranslationFault(
-                f"DevID mismatch (FTE dev {fte_devid(result.entry)}, "
-                f"requester {requester_devid})", va=va, pasid=pasid)
-        if write and not result.effective_writable:
-            raise TranslationFault("write to read-only file mapping",
-                                   va=va, pasid=pasid)
-
-    def _walk_cost_ns(self, vba: int, walked_pages: int) -> int:
-        """Walk time for ``walked_pages`` contiguous pages from ``vba``.
-
-        One full walk (upper levels + first leaf cacheline) costs 183 ns;
-        each further leaf cacheline the range spans adds one memory
-        reference.  A 64 B cacheline covers 8 entries, so the cost curve
-        is the paper's Figure 5: a bump when the range spills into a
-        second cacheline, then flat until the next spill.
-        """
-        if walked_pages <= 0:
-            return 0
-        start_slot = (vba >> PAGE_SHIFT) % _ENTRIES_PER_CACHELINE
-        cachelines = (start_slot + walked_pages
-                      + _ENTRIES_PER_CACHELINE - 1) // _ENTRIES_PER_CACHELINE
-        # Crossing into another leaf node re-reads the PMD entry.
-        first_leaf = vba >> (PAGE_SHIFT + 9)
-        last_leaf = (vba + walked_pages * PAGE_SIZE - 1) >> (PAGE_SHIFT + 9)
-        extra_leaves = last_leaf - first_leaf
-        cost = (self.params.full_pagewalk_ns()
-                + (cachelines - 1) * self.params.pagewalk_memref_ns
-                + extra_leaves * self.params.pagewalk_memref_ns)
-        if self.nested:
-            cost = int(round(cost * self.params.nested_walk_factor))
-        return cost
+        # Walk time, the paper's Figure 5: one full walk (upper levels
+        # and the first leaf cacheline) costs 183 ns, and each further
+        # leaf cacheline the walked pages span adds one memory reference,
+        # as does each further leaf node (its PMD entry is read again).
+        # A 64 B cacheline holds 8 entries, so the cost bumps when the
+        # range spills into another cacheline, then stays flat.
+        walked = last_page - first_page + 1 - iotlb_hits
+        cost = self._ats_ns + iotlb_hits * self._hit_ns
+        if walked > 0:
+            cachelines = ((first_page % _ENTRIES_PER_CACHELINE + walked
+                           + _ENTRIES_PER_CACHELINE - 1)
+                          // _ENTRIES_PER_CACHELINE)
+            extra_leaves = (((vba + walked * PAGE_SIZE - 1) >> _LEAF_SHIFT)
+                            - (vba >> _LEAF_SHIFT))
+            walk_ns = (self._walk_ns + (cachelines - 1 + extra_leaves)
+                       * self.params.pagewalk_memref_ns)
+            if self.nested:
+                walk_ns = int(round(walk_ns * self.params.nested_walk_factor))
+            cost += walk_ns
+        return AtsResult(pairs, cost)

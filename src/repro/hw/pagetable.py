@@ -29,7 +29,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PAGE_SHIFT",
@@ -45,9 +45,7 @@ __all__ = [
     "fte_encode",
     "fte_range",
     "fill_run",
-    "leaf_lanes",
-    "lanes_entries",
-    "NEXT_LEAF_LANES",
+    "fte_block",
     "pte_present",
     "pte_writable",
     "pte_user",
@@ -87,19 +85,14 @@ _DEVID_SHIFT = 52
 _DEVID_MASK = 0x3F << _DEVID_SHIFT
 
 
-def _lanes(values: Iterable[int]) -> int:
-    """One integer whose 64-bit lane i, lowest first, is ``values[i]``."""
-    return int.from_bytes(
-        b"".join(v.to_bytes(8, "little") for v in values), "little")
-
-
-# A node's entries as 512 lanes of one integer: lane i of
-# ``first * _LANES + _STEPS`` is ``first + i * _FRAME_STEP``.
-_LANES = _lanes([1] * ENTRIES_PER_NODE)
-_STEPS = _lanes(range(0, ENTRIES_PER_NODE * _FRAME_STEP, _FRAME_STEP))
-# Adding this to a leaf's lanes moves every entry on by 512 frames: the
-# lanes of the next leaf of the same run.
-NEXT_LEAF_LANES = ENTRIES_PER_NODE * _FRAME_STEP * _LANES
+# Byte templates for ``fte_block``.  Inside one run, consecutive FTEs
+# differ only in the LBA field; little-endian, LBA bits 0-3 are the high
+# nibble of byte 1 and bits 4-11 are byte 2.  ``_BYTE1[t]`` and
+# ``_BYTE2[t]`` are those bytes of LBA ``t``.  They repeat every 16 and
+# 4096 LBAs, and each template runs 512 entries past its last start.
+_BYTE1 = bytes(range(0, 256, 16)) * 33
+_BYTE2 = b"".join(bytes((v,)) * 16 for v in range(256))
+_BYTE2 += _BYTE2[:ENTRIES_PER_NODE]
 
 
 def level_span(level: int) -> int:
@@ -153,43 +146,37 @@ def fte_range(lba: int, count: int, devid: int,
     return range(first, last + _FRAME_STEP, _FRAME_STEP)
 
 
+def fte_block(first: int, count: int) -> "array[int]":
+    """The ``count <= 512`` entries that count up one frame at a time
+    from the FTE ``first``, as an exact ``array("Q")`` copy.
+
+    Entries of LBAs in one 4096-LBA block share bytes 0 and 3-7, so the
+    block's first entry, repeated, lays those down and two strided
+    slice assignments copy bytes 1 and 2 in from the templates.  A run
+    of at most 512 crosses at most one block boundary, where a second
+    base takes over.  The caller has checked that the last entry is a
+    valid encoding (``fte_range``), so no LBA carries into the DevID.
+    """
+    lba = (first >> _FRAME_SHIFT) & 0xFFF
+    block = bytearray(first.to_bytes(8, "little") * count)
+    split = 0x1000 - lba
+    if split < count:
+        second = first + split * _FRAME_STEP
+        block[split * 8:] = second.to_bytes(8, "little") * (count - split)
+    block[1::8] = _BYTE1[lba & 0xF:(lba & 0xF) + count]
+    block[2::8] = _BYTE2[lba:lba + count]
+    entries = array("Q", block)
+    if sys.byteorder == "big":
+        entries.byteswap()
+    # ``array("Q", bytes)`` over-allocates by about 7 %; the slice is an
+    # exact copy, so a leaf costs the host the page it models.
+    return entries[:]
+
+
 def fill_run(entries: "array[int]", slot: int, run: range) -> None:
     """Write ``run``, a slice of what ``fte_range`` returned, to
-    ``entries[slot:slot + len(run)]``.
-
-    ``leaf_lanes`` lays out a whole node's lanes, so no Python int is
-    made per entry.  Entries never set a bit above 58, and
-    ``fte_range`` has checked that the run's last entry is a valid
-    encoding, so no lane carries into the next one below ``len(run)``;
-    lanes past it are dropped.
-    """
-    count = len(run)
-    lanes = leaf_lanes(run.start).to_bytes(PAGE_SIZE, "little")
-    block = array("Q", lanes[:count * 8])
-    if sys.byteorder == "big":
-        block.byteswap()
-    entries[slot:slot + count] = block
-
-
-def leaf_lanes(first: int) -> int:
-    """One big-integer multiply-add: the 512 entries that count up one
-    frame at a time from ``first``, as the 64-bit lanes of one integer
-    (lane i is ``first + i * 4096``).  Adding ``NEXT_LEAF_LANES`` gives
-    the next 512."""
-    return first * _LANES + _STEPS
-
-
-def lanes_entries(lanes: int) -> "array[int]":
-    """A node's 512 entries, entry i from lane i of ``lanes``.
-
-    ``array("Q", bytes)`` over-allocates its buffer by about 7 %; the
-    slice is an exact 4 KiB copy, so a leaf costs the host the page it
-    models.
-    """
-    block = array("Q", lanes.to_bytes(PAGE_SIZE, "little"))
-    if sys.byteorder == "big":
-        block.byteswap()
-    return block[:]
+    ``entries[slot:slot + len(run)]``."""
+    entries[slot:slot + len(run)] = fte_block(run.start, len(run))
 
 
 def pte_present(entry: int) -> bool:
@@ -355,26 +342,27 @@ class PageTable:
 
     def attach_leaves(self, va: int,
                       leaves: Sequence[Optional[PageTableNode]],
-                      indices: Iterable[int], writable: bool) -> None:
+                      runs: Sequence[Tuple[int, int]],
+                      writable: bool) -> None:
         """Batched ``attach_subtree``: link ``leaves[i]`` at
-        ``va + i * PMD_SPAN`` for every distinct ``i`` in ``indices``.
+        ``va + i * PMD_SPAN`` for every ``i`` of the ``(first, count)``
+        runs, which are ascending and disjoint (they may touch).
 
-        The PMD node is resolved once per run of consecutive leaves in
-        one 1 GiB span, and a run is linked with one slice assignment.
-        The alignment and "already mapped" errors name the VA the
-        per-leaf calls would, and are raised before anything is linked.
+        The PMD node is resolved once per run inside one 1 GiB span,
+        and the run is linked with one slice assignment.  The alignment
+        and "already mapped" errors name the VA the per-leaf calls
+        would, and are raised before anything is linked.
         """
-        order = sorted(set(indices))
-        if not order:
+        if not runs:
             return
         if va % PMD_SPAN:
-            first = va + order[0] * PMD_SPAN
+            first = va + runs[0][0] * PMD_SPAN
             raise ValueError(
                 f"attach VA {first:#x} not aligned to {PMD_SPAN:#x} for "
                 f"level-{LEVEL_PT} subtree"
             )
-        runs = self._leaf_runs(va, order)
-        for start, slot, count in runs:
+        split = self._leaf_runs(va, runs)
+        for start, slot, count in split:
             run = leaves[start:start + count]
             # Nodes are always true, so ``all`` finds a hole without the
             # equality test that ``None in run`` makes per leaf.
@@ -392,17 +380,19 @@ class PageTable:
                 raise ValueError(
                     f"VA {va + (start + busy) * PMD_SPAN:#x} already mapped")
         flags = _PRESENT | _USER | (_WRITABLE if writable else 0)
-        for start, slot, count in runs:
+        for start, slot, count in split:
             node = self._interior_node(va + start * PMD_SPAN, LEVEL_PMD,
                                        create=True)
             assert node is not None and node.children is not None
             node.children[slot:slot + count] = leaves[start:start + count]
             node.entries[slot:slot + count] = array("Q", [flags]) * count
 
-    def detach_leaves(self, va: int, indices: Iterable[int]) -> None:
+    def detach_leaves(self, va: int,
+                      runs: Sequence[Tuple[int, int]]) -> None:
         """Batched ``detach_subtree``: unlink the leaves at
-        ``va + i * PMD_SPAN`` for every ``i`` in ``indices``."""
-        for start, slot, count in self._leaf_runs(va, sorted(set(indices))):
+        ``va + i * PMD_SPAN`` for every ``i`` of the ascending, disjoint
+        ``(first, count)`` runs."""
+        for start, slot, count in self._leaf_runs(va, runs):
             node = self._interior_node(va + start * PMD_SPAN, LEVEL_PMD,
                                        create=False)
             if node is None:
@@ -411,39 +401,23 @@ class PageTable:
             node.children[slot:slot + count] = [None] * count
             node.entries[slot:slot + count] = array("Q", [0]) * count
 
-    def _leaf_runs(self, va: int,
-                   order: List[int]) -> List[Tuple[int, int, int]]:
-        """Split sorted, distinct leaf offsets into ``(first offset, PMD
-        slot, count)`` runs of consecutive leaves sharing one PMD node.
-
-        ``order[k] - k`` stays the same along a run of consecutive
-        offsets and grows at every gap, so a binary search finds where
-        a run ends: O(log n) steps per run and none per leaf.
-        """
-        if not order:
+    def _leaf_runs(self, va: int, runs: Sequence[Tuple[int, int]]
+                   ) -> List[Tuple[int, int, int]]:
+        """Split ascending ``(first, count)`` leaf runs at PMD-node
+        boundaries into ``(first offset, PMD slot, count)``."""
+        if not runs:
             return []
-        self._check_va(va + order[0] * PMD_SPAN)
-        self._check_va(va + order[-1] * PMD_SPAN)
-        runs: List[Tuple[int, int, int]] = []
-        i = 0
-        while i < len(order):
-            start = order[i]
-            lo, hi = i + 1, len(order)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if order[mid] - mid == start - i:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            count = lo - i
-            i = lo
+        self._check_va(va + runs[0][0] * PMD_SPAN)
+        self._check_va(va + (runs[-1][0] + runs[-1][1] - 1) * PMD_SPAN)
+        split: List[Tuple[int, int, int]] = []
+        for start, count in runs:
             while count:
                 slot = _index(va + start * PMD_SPAN, LEVEL_PMD)
                 n = min(count, ENTRIES_PER_NODE - slot)
-                runs.append((start, slot, n))
+                split.append((start, slot, n))
                 start += n
                 count -= n
-        return runs
+        return split
 
     def _interior_node(self, va: int, entry_level: int,
                        create: bool) -> Optional[PageTableNode]:
@@ -467,13 +441,16 @@ class PageTable:
 
     # -- walking ---------------------------------------------------------
 
-    def walk(self, va: int) -> WalkResult:
-        """Resolve ``va`` to its leaf entry and effective permission.
+    def lookup(self, va: int) -> Tuple[int, bool, int]:
+        """Resolve ``va`` to ``(leaf entry, effective writable, level)``.
 
-        Every ATS request walks, so the tests of :func:`_index`,
-        :func:`pte_present` and :func:`pte_writable` are inlined.
+        The entry is 0 and ``level`` is where the walk stopped when
+        nothing is mapped.  Every ATS request walks, so the tests of
+        :meth:`_check_va`, :func:`_index`, :func:`pte_present` and
+        :func:`pte_writable` are inlined; ``_check_va`` only raises.
         """
-        self._check_va(va)
+        if va < 0 or va >= VA_LIMIT:
+            self._check_va(va)
         node = self.root
         writable = _WRITABLE
         shift = PAGE_SHIFT + INDEX_BITS * (LEVEL_PGD - 1)
@@ -481,18 +458,23 @@ class PageTable:
             idx = (va >> shift) & (ENTRIES_PER_NODE - 1)
             entry = node.entries[idx]
             if not entry & _PRESENT:
-                return WalkResult(0, level, False)
+                return 0, False, level
             writable &= entry
             assert node.children is not None
             child = node.children[idx]
             if child is None:
-                return WalkResult(0, level, False)
+                return 0, False, level
             node = child
             shift -= INDEX_BITS
         leaf = node.entries[(va >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)]
         if not leaf & _PRESENT:
-            return WalkResult(0, LEVEL_PT, False)
-        return WalkResult(leaf, LEVEL_PT, bool(writable & leaf))
+            return 0, False, LEVEL_PT
+        return leaf, bool(writable & leaf), LEVEL_PT
+
+    def walk(self, va: int) -> WalkResult:
+        """:meth:`lookup` as a :class:`WalkResult`."""
+        entry, writable, level = self.lookup(va)
+        return WalkResult(entry, level, writable)
 
     # -- accounting ---------------------------------------------------------
 

@@ -516,9 +516,14 @@ def test_real_repo_program_pass_is_clean():
         f"{v.rule.id} {v.path}:{v.line} {v.message}" for v in vs)
 
 
-def test_real_repo_graph_shape():
-    program = build_program(REPO_ROOT / "src" / "repro",
-                            repo_root=REPO_ROOT)
+@pytest.fixture(scope="module")
+def real_program():
+    """One parse of ``src/repro`` for the tests that only read it."""
+    return build_program(REPO_ROOT / "src" / "repro", repo_root=REPO_ROOT)
+
+
+def test_real_repo_graph_shape(real_program):
+    program = real_program
     manifest = default_manifest()
     assert "repro.sim.engine" in program.modules
     assert len(program.modules) > 50
@@ -531,9 +536,8 @@ def test_real_repo_graph_shape():
                                    "repro.sim.engine")
 
 
-def test_real_repo_graph_exports():
-    program = build_program(REPO_ROOT / "src" / "repro",
-                            repo_root=REPO_ROOT)
+def test_real_repo_graph_exports(real_program):
+    program = real_program
     dot = export_dot(program)
     assert dot.startswith("digraph")
     assert '"kernel" -> "sim"' in dot

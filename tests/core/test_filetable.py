@@ -3,7 +3,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import GiB, Machine
 from repro.core.filetable import PAGES_PER_LEAF, FileTable, build_file_table
@@ -277,6 +277,15 @@ _COUNTS = st.one_of(
 
 class TestBulkFillMatchesOracle:
     @settings(max_examples=60, deadline=None)
+    # Multi-leaf runs whose first LBA is not 512-aligned: whole new
+    # leaves, a head and a tail, across a 4096-LBA boundary and not.
+    @example(runs=[(0, 0, 4096 * 5 - 700, 3 * PAGES_PER_LEAF + 9),
+                   (4, 17, 4096 * 9 + 3, 2 * PAGES_PER_LEAF)],
+             keep=13 * PAGES_PER_LEAF, devid=63)
+    @example(runs=[(1, 0, 511, 4 * PAGES_PER_LEAF),
+                   (0, 300, (1 << 40) - 8 * PAGES_PER_LEAF + 1,
+                    6 * PAGES_PER_LEAF + 5)],
+             keep=3 * PAGES_PER_LEAF + 1, devid=0)
     @given(runs=st.lists(
                st.tuples(
                    # logical start: leaf index and offset within the leaf
@@ -376,7 +385,7 @@ class TestTopOfRange:
                 for leaf in t.leaves] == oracle
 
         pt = PageTable()
-        pt.attach_leaves(self.BASE, t.leaves, t.leaf_indices(),
+        pt.attach_leaves(self.BASE, t.leaves, t.leaf_runs(),
                          writable=writable)
         for page in (logical, logical + 5, 2 * PAGES_PER_LEAF,
                      logical + count - 1):

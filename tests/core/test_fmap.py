@@ -4,6 +4,7 @@ import pytest
 
 from repro import GiB, Machine
 from repro.bench import table5_fmap_overheads
+from repro.core import fmap as fmap_module
 from repro.hw.pagetable import LEVEL_PT, PAGE_SIZE, PMD_SPAN, PUD_SPAN, fte_lba
 from repro.hw.params import KiB, MiB
 from repro.kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR
@@ -270,6 +271,66 @@ def test_warm_fmap_of_file_over_one_gib():
             # The walk stops above the leaf level: nothing is linked.
             assert proc.aspace.page_table.walk(
                 vba + leaf * PMD_SPAN).level > LEVEL_PT
+
+
+def test_doomed_growth_leaves_the_next_region_alone():
+    """Regions are allocated back to back.  When /a outgrows its growth
+    headroom, its attachment is doomed and unlinks only the leaf it had
+    linked; /a's new leaves past its region would sit at /b's VAs, and
+    every page of /b still walks to its FTE and reads back directly."""
+    m = Machine(capacity_bytes=1 * GiB, memory_bytes=256 << 20)
+    proc = m.spawn_process()
+    lib = m.userlib(proc)
+    t = proc.new_thread()
+    size_b = 3 * PMD_SPAN
+    chunks = {off: bytes([i + 1]) * PAGE_SIZE for i, off in enumerate(
+        (0, PMD_SPAN - PAGE_SIZE, PMD_SPAN, 2 * PMD_SPAN + 8192,
+         size_b - PAGE_SIZE))}
+
+    def setup():
+        fa = yield from lib.open(t, "/a", write=True, create=True)
+        yield from m.kernel.sys_fallocate(proc, t, fa.state.fd, 0, PMD_SPAN)
+        fb = yield from lib.open(t, "/b", write=True, create=True)
+        yield from m.kernel.sys_fallocate(proc, t, fb.state.fd, 0, size_b)
+        for off, data in sorted(chunks.items()):
+            yield from fb.pwrite(t, off, PAGE_SIZE, data)
+        return fa, fb
+
+    fa, fb = m.run_process(setup())
+    headroom = fmap_module._GROWTH_HEADROOM_LEAVES
+    # /a's region holds 1 + headroom leaves; /b's starts right after it.
+    assert fb.state.vba == fa.state.vba + (1 + headroom) * PMD_SPAN
+
+    def grow_a():
+        yield from m.kernel.sys_fallocate(proc, t, fa.state.fd, 0,
+                                          (headroom + 4) * PMD_SPAN)
+
+    m.run_process(grow_a())
+    # /a's attachment is doomed: its one linked leaf is gone.
+    assert not proc.aspace.page_table.walk(fa.state.vba).present
+
+    inode = m.fs.lookup("/b")
+    lba = {}
+    for logical, phys, count in inode.extents.mappings():
+        for i in range(count):
+            lba[logical + i] = phys + i
+    for page in range(size_b // PAGE_SIZE):
+        walk = proc.aspace.page_table.walk(fb.state.vba + page * PAGE_SIZE)
+        assert walk.is_fte, page
+        assert fte_lba(walk.entry) == lba[page]
+
+    faults = m.device.translation_faults
+    direct = lib.direct_reads
+
+    def read_b():
+        out = {}
+        for off in sorted(chunks):
+            _n, out[off] = yield from fb.pread(t, off, PAGE_SIZE)
+        return out
+
+    assert m.run_process(read_b()) == chunks
+    assert lib.direct_reads == direct + len(chunks)
+    assert m.device.translation_faults == faults
 
 
 def test_table5_rows_pinned():

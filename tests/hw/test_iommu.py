@@ -136,6 +136,17 @@ class TestVBATranslation:
             iommu.translate_vba(7, VA, 4096, write=False,
                                 requester_devid=DEV + 1)
 
+    @pytest.mark.parametrize("requester", [64, -1])
+    def test_out_of_range_requester_devid_faults(self, requester):
+        """No FTE matches a DevID that bits 52-57 cannot hold, even one
+        whose shifted bits land on the FT bit (64) or below bit 52."""
+        iommu, pt = make_iommu()
+        pt.map_file_page(VA, lba=1000, devid=0)
+        with pytest.raises(TranslationFault, match="DevID mismatch"):
+            iommu.translate_vba(7, VA, 4096, write=False,
+                                requester_devid=requester)
+        assert iommu.pagewalks == 1
+
     def test_write_permission_enforced(self):
         iommu, pt = make_iommu()
         self._map_file(pt, 1, writable=False)

@@ -1,5 +1,6 @@
 """Unit + property tests for page tables and FTE encoding."""
 
+import sys
 from array import array
 
 import pytest
@@ -20,6 +21,7 @@ from repro.hw.pagetable import (
     fte_encode,
     fte_lba,
     fill_run,
+    fte_block,
     fte_range,
     level_span,
     pte_encode,
@@ -105,6 +107,64 @@ class TestFillRun:
             + [fte_encode(lba + i, 63, writable=writable)
                for i in range(count)]
             + [7] * (ENTRIES_PER_NODE - slot - count))
+
+
+class TestFteBlock:
+    """``fte_block`` against one ``fte_encode`` per entry."""
+
+    LAST_LBA = (1 << 40) - 1
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("devid", [0, 63])
+    @pytest.mark.parametrize("block", [
+        0,                        # the first 512-LBA block
+        0x12345 * 4096 + 512,     # runs cross a plain 512-LBA boundary
+        0x12345 * 4096 - 512,     # runs cross a 4096-LBA boundary too
+    ])
+    def test_every_offset_and_count(self, block, devid, writable):
+        """Every start offset inside one 512-LBA block with 1, 512 and
+        the counts that end at or just past the block, and every count
+        from offsets 0, 1, 255 and 511."""
+        oracle = [fte_encode(block + i, devid, writable=writable)
+                  for i in range(2 * ENTRIES_PER_NODE)]
+        cases = {(offset, count)
+                 for offset in range(ENTRIES_PER_NODE)
+                 for count in (1, ENTRIES_PER_NODE - offset,
+                               ENTRIES_PER_NODE - offset + 1,
+                               ENTRIES_PER_NODE)
+                 if 1 <= count <= ENTRIES_PER_NODE}
+        cases |= {(offset, count) for offset in (0, 1, 255, 511)
+                  for count in range(1, ENTRIES_PER_NODE + 1)}
+        for offset, count in sorted(cases):
+            assert list(fte_block(oracle[offset], count)) == (
+                oracle[offset:offset + count]), (offset, count)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("devid", [0, 63])
+    def test_runs_ending_at_the_last_lba(self, devid, writable):
+        oracle = [fte_encode(self.LAST_LBA - i, devid, writable=writable)
+                  for i in reversed(range(ENTRIES_PER_NODE))]
+        for count in range(1, ENTRIES_PER_NODE + 1):
+            assert list(fte_block(oracle[-count], count)) == (
+                oracle[-count:]), count
+
+    @given(lba=st.integers(min_value=0, max_value=(1 << 40) - 1),
+           count=st.integers(min_value=1, max_value=ENTRIES_PER_NODE),
+           devid=st.sampled_from([0, 1, 62, 63]),
+           writable=st.booleans())
+    def test_matches_per_entry_encode(self, lba, count, devid, writable):
+        count = min(count, (1 << 40) - lba)
+        assert list(fte_block(fte_encode(lba, devid, writable=writable),
+                              count)) == [
+            fte_encode(lba + i, devid, writable=writable)
+            for i in range(count)]
+
+    def test_result_is_an_exact_uint64_array(self):
+        """A whole leaf's buffer is the 4 KiB page it models."""
+        block = fte_block(fte_encode(7, 1), ENTRIES_PER_NODE)
+        assert block.typecode == "Q"
+        assert sys.getsizeof(block) == sys.getsizeof(
+            PageTableNode(LEVEL_PT).entries)
 
 
 class TestLevelGeometry:
@@ -321,11 +381,57 @@ def _per_leaf_detach(pt, va, indices):
         pt.detach_subtree(va + idx * PMD_SPAN, subtree_level=LEVEL_PT)
 
 
-class TestBatchedLeafAttach:
-    """``attach_leaves``/``detach_leaves`` against per-leaf loops."""
+def _indices(runs):
+    return [idx for start, count in runs
+            for idx in range(start, start + count)]
 
-    # 6 leaves below a 1 GiB boundary, so runs cross into the next PUD.
+
+def _runs(indices):
+    """Sorted distinct indices as ``(first, count)`` runs."""
+    runs = []
+    for idx in sorted(set(indices)):
+        if runs and sum(runs[-1]) == idx:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((idx, 1))
+    return runs
+
+
+def _layout(parts, limit, holes=()):
+    """Ascending runs from ``(gap, count)`` parts, clipped to ``limit``
+    and split around ``holes``; a gap of 0 makes two runs touch."""
+    runs, pos = [], 0
+    for gap, count in parts:
+        start = pos + gap
+        count = min(count, limit - start)
+        if count <= 0:
+            break
+        pos = start + count
+        for idx in range(start, pos):
+            if idx in holes:
+                if idx > start:
+                    runs.append((start, idx - start))
+                start = idx + 1
+        if pos > start:
+            runs.append((start, pos - start))
+    return runs
+
+
+_PARTS = st.lists(st.tuples(st.integers(0, 12),
+                            st.one_of(st.integers(1, 8),
+                                      st.integers(1, 300))),
+                  max_size=10)
+
+
+class TestBatchedLeafAttach:
+    """``attach_leaves``/``detach_leaves`` over leaf runs against
+    per-leaf ``attach_subtree``/``detach_subtree`` loops."""
+
+    # 6 leaves below a 1 GiB boundary, so runs cross into the next PUD
+    # entry and PMD node.
     BASE = 0x5000_0000_0000 + PUD_SPAN - 6 * PMD_SPAN
+    # 3 leaves below a 512 GiB boundary: the next PGD entry and PUD node.
+    PGD_BASE = 0x5000_0000_0000 - 3 * PMD_SPAN
 
     def _leaves(self, n, holes=()):
         return [None if i in holes else _fte_leaf(2) for i in range(n)]
@@ -340,13 +446,14 @@ class TestBatchedLeafAttach:
     @pytest.mark.parametrize("writable", [True, False])
     def test_dense_across_pud_boundary(self, writable):
         leaves = self._leaves(ENTRIES_PER_NODE + 20)
-        indices = list(range(len(leaves)))
+        runs = [(0, len(leaves))]
 
         def build(pt, batched):
             if batched:
-                pt.attach_leaves(self.BASE, leaves, indices, writable)
+                pt.attach_leaves(self.BASE, leaves, runs, writable)
             else:
-                _per_leaf_attach(pt, self.BASE, leaves, indices, writable)
+                _per_leaf_attach(pt, self.BASE, leaves, _indices(runs),
+                                 writable)
 
         pt = self._both(build)
         for idx in (0, 5, 6, len(leaves) - 1):
@@ -354,28 +461,40 @@ class TestBatchedLeafAttach:
             assert walk.is_fte
             assert walk.effective_writable == writable
 
-    def test_sparse_leaves_and_unsorted_indices(self):
+    def test_sparse_leaves_between_runs(self):
         holes = {1, 5, 6, 7, 40}
         leaves = self._leaves(48, holes)
-        indices = [i for i in reversed(range(48)) if i not in holes]
+        runs = [(0, 1), (2, 3), (8, 32), (41, 7)]
+        assert _indices(runs) == [i for i in range(48) if i not in holes]
 
         def build(pt, batched):
             if batched:
-                pt.attach_leaves(self.BASE, leaves, indices, True)
+                pt.attach_leaves(self.BASE, leaves, runs, True)
             else:
-                _per_leaf_attach(pt, self.BASE, leaves, indices, True)
+                _per_leaf_attach(pt, self.BASE, leaves, _indices(runs), True)
 
         pt = self._both(build)
         assert not pt.walk(self.BASE + 6 * PMD_SPAN).present
+
+    def test_touching_runs_link_as_one(self):
+        leaves = self._leaves(12)
+        for runs in ([(0, 2), (2, 3)], [(4, 2), (6, 3)]):
+            touching, merged = PageTable(), PageTable()
+            touching.attach_leaves(self.BASE, leaves, runs, False)
+            merged.attach_leaves(self.BASE, leaves, _runs(_indices(runs)),
+                                 False)
+            assert _tree_state(touching) == _tree_state(merged)
+            touching.detach_leaves(self.BASE, runs)
+            assert touching.walk(self.BASE).level > LEVEL_PT
 
     def test_detach_matches_per_leaf(self):
         leaves = self._leaves(30)
         gone = [0, 3, 4, 5, 6, 7, 29]
 
         def build(pt, batched):
-            pt.attach_leaves(self.BASE, leaves, range(30), False)
+            pt.attach_leaves(self.BASE, leaves, [(0, 30)], False)
             if batched:
-                pt.detach_leaves(self.BASE, set(gone))
+                pt.detach_leaves(self.BASE, _runs(gone))
             else:
                 _per_leaf_detach(pt, self.BASE, gone)
 
@@ -385,21 +504,21 @@ class TestBatchedLeafAttach:
 
     def test_detach_of_unmapped_region_is_noop(self):
         pt = PageTable()
-        pt.detach_leaves(self.BASE, range(600))
+        pt.detach_leaves(self.BASE, [(0, 600)])
         assert pt.node_count() == 1
 
     def test_upgrade_by_detach_and_attach(self):
         leaves = self._leaves(12, {3})
-        indices = [i for i in range(12) if i != 3]
+        runs = [(0, 3), (4, 8)]
 
         def build(pt, batched):
-            pt.attach_leaves(self.BASE, leaves, indices, False)
+            pt.attach_leaves(self.BASE, leaves, runs, False)
             if batched:
-                pt.detach_leaves(self.BASE, indices)
-                pt.attach_leaves(self.BASE, leaves, indices, True)
+                pt.detach_leaves(self.BASE, runs)
+                pt.attach_leaves(self.BASE, leaves, runs, True)
             else:
-                _per_leaf_detach(pt, self.BASE, indices)
-                _per_leaf_attach(pt, self.BASE, leaves, indices, True)
+                _per_leaf_detach(pt, self.BASE, _indices(runs))
+                _per_leaf_attach(pt, self.BASE, leaves, _indices(runs), True)
 
         pt = self._both(build)
         assert pt.walk(self.BASE + 11 * PMD_SPAN).effective_writable
@@ -411,7 +530,7 @@ class TestBatchedLeafAttach:
             pt.attach_subtree(self.BASE + 9 * PMD_SPAN, leaves[0], True)
         before = _tree_state(batched)
         with pytest.raises(ValueError) as err_batched:
-            batched.attach_leaves(self.BASE, leaves, range(20), True)
+            batched.attach_leaves(self.BASE, leaves, [(0, 20)], True)
         with pytest.raises(ValueError) as err_looped:
             _per_leaf_attach(looped, self.BASE, leaves, range(20), True)
         assert str(err_batched.value) == str(err_looped.value)
@@ -422,7 +541,7 @@ class TestBatchedLeafAttach:
         leaves = self._leaves(3)
         va = self.BASE + PAGE_SIZE
         with pytest.raises(ValueError) as err_batched:
-            PageTable().attach_leaves(va, leaves, [1, 2], True)
+            PageTable().attach_leaves(va, leaves, [(1, 2)], True)
         with pytest.raises(ValueError) as err_looped:
             _per_leaf_attach(PageTable(), va, leaves, [1, 2], True)
         assert str(err_batched.value) == str(err_looped.value)
@@ -430,7 +549,7 @@ class TestBatchedLeafAttach:
     def test_missing_leaf_rejected(self):
         with pytest.raises(ValueError, match="no leaf"):
             PageTable().attach_leaves(self.BASE, self._leaves(3, {1}),
-                                      [0, 1, 2], True)
+                                      [(0, 3)], True)
 
     @settings(max_examples=40, deadline=None)
     @given(attach=st.sets(st.integers(0, 2 * ENTRIES_PER_NODE + 8),
@@ -444,8 +563,8 @@ class TestBatchedLeafAttach:
 
         def build(pt, batched):
             if batched:
-                pt.attach_leaves(self.BASE, leaves, attach, writable)
-                pt.detach_leaves(self.BASE, detach)
+                pt.attach_leaves(self.BASE, leaves, _runs(attach), writable)
+                pt.detach_leaves(self.BASE, _runs(detach))
             else:
                 _per_leaf_attach(pt, self.BASE, leaves, sorted(attach),
                                  writable)
@@ -454,45 +573,47 @@ class TestBatchedLeafAttach:
         self._both(build)
 
     @settings(max_examples=60, deadline=None)
-    @given(attach=st.lists(st.integers(0, ENTRIES_PER_NODE + 12),
-                           max_size=60),
-           detach=st.lists(st.integers(0, ENTRIES_PER_NODE + 12),
-                           max_size=60),
+    @given(base=st.sampled_from([BASE, PGD_BASE]),
+           attach=_PARTS, detach=_PARTS,
+           holes=st.sets(st.integers(0, ENTRIES_PER_NODE + 12), max_size=6),
            mapped=st.lists(st.integers(0, ENTRIES_PER_NODE + 12),
                            max_size=2),
            writable=st.booleans())
-    # A duplicate beside a gap: counting positions alone reads
-    # [0, 0, 2] as the dense run 0..2 and links leaf 1.
-    @example(attach=[0, 0, 2], detach=[2, 0, 0], mapped=[], writable=True)
-    @example(attach=[9, 7, 7, 5, 6, 4, 4], detach=[6, 6, 4, 9],
-             mapped=[], writable=False)
-    @example(attach=[8, 3, 3, 5, 7, 6], detach=[], mapped=[7, 6],
-             writable=True)
-    def test_index_lists_match_per_leaf(self, attach, detach, mapped,
-                                        writable):
-        """Index lists with gaps, duplicates and any order, across the
-        1 GiB boundary, against per-leaf calls over the distinct
+    # Touching runs; a run across the PMD node and PUD entry boundary.
+    @example(base=BASE, attach=[(0, 2), (0, 3)], detach=[(2, 2)],
+             holes=set(), mapped=[], writable=True)
+    @example(base=PGD_BASE, attach=[(1, 5), (0, 1)], detach=[(3, 1)],
+             holes={4}, mapped=[], writable=False)
+    @example(base=BASE, attach=[(3, 4), (0, 2)], detach=[], holes=set(),
+             mapped=[7, 6], writable=True)
+    def test_run_lists_match_per_leaf(self, base, attach, detach, holes,
+                                      mapped, writable):
+        """Ascending runs that may touch, across a PMD node and PUD entry
+        or a PUD node and PGD entry, around holes in ``leaves`` and over
+        already-mapped slots, against per-leaf calls over the same
         indices: the same links after attach and after detach, or the
         same "already mapped" VA with nothing linked."""
-        leaves = self._leaves(ENTRIES_PER_NODE + 13)
-        distinct = sorted(set(attach))
+        limit = ENTRIES_PER_NODE + 13
+        leaves = self._leaves(limit, holes)
+        attach = _layout(attach, limit, holes)
+        detach = _layout(detach, limit)
+        mapped = sorted(set(mapped) - holes)
         batched, looped = PageTable(), PageTable()
         for pt in (batched, looped):
-            _per_leaf_attach(pt, self.BASE, leaves, sorted(set(mapped)),
-                             True)
-        if set(mapped) & set(attach):
+            _per_leaf_attach(pt, base, leaves, mapped, True)
+        if set(mapped) & set(_indices(attach)):
             before = _tree_state(batched)
             with pytest.raises(ValueError) as err_batched:
-                batched.attach_leaves(self.BASE, leaves, attach, writable)
+                batched.attach_leaves(base, leaves, attach, writable)
             with pytest.raises(ValueError) as err_looped:
-                _per_leaf_attach(looped, self.BASE, leaves, distinct,
+                _per_leaf_attach(looped, base, leaves, _indices(attach),
                                  writable)
             assert str(err_batched.value) == str(err_looped.value)
             assert _tree_state(batched) == before
             return
-        batched.attach_leaves(self.BASE, leaves, attach, writable)
-        _per_leaf_attach(looped, self.BASE, leaves, distinct, writable)
+        batched.attach_leaves(base, leaves, attach, writable)
+        _per_leaf_attach(looped, base, leaves, _indices(attach), writable)
         assert _tree_state(batched) == _tree_state(looped)
-        batched.detach_leaves(self.BASE, detach)
-        _per_leaf_detach(looped, self.BASE, detach)
+        batched.detach_leaves(base, detach)
+        _per_leaf_detach(looped, base, _indices(detach))
         assert _tree_state(batched) == _tree_state(looped)
