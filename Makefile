@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline event-sites
+.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay event-sites
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -41,29 +41,16 @@ bench-timings:
 	$(PYTHON) -m repro.bench all --jobs 1 --no-cache \
 	  --timings bench-timings.json > /dev/null
 
-# experiment gate: rerun the matrix serially and compare it with the
-# committed bench-timings.json (scripts/perf_gate.py) -- every table
-# row, sim_time_ns and machine count exactly (Table 2's line counts
-# excepted), wall time within tolerance bands; after an intentional
-# change refresh the record as docs/bench_runner.md shows and review
-# its diff
+# the results gate: rerun the matrix serially (the sweep grid
+# included) and compare it with the committed bench-timings.json
+# (scripts/perf_gate.py) -- every table row, sim_time_ns and machine
+# count exactly (Table 2's line counts excepted), wall time within
+# tolerance bands; after an intentional change refresh the record as
+# docs/bench_runner.md shows and review its diff
 perf-gate:
 	$(PYTHON) -m repro.bench all --jobs 1 --no-cache \
 	  --timings .perf-gate-timings.json > /dev/null
 	$(PYTHON) scripts/perf_gate.py .perf-gate-timings.json
-
-# metric regression gate: run the default sweep grid (cached) and
-# compare every cell, its user/kernel/device split included, against
-# the committed sweep-baseline.json; a regressed cell fails with the
-# responsible layer named on stderr (docs/sweeps.md)
-sweep-gate:
-	$(PYTHON) scripts/sweep_gate.py --jobs auto
-
-# refresh the committed per-cell baseline after an *intentional*
-# behaviour change; review the diff before committing
-sweep-baseline:
-	$(PYTHON) -m repro.sweep baseline --grid default --jobs 1 \
-	  --no-cache --out sweep-baseline.json
 
 # engine events posted per op, by posting call site, in the timed
 # window of each perfbench workload at seed 101 (the per-call-site

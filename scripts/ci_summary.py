@@ -142,18 +142,6 @@ def exemplars_section(path: Path, n: int = 3) -> List[str]:
     return lines
 
 
-def sweep_section(path: Path) -> List[str]:
-    """Render the sweep compare report (``repro.sweep gate --report``)
-    as the grid heat table plus per-layer blame for regressed cells —
-    the dashboard half of the sweep gate."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return [f"_could not read sweep report {path}: {exc}_"]
-    from repro.sweep.compare import render_markdown
-    return render_markdown(data).rstrip("\n").split("\n")
-
-
 def lint_section(path: Path) -> List[str]:
     """Render simlint counts (``simlint --json`` output) so the
     baseline burn-down trend is visible per run."""
@@ -192,10 +180,6 @@ def main(argv=None) -> int:
     ap.add_argument("--exemplars", type=Path, default=None,
                     help="*.exemplars.json artifact for the top tail "
                          "exemplars section")
-    ap.add_argument("--sweep", type=Path, default=None,
-                    help="sweep compare report (repro.sweep gate "
-                         "--report) for the grid heat table and "
-                         "per-layer blame section")
     ap.add_argument("--title", default="Sharded CI results")
     ap.add_argument("--slowest", type=int, default=10)
     args = ap.parse_args(argv)
@@ -220,9 +204,6 @@ def main(argv=None) -> int:
         out.extend(slowest_from_junit(shards, args.slowest))
     else:
         out.append("_no timing data_")
-    if args.sweep is not None:
-        out.append("")
-        out.extend(sweep_section(args.sweep))
     if args.engine_bench is not None:
         out.append("")
         out.extend(engine_bench_section(args.engine_bench))

@@ -15,12 +15,11 @@ by experiment.  Two checks run on the same record:
   experiment, row, column and old → new value.  Table 2's rows are
   exempt (:data:`UNPINNED_ROWS`).
 - **wall clock**: an experiment regresses when ``fresh > baseline *
-  (1 + tolerance) + floor``; the floor keeps sub-second experiments
-  (pure jitter) from tripping the gate, the relative band covers the
-  real ones.  Per-experiment overrides in
-  :data:`PER_EXPERIMENT_TOLERANCE` widen the band for known-noisy
-  entries.  Improvements never fail the gate — they are listed so a
-  deliberate speedup is visible and the baseline gets refreshed.
+  (1 + DEFAULT_TOLERANCE) + DEFAULT_FLOOR_S``; the floor keeps
+  sub-second experiments (pure jitter) from tripping the gate, the
+  relative band covers the real ones.  Improvements never fail the
+  gate — they are listed so a deliberate speedup is visible and the
+  baseline gets refreshed.
 
 Exit status: 0 when no experiment moved, regressed, failed or went
 missing, 1 otherwise.  With ``--markdown`` the comparison table is
@@ -34,7 +33,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -49,14 +48,6 @@ DEFAULT_TOLERANCE = 1.00
 # Absolute slack added on top — keeps millisecond experiments from
 # failing on scheduler jitter alone.
 DEFAULT_FLOOR_S = 0.50
-
-# Wider bands for entries whose wall time is dominated by process
-# fan-out or host I/O rather than the simulation loop.
-PER_EXPERIMENT_TOLERANCE: Dict[str, float] = {
-    "table4": 2.0,     # sub-millisecond: pure noise
-    "fig5": 2.0,       # sub-millisecond: pure noise
-    "table2": 2.0,     # milliseconds: pure noise
-}
 
 
 # Table 2 counts the lines of the source tree, which every change moves.
@@ -100,8 +91,7 @@ def pinned_diffs(name: str, fresh: dict, base: dict) -> List[str]:
     return out + table_diffs(name, base.get("table"), fresh.get("table"))
 
 
-def compare(fresh: dict, baseline: dict, tolerance: float,
-            floor_s: float) -> List[dict]:
+def compare(fresh: dict, baseline: dict) -> List[dict]:
     """Per-experiment verdicts, sorted by experiment name."""
     fresh_by = {e["experiment"]: e for e in fresh.get("experiments", [])}
     base_by = {e["experiment"]: e for e in baseline.get("experiments", [])}
@@ -117,8 +107,7 @@ def compare(fresh: dict, baseline: dict, tolerance: float,
             continue
         fw = float(f.get("wall_s", 0.0) or 0.0)
         bw = float(b.get("wall_s", 0.0) or 0.0)
-        tol = PER_EXPERIMENT_TOLERANCE.get(name, tolerance)
-        limit = bw * (1.0 + tol) + floor_s
+        limit = bw * (1.0 + DEFAULT_TOLERANCE) + DEFAULT_FLOOR_S
         ratio = fw / bw if bw > 0 else float("inf")
         ok = f.get("ok", True)
         diffs = pinned_diffs(name, f, b) if ok else []
@@ -197,17 +186,13 @@ def main(argv=None) -> int:
                     default=REPO_ROOT / "bench-timings.json",
                     help="committed baseline timings "
                          "(default: bench-timings.json)")
-    ap.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                    help="relative band (0.5 = +50%% allowed)")
-    ap.add_argument("--floor-s", type=float, default=DEFAULT_FLOOR_S,
-                    help="absolute slack in seconds added to every band")
     ap.add_argument("--markdown", action="store_true",
                     help="GitHub-flavoured markdown output")
     args = ap.parse_args(argv)
 
     fresh = load_timings(args.fresh)
     baseline = load_timings(args.baseline)
-    rows = compare(fresh, baseline, args.tolerance, args.floor_s)
+    rows = compare(fresh, baseline)
     print(render(rows, args.markdown,
                  (baseline.get("python", "?"), fresh.get("python", "?"))))
     return 1 if any(r["status"] in FAILING for r in rows) else 0

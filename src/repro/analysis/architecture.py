@@ -176,18 +176,14 @@ LAYERS: Tuple[Layer, ...] = (
           "baselines registry"),
     Layer("bench", ("sim", "hw", "faults", "nvme", "kernel", "machine",
                     "obs", "apps", "core", "baselines"),
-          "experiment registry, parallel runner, report tables"),
+          "experiment registry (the sweep grid included), parallel "
+          "runner, report tables"),
     Layer("chaos", ("sim", "hw", "faults", "nvme", "fs", "kernel",
                     "core", "machine", "baselines", "obs"),
           "scenario fuzzing, executor, oracles, shrinker"),
-    Layer("sweep", ("sim", "hw", "faults", "nvme", "kernel", "machine",
-                    "obs", "apps", "core", "baselines", "bench"),
-          "declarative scenario grids over the experiment runner: "
-          "grid expansion, per-cell metric records, baseline compare "
-          "with obs.diff attribution"),
     Layer("root", ("sim", "hw", "faults", "nvme", "fs", "kernel",
                    "core", "machine", "baselines", "apps", "bench",
-                   "chaos", "sweep", "obs", "analysis"),
+                   "chaos", "obs", "analysis"),
           "the package façade (repro/__init__.py) re-exports the "
           "public API and may touch every layer"),
 )
@@ -276,7 +272,6 @@ _ASSIGNMENTS: Dict[str, str] = {
     "repro.apps": "apps",
     "repro.bench": "bench",
     "repro.chaos": "chaos",
-    "repro.sweep": "sweep",
 }
 
 

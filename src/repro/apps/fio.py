@@ -62,7 +62,7 @@ class FioResult:
     per_process_gbps: List[float] = field(default_factory=list)
     per_process_lat_us: List[float] = field(default_factory=list)
     # Full per-process recorders (index = process), so multi-tenant
-    # consumers (repro.sweep) can read per-tenant percentiles, not
+    # consumers (repro.bench.sweep) can read per-tenant percentiles, not
     # just the mean.
     per_process_latency: List[LatencyRecorder] = field(
         default_factory=list)

@@ -40,10 +40,9 @@ A failing experiment no longer takes the exit status down with it
 silently: every failure is reported on stderr, the remaining targets
 still run, and the process exits nonzero.
 
-Parameter *sweeps* — engine × workload × fault-plan grids with a
-baseline-compare gate and per-layer regression blame — live in the
-sibling CLI ``python -m repro.sweep`` (see docs/sweeps.md); its cells
-flow through this runner's cache and worker pool.
+The ``sweep`` experiment is the engine × workload × fault-plan grid:
+one row per cell and one column per metric, the user / kernel / device
+split among them (see docs/bench_runner.md, "The sweep grid").
 """
 
 from __future__ import annotations

@@ -72,6 +72,8 @@ class ResultTable:
         return {row[idx]: row for row in self.rows}
 
     def _fmt(self, value: Any) -> str:
+        if value is None:
+            return "-"
         if isinstance(value, float):
             if value == 0:
                 return "0"

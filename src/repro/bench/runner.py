@@ -58,13 +58,13 @@ from ..faults import (
     set_default_injector,
 )
 from ..obs.monitor import (
-    SLO,
+    BACKLOG_SLOS,
     MonitorConfig,
     drain_ambient_monitors,
     set_default_monitor,
 )
 from ..obs.timings import JobTiming, write_timings
-from . import experiments
+from . import experiments, sweep
 from .report import ResultTable
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ExperimentSpec",
     "JobResult",
-    "MONITOR_SLOS",
     "REGISTRY",
     "ResultCache",
     "RunReport",
@@ -90,9 +89,9 @@ __all__ = [
 ]
 
 # 2: job_config grew the "profile" key (host profiler pass).
-# 3: job_config grew the "params" key (sweep grid points — see
-#    repro.sweep; None for registry experiments).
-CACHE_SCHEMA = 3
+# 3: job_config grew the "params" key (sweep cells as jobs).
+# 4: "profile" and "params" dropped (the sweep grid is one experiment).
+CACHE_SCHEMA = 4
 DEFAULT_CACHE_DIR = ".bench-cache"
 
 
@@ -145,6 +144,7 @@ REGISTRY: Dict[str, ExperimentSpec] = {
         ExperimentSpec("fig15", experiments.fig15_bpfkv),
         ExperimentSpec("fig16", experiments.fig16_kvell),
         ExperimentSpec("table6", experiments.table6_capabilities),
+        ExperimentSpec("sweep", sweep.sweep_grid),
         ExperimentSpec("selftest-fail", _selftest_fail, hidden=True),
     )
 }
@@ -154,16 +154,6 @@ def registry_names(include_hidden: bool = False) -> List[str]:
     """Experiment names in publication (registry) order."""
     return [name for name, spec in REGISTRY.items()
             if include_hidden or not spec.hidden]
-
-
-# SLOs applied by `--monitor`: backlog bounds that a healthy run of
-# every experiment satisfies, so any breach printed below is signal.
-MONITOR_SLOS = (
-    SLO("device_backlog", "nvme.device.inflight", 24.0,
-        reduce="max", window_ns=100_000),
-    SLO("softirq_backlog", "kernel.blockio.softirq_backlog", 32.0,
-        reduce="max", window_ns=100_000),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +186,13 @@ def normalize_faults_spec(spec: Optional[str]) -> Optional[str]:
 
 
 def job_config(experiment: str, faults: Optional[str],
-               monitor: bool,
-               params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """The normalized configuration that keys the cache.
-
-    ``params`` carries a parameterized job's knobs (a sweep grid
-    point's engine/workload/fault axes); it is None for the fixed
-    registry experiments, and it participates in the fingerprint so
-    every grid point owns its own cache entry.
-    """
+               monitor: bool) -> Dict[str, Any]:
+    """The normalized configuration that keys the cache."""
     return {
         "schema": CACHE_SCHEMA,
         "experiment": experiment,
         "faults": normalize_faults_spec(faults),
         "monitor": bool(monitor),
-        # The retired host-profiler pass: always off, kept so cache
-        # keys and payloads stay schema 3.
-        "profile": False,
-        "params": params,
     }
 
 
@@ -387,7 +366,7 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
             injector = FaultInjector(FaultPlan.parse(config["faults"]))
             set_default_injector(injector)
         if config.get("monitor"):
-            set_default_monitor(MonitorConfig(slos=MONITOR_SLOS))
+            set_default_monitor(MonitorConfig(slos=BACKLOG_SLOS))
         spec = REGISTRY[name]
         with redirect_stdout(buf):
             table = spec.build()
@@ -414,7 +393,6 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
                 "samples": sum(m.samples_taken for m in monitors),
                 "breaches": sum(m.breach_count for m in monitors),
             } if config.get("monitor") else None),
-            "profile": None,
         }
     except Exception:
         payload = {
@@ -567,18 +545,16 @@ def fan_out(worker: Callable[[Any], Any], payloads: Sequence[Any],
 
 
 def execute_jobs(payloads: Sequence[Dict[str, Any]], *,
-                 worker: Callable[[Dict[str, Any]], Dict[str, Any]] = run_job,
                  cache: Optional[ResultCache] = None,
                  jobs: Any = 1,
                  start_method: Optional[str] = None
                  ) -> Tuple[List[JobResult], int]:
-    """Cache-aware fan-out: the orchestration core both the registry
-    runner and the sweep engine (:mod:`repro.sweep`) flow through.
+    """Cache-aware fan-out of :func:`run_job` over job dicts.
 
     Each payload is a job dict carrying at least ``experiment`` and
     ``fingerprint``.  Fingerprints already in ``cache`` are served as
-    hits without touching a worker; misses run through ``worker`` —
-    in-process when serial, over a ``ProcessPoolExecutor`` otherwise.
+    hits without touching a worker; misses run through :func:`run_job`
+    — in-process when serial, over a ``ProcessPoolExecutor`` otherwise.
     Results come back in payload order regardless of worker
     scheduling, so ``jobs=N`` is byte-identical to serial.  Returns
     ``(results, n_workers)``; the caller decides what to persist
@@ -598,7 +574,7 @@ def execute_jobs(payloads: Sequence[Dict[str, Any]], *,
     if misses:
         if n_workers == 1:
             for idx in misses:
-                payload = worker(payloads[idx])
+                payload = run_job(payloads[idx])
                 results[idx] = JobResult(payloads[idx]["experiment"],
                                          payload["fingerprint"],
                                          payload, cached=False)
@@ -606,7 +582,7 @@ def execute_jobs(payloads: Sequence[Dict[str, Any]], *,
             ctx = get_context(start_method)
             with ProcessPoolExecutor(max_workers=n_workers,
                                      mp_context=ctx) as pool:
-                futures = [(idx, pool.submit(worker, payloads[idx]))
+                futures = [(idx, pool.submit(run_job, payloads[idx]))
                            for idx in misses]
                 for idx, future in futures:
                     payload = future.result()
@@ -660,7 +636,7 @@ def run_experiments(names: Sequence[str], *,
     # Cache and execution passes: the shared cache-aware fan-out.
     ordered, n_workers = execute_jobs(
         [jobs_by_name[name] for name in names],
-        worker=run_job, cache=cache, jobs=jobs,
+        cache=cache, jobs=jobs,
         start_method=start_method)
     results: Dict[str, JobResult] = dict(zip(names, ordered))
 

@@ -30,8 +30,8 @@ each segment to the side its span category belongs to (:func:`side_of`
 — ``syscall``/``kernel`` to the kernel, ``device``/``nvme`` to the
 device, everything else to user) and sums ``kernel`` segments per
 label into the intra-kernel layers.  :mod:`repro.obs.perf`,
-:mod:`repro.obs.diff` and the sweep cell records
-(:mod:`repro.sweep.jobs`) all read their numbers from here.
+:mod:`repro.obs.diff` and the sweep grid's split columns
+(:mod:`repro.bench.sweep`) all read their numbers from here.
 
 Everything here is a pure observer over recorded spans — simlint rule
 SIM019 holds this module (like the chaos oracles under SIM017) to

@@ -4,10 +4,9 @@ Two same-workload runs (a baseline and a current) rarely differ
 uniformly — a regression concentrates in one layer: extra nvme-driver
 retry attempts after injected media errors, a page-cache hit-rate
 collapse, journal commits serialising.  This module loads two Chrome
-traces written by :func:`repro.obs.export.write_chrome_trace` (or the
-compact span dumps sweep records embed), aligns them, and attributes
-the end-to-end latency delta per layer: "p99 grew 18%, of which 92% is
-nvme-driver retry spans".
+traces written by :func:`repro.obs.export.write_chrome_trace`, aligns
+them, and attributes the end-to-end latency delta per layer: "p99 grew
+18%, of which 92% is nvme-driver retry spans".
 
 Trace attribution works on *aligned span trees*: ops (the roots of
 :func:`repro.obs.attribution.op_roots`) are paired in start order, and
@@ -26,7 +25,7 @@ outputs are plain dicts of ints, floats and strings:
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.stats import percentile
 from ..sim.trace import Span, WAIT_PREFIX
@@ -36,14 +35,10 @@ from .export import children_map
 __all__ = [
     "load_dump",
     "spans_from_chrome_trace",
-    "compact_spans",
-    "spans_from_compact",
     "op_roots",
     "diff_traces",
     "diff_dumps",
-    "attribute_regression",
     "render_diff",
-    "render_blame",
 ]
 
 # Categories whose spans represent a device round-trip wait: one span
@@ -79,36 +74,6 @@ def spans_from_chrome_trace(doc: dict) -> List[Span]:
                           parent_id=args.get("parent_id", 0),
                           trace_id=args.get("trace_id", 0),
                           tid=ev.get("tid", -1), attrs=attrs))
-    return spans
-
-
-def compact_spans(spans: Iterable[Span],
-                  attr_prefix: str = "wait.") -> List[list]:
-    """Spans as compact JSON-ready rows — the dump format sweep result
-    records and committed sweep baselines embed.
-
-    Each row is ``[category, label, start_ns, end_ns, span_id,
-    parent_id, [[key, value], ...]]``; only ``attr_prefix`` attrs (the
-    stamped wait states the diff needs) are kept, so a baseline stays
-    small enough to commit.  Rows are sorted by (start, span_id) so
-    two dumps of the same run compare byte for byte.
-    """
-    rows = []
-    for s in sorted(spans, key=lambda s: (s.start_ns, s.span_id)):
-        attrs = [[k, v] for k, v in s.attrs if k.startswith(attr_prefix)]
-        rows.append([s.category, s.label, s.start_ns, s.end_ns,
-                     s.span_id, s.parent_id, attrs])
-    return rows
-
-
-def spans_from_compact(rows: Iterable[Sequence]) -> List[Span]:
-    """Rebuild :class:`Span` objects from :func:`compact_spans` rows."""
-    spans = []
-    for cat, label, start, end, span_id, parent_id, attrs in rows:
-        spans.append(Span(cat, label, int(start), int(end),
-                          span_id=int(span_id), parent_id=int(parent_id),
-                          trace_id=0, tid=-1,
-                          attrs=tuple((k, int(v)) for k, v in attrs)))
     return spans
 
 
@@ -285,75 +250,6 @@ def diff_traces(base_spans: Iterable[Span],
 def diff_dumps(base_path, cur_path) -> dict:
     """Load two Chrome trace files and diff them (:func:`diff_traces`)."""
     return diff_traces(load_dump(base_path), load_dump(cur_path))
-
-
-# -- regression escalation --------------------------------------------------
-
-def attribute_regression(base_spans: Iterable[Span],
-                         cur_spans: Iterable[Span],
-                         top: int = 5) -> dict:
-    """Pin a metric regression on a layer and wait kind.
-
-    The sweep compare pipeline escalates an out-of-tolerance grid cell
-    here: the two runs' traces are diffed (:func:`diff_traces`) and
-    the candidate blames — every layer, every (layer, wait kind) pair,
-    and the synthetic retry layer — are ranked by their share of the
-    end-to-end latency delta.  Returns the ranked ``candidates``, the
-    single top ``blame``, and the full ``diff`` for drill-down.
-    """
-    result = diff_traces(base_spans, cur_spans)
-    delta_total = result["delta"]["total_ns"]
-    candidates: List[dict] = []
-    retry = result["attribution"]["retry"]
-    if retry["delta_ns"]:
-        candidates.append({
-            "layer": "retry",
-            "wait_kind": "retry_backoff",
-            "delta_ns": retry["delta_ns"],
-            "share_of_delta": retry["share_of_delta"],
-        })
-    for cat, row in result["layers"].items():
-        waits = row.get("waits") or {}
-        for kind, w in waits.items():
-            if w["delta_ns"]:
-                candidates.append({
-                    "layer": cat,
-                    "wait_kind": kind,
-                    "delta_ns": w["delta_ns"],
-                    "share_of_delta": w["share_of_delta"],
-                })
-        service = row.get("service_delta_ns", 0)
-        if service:
-            candidates.append({
-                "layer": cat,
-                "wait_kind": None,
-                "delta_ns": service,
-                "share_of_delta": (round(service / delta_total, 4)
-                                   if delta_total else 0.0),
-            })
-    candidates.sort(key=lambda c: (-abs(c["delta_ns"]),
-                                   c["layer"], c["wait_kind"] or ""))
-    candidates = candidates[:top]
-    return {
-        "schema": 1,
-        "blame": candidates[0] if candidates else None,
-        "candidates": candidates,
-        "delta_total_ns": delta_total,
-        "diff": result,
-    }
-
-
-def render_blame(attribution: dict) -> str:
-    """One-line human verdict from an :func:`attribute_regression`
-    result: ``"92.1% of the delta is retry (wait retry_backoff)"``."""
-    blame = attribution.get("blame")
-    if blame is None:
-        return "no layer delta to attribute"
-    kind = blame.get("wait_kind")
-    where = (f"{blame['layer']} (wait {kind})" if kind
-             else f"{blame['layer']} service time")
-    return (f"{100.0 * blame['share_of_delta']:.1f}% of the "
-            f"{attribution['delta_total_ns']:+} ns delta is {where}")
 
 
 # -- rendering --------------------------------------------------------------

@@ -47,6 +47,7 @@ if TYPE_CHECKING:
     from .exemplar import ExemplarConfig
 
 __all__ = [
+    "BACKLOG_SLOS",
     "DEFAULT_PERIOD_NS",
     "DEFAULT_PHASE_NS",
     "GAUGE_NAME_RE",
@@ -117,6 +118,17 @@ class MonitorConfig:
     # feature existed; an ExemplarConfig adds a per-tenant "exemplars"
     # section to telemetry() and report() on traced machines.
     exemplars: Optional["ExemplarConfig"] = None
+
+
+#: Backlog bounds that a healthy run of every experiment satisfies, so
+#: any breach is signal: ``repro.bench --monitor`` applies them to
+#: every machine, and each sweep cell's monitor carries them too.
+BACKLOG_SLOS = (
+    SLO("device_backlog", "nvme.device.inflight", 24.0,
+        reduce="max", window_ns=100_000),
+    SLO("softirq_backlog", "kernel.blockio.softirq_backlog", 32.0,
+        reduce="max", window_ns=100_000),
+)
 
 
 # -- ambient configuration (mirrors repro.faults.default_injector) -----

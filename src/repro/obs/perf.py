@@ -6,9 +6,9 @@ with a *clean measurement window* (setup, open and warm-up happen
 before ``tracer.clear()``), then folds the window's per-op waterfalls
 (:mod:`repro.obs.attribution`) into per-op layer times.
 ``bench.experiments.table1_latency_breakdown`` and
-``fig7_latency_breakdown`` build their tables from it.  The metric
-gate pins the same fold exactly, per sweep cell
-(:mod:`repro.sweep.jobs`).
+``fig7_latency_breakdown`` build their tables from it.  The ``sweep``
+experiment (:mod:`repro.bench.sweep`) records the same fold per grid
+cell, and ``scripts/perf_gate.py`` pins it exactly.
 
 Attribution (ns/op over the measurement window) is the waterfall fold
 of :func:`repro.obs.attribution.fold_sides`: every nanosecond of an op
