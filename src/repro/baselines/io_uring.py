@@ -20,20 +20,19 @@ span, which ends at the doorbell.
 
 from __future__ import annotations
 
+from functools import partialmethod
 from typing import Dict, Generator, Optional, Tuple
 
-from ..fs.ext4.filesystem import FsError
-from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
+from ..kernel.blockio import PAGE, extent_runs, read_covering, write_covering
+from ..kernel.process import Process
 from ..kernel.syscalls import Kernel
 from ..nvme.spec import Completion, Opcode
 from ..sim.cpu import CPUSet, Thread
 from ..sim.engine import Simulator
 from ..sim.resources import Store
+from .sync_io import KernelFile, SyncEngine
 
 __all__ = ["CQEError", "IOUringEngine", "IOUringFile", "IOUringRing"]
-
-PAGE = 4096
-SECTOR = 512
 
 
 class CQEError(Exception):
@@ -129,43 +128,17 @@ class IOUringRing:
         self.sq.put((opcode, lba512, nbytes, data, cq, trace))
 
 
-class IOUringFile:
-    """A registered file driven through a ring."""
+class IOUringFile(KernelFile):
+    """A registered file driven through a ring.
+
+    Reads and in-place writes go through the ring, one SQE per extent
+    run of the kernel's direct-I/O mapping; ``append``, ``fsync`` and
+    ``close`` (and writes that need the allocator) are plain syscalls.
+    """
 
     def __init__(self, engine: "IOUringEngine", proc: Process, fd: int):
+        super().__init__(engine.kernel, proc, fd)
         self.engine = engine
-        self.kernel = engine.kernel
-        self.proc = proc
-        self.fd = fd
-
-    @property
-    def inode(self):
-        return self.proc.get_fd(self.fd).inode
-
-    @property
-    def size(self) -> int:
-        return self.inode.size
-
-    def _sqe_runs(self, offset: int, nbytes: int):
-        """(lba512, run_bytes) per contiguous physical run of the range.
-
-        One SQE must not cross an extent-run boundary: the physical
-        blocks past the run belong to *some other* extent (possibly
-        another file), so a single contiguous device command would
-        read — or worse, overwrite — a neighbour's data.  This mirrors
-        the kernel path's per-run splitting in ``sys_pread``.  Raises
-        :class:`FsError` on holes, like bmap did.
-        """
-        runs = []
-        pos, remaining = offset, nbytes
-        for phys, count in self.kernel.fs.map_range(self.inode, offset,
-                                                    nbytes):
-            lba512 = phys * (PAGE // SECTOR) + (pos % PAGE) // SECTOR
-            run_bytes = min(remaining, count * PAGE - pos % PAGE)
-            runs.append((lba512, run_bytes))
-            pos += run_bytes
-            remaining -= run_bytes
-        return runs
 
     def pread(self, thread: Thread, offset: int,
               nbytes: int) -> Generator:
@@ -175,28 +148,42 @@ class IOUringFile:
 
     def _pread(self, thread: Thread, offset: int,
                nbytes: int) -> Generator:
-        params = self.kernel.params
         n = max(0, min(nbytes, self.size - offset))
         if n == 0:
             return 0, b""
-        aligned = -(-n // SECTOR) * SECTOR
+        data = yield from read_covering(self._read, thread, self.inode,
+                                        offset, n)
+        return n, data
+
+    def _rw(self, opcode: Opcode, thread: Thread, inode, offset: int,
+            nbytes: int, data: Optional[bytes] = None) -> Generator:
+        """Sector-aligned I/O: one SQE per extent run, in order, each
+        reaped before the next; a hole reads as zeros."""
         ring, cq = self.engine.ring_for(thread)
+        prep_ns = self.kernel.params.io_uring_sqe_prep_ns
         chunks = []
-        for lba512, run_bytes in self._sqe_runs(offset, aligned):
-            yield from thread.compute(params.io_uring_sqe_prep_ns)
-            ring.submit(Opcode.READ, lba512, run_bytes, None, cq,
-                        self.kernel.tracer.current(thread))
-            # The app busy-polls the CQ (leased so oversubscription
-            # cannot wedge the machine): together with the SQ poller
-            # this is the "two cores per thread" cost of Figure 9.
-            completion = yield from thread.poll_leased(cq.get())
-            if not completion.ok:
-                raise CQEError(completion)
-            chunks.append(completion.data)
-        if any(c is None for c in chunks):
-            return n, None
-        data = b"".join(chunks)
-        return n, data[:n]
+        pos = 0
+        for lba512, run_bytes in extent_runs(inode, offset, nbytes):
+            if lba512 is None:
+                chunks.append(bytes(run_bytes))
+            else:
+                yield from thread.compute(prep_ns)
+                ring.submit(opcode, lba512, run_bytes,
+                            None if data is None
+                            else data[pos:pos + run_bytes],
+                            cq, self.kernel.tracer.current(thread))
+                # The app busy-polls the CQ (leased so oversubscription
+                # cannot wedge the machine): together with the SQ poller
+                # this is the "two cores per thread" cost of Figure 9.
+                completion = yield from thread.poll_leased(cq.get())
+                if not completion.ok:
+                    raise CQEError(completion)
+                chunks.append(completion.data)
+            pos += run_bytes
+        return None if None in chunks else b"".join(chunks)
+
+    _read = partialmethod(_rw, Opcode.READ)
+    _write = partialmethod(_rw, Opcode.WRITE)
 
     def pwrite(self, thread: Thread, offset: int, nbytes: int,
                data: Optional[bytes] = None) -> Generator:
@@ -206,53 +193,29 @@ class IOUringFile:
 
     def _pwrite(self, thread: Thread, offset: int, nbytes: int,
                 data: Optional[bytes]) -> Generator:
-        params = self.kernel.params
         inode = self.inode
-        if offset + nbytes > inode.size:
-            # Extending writes need the allocator: plain kernel path.
+        if offset + nbytes > inode.size or any(
+                lba512 is None
+                for lba512, _ in extent_runs(inode, offset, nbytes)):
+            # Extending writes and writes into holes need the
+            # allocator: plain kernel path.
             return (yield from self.kernel.sys_pwrite(
                 self.proc, thread, self.fd, offset, nbytes, data))
-        aligned = -(-nbytes // SECTOR) * SECTOR
-        payload = None if data is None else data + bytes(aligned - nbytes)
-        ring, cq = self.engine.ring_for(thread)
-        written = 0
-        for lba512, run_bytes in self._sqe_runs(offset, aligned):
-            chunk = None if payload is None \
-                else payload[written:written + run_bytes]
-            yield from thread.compute(params.io_uring_sqe_prep_ns)
-            ring.submit(Opcode.WRITE, lba512, run_bytes, chunk, cq,
-                        self.kernel.tracer.current(thread))
-            completion = yield from thread.poll_leased(cq.get())
-            if not completion.ok:
-                raise CQEError(completion)
-            written += run_bytes
+        yield from write_covering(self._read, self._write, thread, inode,
+                                  offset, nbytes, data)
         return nbytes
 
-    def append(self, thread: Thread, nbytes: int,
-               data: Optional[bytes] = None) -> Generator:
-        offset = self.size
-        yield from self.kernel.sys_pwrite(self.proc, thread, self.fd,
-                                          offset, nbytes, data)
-        return offset
 
-    def fsync(self, thread: Thread) -> Generator:
-        return self.kernel.sys_fsync(self.proc, thread, self.fd)
-
-    def close(self, thread: Thread) -> Generator:
-        return self.kernel.sys_close(self.proc, thread, self.fd)
-
-
-class IOUringEngine:
+class IOUringEngine(SyncEngine):
     """One ring (and one poller core) per application thread."""
 
     name = "io_uring"
 
     def __init__(self, sim: Simulator, cpus: CPUSet, kernel: Kernel,
                  proc: Process):
+        super().__init__(kernel, proc)
         self.sim = sim
         self.cpus = cpus
-        self.kernel = kernel
-        self.proc = proc
         self._rings: Dict[int, tuple] = {}
 
     def ring_for(self, thread: Thread):
@@ -269,11 +232,5 @@ class IOUringEngine:
     def poller_count(self) -> int:
         return len(self._rings)
 
-    def open(self, thread: Thread, path: str, write: bool = False,
-             create: bool = False) -> Generator:
-        flags = (O_RDWR if write else O_RDONLY) | O_DIRECT
-        if create:
-            flags |= O_CREAT
-        fd = yield from self.kernel.sys_open(self.proc, thread, path,
-                                             flags)
+    def _file(self, thread: Thread, fd: int) -> IOUringFile:
         return IOUringFile(self, self.proc, fd)

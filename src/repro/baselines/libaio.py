@@ -19,25 +19,24 @@ with it, so the device phases parent under the op.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Generator, List, Optional, Tuple
 
-from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
+from ..kernel.blockio import PAGE, extent_runs, read_covering, write_covering
+from ..kernel.process import Process
 from ..kernel.syscalls import Kernel
-from ..nvme.spec import Opcode
+from ..nvme.spec import ST_SUCCESS, Completion, Opcode
 from ..sim.cpu import Thread
 from ..sim.engine import Event, Simulator
 from ..sim.trace import charge_phases
-from .sync_io import KernelFile
+from .sync_io import KernelFile, SyncEngine
 
 __all__ = ["AioOp", "AIOContext", "LibaioEngine", "LibaioFile"]
-
-PAGE = 4096
-SECTOR = 512
 
 
 @dataclass
 class AioOp:
-    """One iocb: a read or write against an open file."""
+    """One iocb: a sector-aligned read or write against an open file."""
 
     file: "LibaioFile"
     opcode: Opcode
@@ -47,45 +46,15 @@ class AioOp:
     trace: Optional[Tuple[int, int]] = None
 
 
-class _SplitCompletion:
+def _io_event(parts: List[Completion]) -> Completion:
     """The io_event for an iocb the block layer split into several
-    device commands (one per extent run): ``res`` reflects the first
-    failed part, ``data`` is the parts' payloads reassembled."""
-
-    def __init__(self, parts: List):
-        self.parts = parts
-
-    @property
-    def ok(self) -> bool:
-        return all(p.ok for p in self.parts)
-
-    @property
-    def status(self):
-        for p in self.parts:
-            if not p.ok:
-                return p.status
-        return self.parts[0].status
-
-    @property
-    def fault_reason(self) -> str:
-        for p in self.parts:
-            if not p.ok:
-                return p.fault_reason
-        return ""
-
-    @property
-    def errno(self) -> int:
-        for p in self.parts:
-            if p.errno:
-                return p.errno
-        return 0
-
-    @property
-    def data(self) -> Optional[bytes]:
-        chunks = [p.data for p in self.parts]
-        if any(c is None for c in chunks):
-            return None
-        return b"".join(chunks)
+    device commands (one per extent run): the first failed part's
+    status, the parts' payloads reassembled."""
+    first = next((p for p in parts if not p.ok), parts[0])
+    chunks = [p.data for p in parts]
+    return Completion(first.cid, first.status,
+                      None if None in chunks else b"".join(chunks),
+                      first.fault_reason)
 
 
 class AIOContext:
@@ -111,6 +80,7 @@ class AIOContext:
 
     def _submit(self, thread: Thread, ops: List[AioOp]) -> Generator:
         params = self.kernel.params
+        blockio = self.kernel.blockio
         yield from thread.compute(params.user_to_kernel_ns
                                   + params.libaio_submit_extra_ns)
         for op in ops:
@@ -125,32 +95,25 @@ class AIOContext:
                 # ext4 takes the inode rwsem for direct writes: async
                 # writes to the same file serialise until completion —
                 # the KVell YCSB-A bottleneck of Section 6.5.
-                lock = self.kernel._write_lock(inode)
-                yield from thread.block(lock.acquire())
-                yield from self.kernel._extend_for_write(
+                _, lock = yield from self.kernel.write_begin(
                     thread, inode, op.offset, op.nbytes)
-                if op.offset + op.nbytes > inode.size:
-                    self.kernel.fs.set_size(inode, op.offset + op.nbytes)
             # One iocb may span several extent runs; like the kernel
-            # bio layer, split at run boundaries (a contiguous device
-            # command past the run would clobber a neighbour's blocks)
-            # but still post a single io_event for the iocb.
+            # bio layer, split at run boundaries but still post a single
+            # io_event for the iocb.  A hole reads as zeros.
             parts: List[Event] = []
-            pos, written = op.offset, 0
-            for phys, count in self.kernel.fs.map_range(
-                    inode, op.offset, op.nbytes):
-                lba512 = phys * (PAGE // SECTOR) \
-                    + (pos % PAGE) // SECTOR
-                run_bytes = min(op.nbytes - written,
-                                count * PAGE - pos % PAGE)
-                chunk = None if op.data is None \
-                    else op.data[written:written + run_bytes]
-                part = yield from self.kernel.blockio.submit_async(
-                    thread, op.opcode, lba512, run_bytes, data=chunk,
-                    trace=op.trace)
-                parts.append(part)
+            pos = 0
+            for lba512, run_bytes in extent_runs(inode, op.offset,
+                                                 op.nbytes):
+                if lba512 is None:
+                    parts.append(self.sim.event().succeed(Completion(
+                        -1, ST_SUCCESS, bytes(run_bytes))))
+                else:
+                    chunk = None if op.data is None \
+                        else op.data[pos:pos + run_bytes]
+                    parts.append((yield from blockio.submit_async(
+                        thread, op.opcode, lba512, run_bytes, data=chunk,
+                        trace=op.trace)))
                 pos += run_bytes
-                written += run_bytes
             if len(parts) == 1:
                 ev = parts[0]
             else:
@@ -158,9 +121,13 @@ class AIOContext:
                 gate = self.sim.all_of(parts)
                 gate.add_callback(
                     lambda _e, parts=parts, ev=ev: ev.succeed(
-                        _SplitCompletion([p.value for p in parts])))
+                        _io_event([p.value for p in parts])))
             if lock is not None:
-                ev.add_callback(lambda _e, lock=lock: lock.release())
+                # The size covers the new bytes once they have landed.
+                ev.add_callback(
+                    lambda e, inode=inode, lock=lock,
+                    end=op.offset + op.nbytes: self.kernel.write_end(
+                        inode, lock, end if e.value.ok else 0))
             self._inflight.append(ev)
             self.submitted += 1
         yield from thread.compute(params.kernel_to_user_ns)
@@ -231,14 +198,23 @@ class LibaioFile(KernelFile):
         n = max(0, min(nbytes, self.size - offset))
         if n == 0:
             return 0, b""
-        aligned = -(-n // SECTOR) * SECTOR
+        data = yield from read_covering(self._read, thread, self.inode,
+                                        offset, n)
+        return n, data
+
+    def _io(self, opcode: Opcode, thread: Thread, inode, offset: int,
+            nbytes: int, data: Optional[bytes] = None) -> Generator:
+        """One sector-aligned iocb at queue depth 1: io_submit, then
+        io_getevents."""
         yield from self.ctx.submit(thread, [
-            AioOp(self, Opcode.READ, offset, aligned,
+            AioOp(self, opcode, offset, nbytes, data,
                   trace=self.kernel.tracer.current(thread))])
         completions = yield from self.ctx.get_events(thread, 1)
         self._check(completions[0])
-        data = completions[0].data
-        return n, (data[:n] if data is not None else None)
+        return completions[0].data
+
+    _read = partialmethod(_io, Opcode.READ)
+    _write = partialmethod(_io, Opcode.WRITE)
 
     def pwrite(self, thread: Thread, offset: int, nbytes: int,
                data: Optional[bytes] = None) -> Generator:
@@ -248,23 +224,17 @@ class LibaioFile(KernelFile):
 
     def _pwrite(self, thread: Thread, offset: int, nbytes: int,
                 data: Optional[bytes]) -> Generator:
-        aligned = -(-nbytes // SECTOR) * SECTOR
-        payload = None if data is None else data + bytes(aligned - nbytes)
-        yield from self.ctx.submit(thread, [
-            AioOp(self, Opcode.WRITE, offset, aligned, payload,
-                  trace=self.kernel.tracer.current(thread))])
-        completions = yield from self.ctx.get_events(thread, 1)
-        self._check(completions[0])
+        yield from write_covering(self._read, self._write, thread,
+                                  self.inode, offset, nbytes, data)
         return nbytes
 
 
-class LibaioEngine:
+class LibaioEngine(SyncEngine):
     name = "libaio"
 
     def __init__(self, sim: Simulator, kernel: Kernel, proc: Process):
+        super().__init__(kernel, proc)
         self.sim = sim
-        self.kernel = kernel
-        self.proc = proc
         self._ctxs = {}
 
     def context(self, thread: Thread) -> AIOContext:
@@ -274,12 +244,5 @@ class LibaioEngine:
             self._ctxs[thread.tid] = ctx
         return ctx
 
-    def open(self, thread: Thread, path: str, write: bool = False,
-             create: bool = False) -> Generator:
-        flags = (O_RDWR if write else O_RDONLY) | O_DIRECT
-        if create:
-            flags |= O_CREAT
-        fd = yield from self.kernel.sys_open(self.proc, thread, path,
-                                             flags)
-        return LibaioFile(self.kernel, self.proc, fd,
-                          self.context(thread))
+    def _file(self, thread: Thread, fd: int) -> "LibaioFile":
+        return LibaioFile(self.kernel, self.proc, fd, self.context(thread))

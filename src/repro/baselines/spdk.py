@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
+from ..kernel.blockio import PAGE, SECTOR
 from ..kernel.process import Process
 from ..nvme.device import DeviceBusyError, NVMeDevice
 from ..nvme.spec import AddressKind, Command, Completion, Opcode, Status
@@ -21,9 +22,6 @@ from ..sim.cpu import Thread
 from ..sim.engine import Simulator
 
 __all__ = ["SPDKEngine", "SPDKError", "SPDKFile"]
-
-SECTOR = 512
-PAGE = 4096
 
 
 class SPDKError(IOError):

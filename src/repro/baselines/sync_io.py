@@ -57,7 +57,12 @@ class KernelFile:
 
 
 class SyncEngine:
-    """Baseline Linux with synchronous syscalls (``sync`` in the figures)."""
+    """Baseline Linux with synchronous syscalls (``sync`` in the figures).
+
+    The base of every kernel-interface engine: they all open files with
+    ``open(2)`` (O_DIRECT unless ``direct`` is off) and differ only in
+    the file object :meth:`_file` wraps the descriptor in.
+    """
 
     name = "sync"
 
@@ -76,4 +81,7 @@ class SyncEngine:
             flags |= O_CREAT
         fd = yield from self.kernel.sys_open(self.proc, thread, path,
                                              flags)
+        return self._file(thread, fd)
+
+    def _file(self, thread: Thread, fd: int) -> KernelFile:
         return KernelFile(self.kernel, self.proc, fd)

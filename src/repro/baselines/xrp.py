@@ -15,20 +15,18 @@ against the file's extent map without filesystem help.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from functools import partial
+from typing import Generator, List
 
-from ..fs.ext4.filesystem import FsError
-from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
+from ..kernel.blockio import extent_runs, read_covering
+from ..kernel.process import Process
 from ..kernel.syscalls import Kernel
-from ..nvme.spec import Opcode
+from ..nvme.spec import OP_READ
 from ..sim.cpu import Thread
 from ..sim.trace import charge_phases
-from .sync_io import KernelFile
+from .sync_io import KernelFile, SyncEngine
 
 __all__ = ["XRPEngine", "XRPFile"]
-
-PAGE = 4096
-SECTOR = 512
 
 
 class XRPFile(KernelFile):
@@ -52,16 +50,13 @@ class XRPFile(KernelFile):
         params = self.kernel.params
         kernel = self.kernel
         # One normal kernel entry for the first hop.
-        yield from kernel._enter(thread, (None, params.vfs_ext4_ns))
+        yield from kernel.enter(thread, (None, params.vfs_ext4_ns))
         result = (0, None)
+        inode = self.inode
         for hop, offset in enumerate(offsets):
             n = max(0, min(nbytes, self.size - offset))
-            aligned = -(-max(n, 1) // SECTOR) * SECTOR
-            lba512 = self._resolve(offset)
-            if hop == 0:
-                data = yield from kernel.blockio.rw_bytes(
-                    thread, Opcode.READ, lba512, aligned)
-            else:
+            read = self._hop
+            if hop:
                 # Resubmission from the driver's completion path: the
                 # BPF program runs, re-queues, and the thread stays
                 # asleep in the original syscall.
@@ -69,36 +64,30 @@ class XRPFile(KernelFile):
                     kernel.sim, ((None, params.xrp_resubmit_ns),
                                  (None, params.xrp_bpf_exec_ns)),
                     thread=thread)
-                data = yield from kernel.blockio.rw_bytes(
-                    thread, Opcode.READ, lba512, aligned,
-                    charge_layers=False)
+                # Issued from the driver: no block-layer or driver charge.
+                read = partial(self._hop, charge_layers=False)
+            data = yield from read_covering(read, thread, inode, offset,
+                                            max(n, 1))
             self.engine.hops += 1
             result = (n, data[:n] if data is not None else None)
-        yield from kernel._exit(thread)
+        yield from kernel.leave(thread)
         return result
 
-    def _resolve(self, offset: int) -> int:
-        mapping = self.kernel.fs.bmap(self.inode, offset // PAGE)
-        if mapping is None:
-            raise FsError(f"XRP hop into hole at {offset}")
-        return mapping[0] * (PAGE // SECTOR) + (offset % PAGE) // SECTOR
+    def _hop(self, thread: Thread, inode, offset: int, n: int,
+             charge_layers: bool = True) -> Generator:
+        return self.kernel.blockio.rw_runs(
+            thread, OP_READ, extent_runs(inode, offset, n),
+            charge_layers=charge_layers)
 
 
-class XRPEngine:
+class XRPEngine(SyncEngine):
     """sync-plus-BPF: plain ops use the kernel path, chains use XRP."""
 
     name = "xrp"
 
     def __init__(self, kernel: Kernel, proc: Process):
-        self.kernel = kernel
-        self.proc = proc
+        super().__init__(kernel, proc)
         self.hops = 0
 
-    def open(self, thread: Thread, path: str, write: bool = False,
-             create: bool = False) -> Generator:
-        flags = (O_RDWR if write else O_RDONLY) | O_DIRECT
-        if create:
-            flags |= O_CREAT
-        fd = yield from self.kernel.sys_open(self.proc, thread, path,
-                                             flags)
+    def _file(self, thread: Thread, fd: int) -> XRPFile:
         return XRPFile(self.kernel, self.proc, fd, self)

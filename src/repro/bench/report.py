@@ -82,6 +82,9 @@ class ResultTable:
             if abs(value) >= 1:
                 return f"{value:.2f}"
             return f"{value:.3f}"
+        if isinstance(value, int) and not isinstance(value, bool) \
+                and abs(value) >= 1000:
+            return f"{value:,}"
         return str(value)
 
     def render(self) -> str:

@@ -357,8 +357,8 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
     # Host wall clock: timing metadata only, never simulated time.
     t0 = time.monotonic()  # simlint: ignore[SIM001]
     reset_ambient_state()
-    machines: List[Any] = []
-    machine_mod.capture_machines(machines)
+    clocks: List[machine_mod.CapturedClock] = []
+    machine_mod.capture_machines(clocks)
     injector: Optional[FaultInjector] = None
     buf = io.StringIO()
     try:
@@ -408,8 +408,8 @@ def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
         reset_ambient_state()
     payload["timing"] = {
         "wall_s": time.monotonic() - t0,  # simlint: ignore[SIM001]
-        "sim_time_ns": sum(m.now for m in machines),
-        "machines": len(machines),
+        "sim_time_ns": sum(clock.now for clock in clocks),
+        "machines": len(clocks),
     }
     return payload
 
@@ -554,7 +554,7 @@ def execute_jobs(payloads: Sequence[Dict[str, Any]], *,
     Each payload is a job dict carrying at least ``experiment`` and
     ``fingerprint``.  Fingerprints already in ``cache`` are served as
     hits without touching a worker; misses run through :func:`run_job`
-    — in-process when serial, over a ``ProcessPoolExecutor`` otherwise.
+    via :func:`fan_out` — in-process when serial, over a pool otherwise.
     Results come back in payload order regardless of worker
     scheduling, so ``jobs=N`` is byte-identical to serial.  Returns
     ``(results, n_workers)``; the caller decides what to persist
@@ -571,24 +571,12 @@ def execute_jobs(payloads: Sequence[Dict[str, Any]], *,
             misses.append(idx)
 
     n_workers = min(resolve_jobs(jobs), max(1, len(misses)))
-    if misses:
-        if n_workers == 1:
-            for idx in misses:
-                payload = run_job(payloads[idx])
-                results[idx] = JobResult(payloads[idx]["experiment"],
-                                         payload["fingerprint"],
-                                         payload, cached=False)
-        else:
-            ctx = get_context(start_method)
-            with ProcessPoolExecutor(max_workers=n_workers,
-                                     mp_context=ctx) as pool:
-                futures = [(idx, pool.submit(run_job, payloads[idx]))
-                           for idx in misses]
-                for idx, future in futures:
-                    payload = future.result()
-                    results[idx] = JobResult(payloads[idx]["experiment"],
-                                             payload["fingerprint"],
-                                             payload, cached=False)
+    fresh = fan_out(run_job, [payloads[idx] for idx in misses],
+                    jobs=n_workers, start_method=start_method)
+    for idx, payload in zip(misses, fresh):
+        results[idx] = JobResult(payloads[idx]["experiment"],
+                                 payload["fingerprint"], payload,
+                                 cached=False)
     return [results[idx] for idx in range(len(payloads))], n_workers
 
 

@@ -7,8 +7,9 @@ kernel block layer or directly from userspace via BypassD.  This class
 therefore exposes:
 
 - namespace operations (create/mkdir/unlink/lookup),
-- block mapping (``map_range`` — what read/write paths and FTE
-  construction consume),
+- block mapping (the inode's extent map, ``bmap``; the kernel turns
+  byte ranges into device commands over it in
+  :func:`repro.kernel.blockio.extent_runs`),
 - allocating operations (append/fallocate/truncate) that journal
   metadata and zero newly allocated blocks before exposing them
   (the confidentiality rule of Section 5.3),
@@ -155,34 +156,6 @@ class Ext4Filesystem:
 
     def bmap(self, inode: Inode, file_block: int) -> Optional[Tuple[int, int]]:
         return inode.extents.lookup(file_block)
-
-    def map_range(self, inode: Inode, offset: int,
-                  nbytes: int) -> List[Tuple[int, int]]:
-        """Physical (block, count) runs covering [offset, offset+nbytes).
-
-        Raises :class:`FsError` on holes — callers allocate first.
-        """
-        if nbytes <= 0:
-            raise ValueError("empty range")
-        bs = self.sb.block_size
-        first = offset // bs
-        last = (offset + nbytes - 1) // bs
-        runs: List[Tuple[int, int]] = []
-        block = first
-        while block <= last:
-            mapping = inode.extents.lookup(block)
-            if mapping is None:
-                raise FsError(
-                    f"hole at file block {block} of inode {inode.ino}"
-                )
-            phys, run = mapping
-            take = min(run, last - block + 1)
-            if runs and runs[-1][0] + runs[-1][1] == phys:
-                runs[-1] = (runs[-1][0], runs[-1][1] + take)
-            else:
-                runs.append((phys, take))
-            block += take
-        return runs
 
     def load_extents(self, inode: Inode) -> Generator:
         """Ensure the inode's extent map is memory-resident.

@@ -25,26 +25,104 @@ BypassD's UserLib all inherit:
   (``EIO`` for media failures) — callers up the stack see ``-EIO``;
 - async submissions get no retry, only a watchdog that aborts a lost
   command so the reaper sees an error completion.
+
+The shape of a direct I/O request lives here once, for every kernel
+engine (sync, libaio, io_uring, XRP): :func:`extent_runs` turns a file
+byte range into one device piece per extent run (holes marked), and
+:func:`read_covering` / :func:`write_covering` round a byte-granular
+request to the sectors that cover it.  The engines differ only in how
+they submit those pieces and reap their completions.
 """
 
 from __future__ import annotations
 
 import errno as _errno
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..faults import canary
+from ..fs.ext4.filesystem import FsError
 from ..hw.params import HardwareParams
 from ..nvme.device import NVMeDevice
 from ..nvme.queues import QueuePair
-from ..nvme.spec import Command, Completion, Opcode
+from ..nvme.spec import OP_WRITE, Command, Completion, Opcode
 from ..sim.cpu import Thread
 from ..sim.engine import Event, Simulator
 from ..sim.trace import NULL_TRACER, charge_phases
 
-__all__ = ["BlockIOLayer", "GuardedIO", "KernelVolume", "IOError_"]
+__all__ = ["BlockIOLayer", "GuardedIO", "KernelVolume", "IOError_",
+           "PAGE", "SECTOR", "extent_runs", "read_covering",
+           "write_covering"]
 
-FS_BLOCK = 4096
-_BLOCKS_PER_PAGE = FS_BLOCK // 512
+PAGE = 4096    # filesystem block and memory page
+SECTOR = 512   # device logical block: the unit of every command
+_SECTORS_PER_PAGE = PAGE // SECTOR
+
+# One device piece of a file range: (lba512, nbytes), lba512 None = hole.
+Run = Tuple[Optional[int], int]
+
+
+def extent_runs(inode, offset: int, nbytes: int) -> List[Run]:
+    """The device pieces of the file range ``[offset, offset+nbytes)``.
+
+    One ``(lba512, run_bytes)`` per run of the inode's extent map the
+    range crosses, in file order, with ``lba512`` None over a hole.  A
+    command must not cross a run boundary: the blocks past it belong to
+    some other extent, possibly another file's.  ``ExtentTree.insert``
+    merges extents that are contiguous on disk, so one run is one
+    command.  ``offset`` must be sector-aligned for ``lba512`` to be
+    exact (:func:`read_covering` / :func:`write_covering` see to it).
+    """
+    extents = inode.extents
+    runs: List[Run] = []
+    pos, end = offset, offset + nbytes
+    while pos < end:
+        block = pos // PAGE
+        mapping = extents.lookup(block)
+        if mapping is None:
+            nxt = extents.next_mapped(block)
+            stop = end if nxt is None else min(end, nxt * PAGE)
+            runs.append((None, stop - pos))
+        else:
+            stop = min(end, (block + mapping[1]) * PAGE)
+            runs.append((mapping[0] * _SECTORS_PER_PAGE
+                         + pos % PAGE // SECTOR, stop - pos))
+        pos = stop
+    return runs
+
+
+def read_covering(read: Callable[..., Generator], thread: Thread, inode,
+                  offset: int, n: int) -> Generator:
+    """Read ``n`` bytes at ``offset`` through ``read(thread, inode,
+    offset, n)``, an engine's sector-aligned direct read: an unaligned
+    request over-reads the covering sectors and slices (what a shim
+    over O_DIRECT does)."""
+    skip = offset % SECTOR
+    if not (skip or n % SECTOR):
+        return (yield from read(thread, inode, offset, n))
+    data = yield from read(thread, inode, offset - skip,
+                           -(-(skip + n) // SECTOR) * SECTOR)
+    return None if data is None else data[skip:skip + n]
+
+
+def write_covering(read: Callable[..., Generator],
+                   write: Callable[..., Generator], thread: Thread, inode,
+                   offset: int, nbytes: int,
+                   data: Optional[bytes]) -> Generator:
+    """Write ``nbytes`` at ``offset`` through an engine's sector-aligned
+    ``write(thread, inode, offset, nbytes, data)``: an unaligned request
+    reads the covering sectors with ``read`` and writes them back
+    merged, so neighbouring bytes survive."""
+    skip = offset % SECTOR
+    if not (skip or nbytes % SECTOR):
+        return (yield from write(thread, inode, offset, nbytes, data))
+    span = -(-(skip + nbytes) // SECTOR) * SECTOR
+    old = yield from read(thread, inode, offset - skip, span)
+    merged = None
+    if data is not None:
+        merged = bytearray(span) if old is None else bytearray(old)
+        merged[skip:skip + nbytes] = data
+        merged = bytes(merged)
+    yield from write(thread, inode, offset - skip, span, merged)
 
 
 class IOError_(OSError):
@@ -226,24 +304,40 @@ class BlockIOLayer(GuardedIO):
     # -- thread-accounted path (syscalls) -------------------------------------
 
     def rw_fsblocks(self, thread: Thread, opcode: Opcode, fs_block: int,
-                    count: int, data: Optional[bytes] = None,
-                    charge_layers: bool = True) -> Generator:
+                    count: int, data: Optional[bytes] = None) -> Generator:
         """Read/write ``count`` filesystem blocks; returns read payload.
 
         Charges the block-layer and driver CPU costs, then sleeps until
         the interrupt-driven completion.
         """
-        return (yield from self._rw(thread, opcode,
-                                    fs_block * _BLOCKS_PER_PAGE,
-                                    count * FS_BLOCK, data, charge_layers,
-                                    charge_irq=True))
+        return self._rw(thread, opcode, fs_block * _SECTORS_PER_PAGE,
+                        count * PAGE, data, True, True)
 
-    def rw_bytes(self, thread: Thread, opcode: Opcode, lba512: int,
-                 nbytes: int, data: Optional[bytes] = None,
-                 charge_layers: bool = True) -> Generator:
-        """512 B-granular transfer (sub-block I/O, XRP hops)."""
-        return (yield from self._rw(thread, opcode, lba512, nbytes, data,
-                                    charge_layers, charge_irq=False))
+    def rw_runs(self, thread: Thread, opcode: Opcode, runs: List[Run],
+                data: Optional[bytes] = None,
+                charge_layers: bool = True) -> Generator:
+        """Read or write :func:`extent_runs` pieces, one blocking
+        command per run in order, ``data`` split to match.  A hole
+        reads as zeros (writers allocate first).  Returns the read
+        payload, None when the device returns none."""
+        if len(runs) == 1 and runs[0][0] is not None:
+            return (yield from self._rw(thread, opcode, runs[0][0],
+                                        runs[0][1], data, charge_layers,
+                                        False))
+        chunks = []
+        pos = 0
+        for lba512, nbytes in runs:
+            if lba512 is None:
+                if opcode is OP_WRITE:
+                    raise FsError(f"write into a hole at run byte {pos}")
+                chunks.append(bytes(nbytes))
+            else:
+                chunks.append((yield from self._rw(
+                    thread, opcode, lba512, nbytes,
+                    None if data is None else data[pos:pos + nbytes],
+                    charge_layers, False)))
+            pos += nbytes
+        return None if None in chunks else b"".join(chunks)
 
     def submit_async(self, thread: Thread, opcode: Opcode, lba512: int,
                      nbytes: int, data: Optional[bytes] = None,
@@ -299,7 +393,7 @@ class KernelVolume(GuardedIO):
     data.
     """
 
-    block_size = FS_BLOCK
+    block_size = PAGE
 
     def __init__(self, sim: Simulator, params: HardwareParams,
                  device: NVMeDevice):
@@ -330,21 +424,21 @@ class KernelVolume(GuardedIO):
     def read_blocks(self, block: int, count: int) -> Generator:
         self.meta_reads += 1
         completion = yield from self._submit_guarded(
-            Opcode.READ, block * _BLOCKS_PER_PAGE, count * FS_BLOCK)
+            Opcode.READ, block * _SECTORS_PER_PAGE, count * PAGE)
         return completion.data
 
     def write_blocks(self, block: int, count: int,
                      data: Optional[bytes] = None) -> Generator:
         self.meta_writes += 1
         yield from self._submit_guarded(
-            Opcode.WRITE, block * _BLOCKS_PER_PAGE, count * FS_BLOCK,
+            Opcode.WRITE, block * _SECTORS_PER_PAGE, count * PAGE,
             data=data)
 
     def zero_blocks(self, block: int, count: int) -> Generator:
         """Zero newly allocated blocks (Section 4.1 security rule)."""
-        self.device.backend.zero_blocks(block * _BLOCKS_PER_PAGE,
-                                        count * _BLOCKS_PER_PAGE)
-        kb = count * FS_BLOCK // 1024
+        self.device.backend.zero_blocks(block * _SECTORS_PER_PAGE,
+                                        count * _SECTORS_PER_PAGE)
+        kb = count * PAGE // 1024
         yield self.sim.timeout(self.params.block_zero_ns_per_kb * kb)
 
     def flush(self) -> Generator:

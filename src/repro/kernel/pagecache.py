@@ -14,10 +14,9 @@ from typing import Generator, List, Optional, Set, Tuple
 
 from ..nvme.spec import Opcode
 from ..sim.cpu import Thread
+from .blockio import PAGE
 
 __all__ = ["PageCache"]
-
-PAGE = 4096
 
 
 class PageCache:

@@ -16,14 +16,22 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Tuple
 
-from ..fs.ext4.filesystem import Ext4Filesystem, FsError
+from ..fs.ext4.filesystem import Ext4Filesystem
 from ..fs.ext4.inode import Inode
 from ..hw.params import HardwareParams
 from ..nvme.spec import OP_READ, OP_WRITE
 from ..sim.cpu import Thread
 from ..sim.engine import Simulator
+from ..sim.resources import Lock
 from ..sim.trace import NULL_TRACER, charge_phases
-from .blockio import BlockIOLayer
+from .blockio import (
+    PAGE,
+    SECTOR,
+    BlockIOLayer,
+    extent_runs,
+    read_covering,
+    write_covering,
+)
 from .pagecache import PageCache
 from .process import (
     O_APPEND,
@@ -37,9 +45,6 @@ from .process import (
 )
 
 __all__ = ["Kernel", "PermissionError_"]
-
-PAGE = 4096
-SECTOR = 512
 
 
 class PermissionError_(Exception):
@@ -75,18 +80,42 @@ class Kernel:
         # BypassD sidesteps by writing from userspace (Section 6.5).
         self._inode_write_locks: dict = {}
 
-    def _write_lock(self, inode: Inode):
+    def write_begin(self, thread: Thread, inode: Inode,
+                    offset: Optional[int], nbytes: int) -> Generator:
+        """ext4's write entry: take the inode's write lock
+        (i_rwsem), then allocate any unmapped blocks the write touches
+        (``offset`` None writes at EOF).  Returns ``(offset, lock)``;
+        once the data is written the caller calls :meth:`write_end`, or
+        releases ``lock`` if the write failed."""
         lock = self._inode_write_locks.get(inode.ino)
         if lock is None:
-            from ..sim.resources import Lock
-            lock = Lock(self.sim)
-            self._inode_write_locks[inode.ino] = lock
-        return lock
+            lock = self._inode_write_locks[inode.ino] = Lock(self.sim)
+        lock_t0 = self.sim.now
+        yield from thread.block(lock.acquire())
+        self.tracer.add_wait("inode_lock", self.sim.now - lock_t0,
+                             thread=thread)
+        if offset is None:
+            offset = inode.size
+        try:
+            yield from self._extend_for_write(thread, inode, offset,
+                                              nbytes)
+        except BaseException:
+            lock.release()
+            raise
+        return offset, lock
+
+    def write_end(self, inode: Inode, lock: Lock, end: int) -> None:
+        """Publish the size of a write whose data has landed at
+        ``[..., end)`` and release the inode's write lock: the size
+        never covers bytes that are not on the device yet."""
+        if end > inode.size:
+            self.fs.set_size(inode, end)
+        lock.release()
 
     # -- mode switches ------------------------------------------------------
 
-    def _enter(self, thread: Thread,
-               *then: Tuple[Optional[str], int]) -> Generator:
+    def enter(self, thread: Thread,
+              *then: Tuple[Optional[str], int]) -> Generator:
         """Switch into the kernel, then run the fixed phases ``then``
         (``(label, ns)`` pairs, a ``None`` label untraced) in the same
         delay: nothing between them reads shared state."""
@@ -97,10 +126,10 @@ class Kernel:
             thread=thread, tracer=self.tracer)
 
     def _vfs(self, ns: Optional[int] = None) -> Tuple[str, int]:
-        """The VFS + ext4 software layer, as an :meth:`_enter` phase."""
+        """The VFS + ext4 software layer, as an :meth:`enter` phase."""
         return ("vfs-ext4", self.params.vfs_ext4_ns if ns is None else ns)
 
-    def _exit(self, thread: Thread) -> Generator:
+    def leave(self, thread: Thread) -> Generator:
         token = self.tracer.begin("kernel", "mode-switch-exit",
                                   thread=thread)
         yield from thread.compute(self.params.kernel_to_user_ns)
@@ -119,8 +148,8 @@ class Kernel:
         """
         token = self.tracer.begin("syscall", "open", thread=thread)
         try:
-            yield from self._enter(thread,
-                                   (None, self.params.open_base_ns))
+            yield from self.enter(thread,
+                                  (None, self.params.open_base_ns))
             path = proc.resolve_path(path)
             if (flags & O_CREAT) and not self.fs.exists(path):
                 inode = self.fs.create(path, mode, proc.uid,
@@ -135,7 +164,7 @@ class Kernel:
                     # A kernel-interface open on an fmap()ed file forces
                     # the mappers back to the kernel path (Section 4.5.2).
                     self.bypassd.revoke(inode)
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
         return fdesc.fd
@@ -156,7 +185,7 @@ class Kernel:
                   fd: int) -> Generator:
         token = self.tracer.begin("syscall", "close", thread=thread)
         try:
-            yield from self._enter(thread)
+            yield from self.enter(thread)
             fdesc = proc.drop_fd(fd)
             inode = fdesc.inode
             if fdesc.vba and self.bypassd is not None:
@@ -166,7 +195,7 @@ class Kernel:
             if fdesc.accessed or fdesc.modified:
                 self.fs.update_timestamps(inode, fdesc.accessed,
                                           fdesc.modified)
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
 
@@ -180,7 +209,7 @@ class Kernel:
             raise PermissionError_("fd not open for reading")
         token = self.tracer.begin("syscall", "pread", thread=thread)
         try:
-            yield from self._enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs())
             inode = fdesc.inode
             n = max(0, min(nbytes, inode.size - offset))
             data: Optional[bytes] = b"" if n == 0 else None
@@ -192,7 +221,7 @@ class Kernel:
                     data = yield from self._buffered_read(thread, inode,
                                                           offset, n)
             fdesc.accessed = True
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
         return n, data
@@ -200,41 +229,14 @@ class Kernel:
     def _direct_read(self, thread: Thread, inode: Inode, offset: int,
                      n: int) -> Generator:
         if offset % SECTOR or n % SECTOR:
-            # Device I/O is sector-granular: over-read the covering
-            # sectors and slice (what a shim over O_DIRECT does).
-            first = (offset // SECTOR) * SECTOR
-            span = -(-(offset - first + n) // SECTOR) * SECTOR
-            data = yield from self._direct_read(thread, inode, first,
-                                                span)
-            if data is None:
-                return None
-            skip = offset - first
-            return data[skip:skip + n]
-        yield from self._charge_per_page(thread, n)
-        chunks = []
-        pos = offset
-        remaining = n
-        while remaining > 0:
-            page_idx = pos // PAGE
-            mapping = self.fs.bmap(inode, page_idx)
-            in_page = min(remaining, PAGE - pos % PAGE)
-            if mapping is None:
-                chunks.append(bytes(in_page))  # hole
-            else:
-                lba512 = mapping[0] * (PAGE // SECTOR) \
-                    + (pos % PAGE) // SECTOR
-                run_bytes = min(remaining,
-                                mapping[1] * PAGE - pos % PAGE)
-                data = yield from self.blockio.rw_bytes(
-                    thread, OP_READ, lba512, run_bytes)
-                if data is not None:
-                    chunks.append(data)
-                pos += run_bytes
-                remaining -= run_bytes
-                continue
-            pos += in_page
-            remaining -= in_page
-        return b"".join(chunks) if chunks else None
+            return (yield from read_covering(self._direct_read, thread,
+                                             inode, offset, n))
+        if n > PAGE:
+            # Per-page pinning/bio costs for multi-page direct I/O.
+            yield from thread.compute(
+                (n - 1) // PAGE * self.params.kernel_per_page_ns)
+        return (yield from self.blockio.rw_runs(
+            thread, OP_READ, extent_runs(inode, offset, n)))
 
     def _buffered_read(self, thread: Thread, inode: Inode, offset: int,
                        n: int) -> Generator:
@@ -264,35 +266,37 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         if data is not None and len(data) != nbytes:
             raise ValueError("payload length mismatch")
-        token = self.tracer.begin("syscall", "pwrite", thread=thread)
+        yield from self._write(thread, fdesc, "pwrite",
+                               None if fdesc.append_mode else offset,
+                               nbytes, data, fdesc.direct)
+        return nbytes
+
+    def _write(self, thread: Thread, fdesc: FileDescription, label: str,
+               offset: Optional[int], nbytes: int, data: Optional[bytes],
+               direct: bool) -> Generator:
+        """The write syscall body; returns the offset written at."""
+        token = self.tracer.begin("syscall", label, thread=thread)
         try:
-            yield from self._enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs())
             inode = fdesc.inode
-            lock = self._write_lock(inode)
-            lock_t0 = self.sim.now
-            yield from thread.block(lock.acquire())
-            self.tracer.add_wait("inode_lock", self.sim.now - lock_t0,
-                                 thread=thread)
+            offset, lock = yield from self.write_begin(thread, inode,
+                                                       offset, nbytes)
             try:
-                if fdesc.append_mode:
-                    offset = inode.size
-                yield from self._extend_for_write(thread, inode, offset,
-                                                  nbytes)
-                if fdesc.direct:
+                if direct:
                     yield from self._direct_write(thread, inode, offset,
                                                   nbytes, data)
                 else:
                     yield from self._buffered_write(thread, inode, offset,
                                                     nbytes, data)
-                if offset + nbytes > inode.size:
-                    self.fs.set_size(inode, offset + nbytes)
-            finally:
+            except BaseException:
                 lock.release()
+                raise
+            self.write_end(inode, lock, offset + nbytes)
             fdesc.modified = True
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
-        return nbytes
+        return offset
 
     def _extend_for_write(self, thread: Thread, inode: Inode,
                           offset: int, nbytes: int) -> Generator:
@@ -305,9 +309,8 @@ class Kernel:
             if mapping is not None:
                 block += mapping[1]
                 continue
-            run_end = block
-            while run_end <= last and self.fs.bmap(inode, run_end) is None:
-                run_end += 1
+            nxt = inode.extents.next_mapped(block)
+            run_end = last + 1 if nxt is None else min(nxt, last + 1)
             # Skip the zeroing I/O only when the write covers the whole
             # run: a partially-covered fresh block must be zeroed or an
             # RMW could resurrect another file's stale bytes
@@ -319,60 +322,18 @@ class Kernel:
                                                zero=not covered)
             block = run_end
 
-
-    def _charge_per_page(self, thread: Thread, nbytes: int) -> Generator:
-        """Per-page pinning/bio costs for multi-page direct I/O."""
-        extra_pages = max(0, -(-nbytes // PAGE) - 1)
-        if extra_pages:
-            yield from thread.compute(
-                extra_pages * self.params.kernel_per_page_ns)
-
     def _direct_write(self, thread: Thread, inode: Inode, offset: int,
                       nbytes: int, data: Optional[bytes]) -> Generator:
         if offset % SECTOR or nbytes % SECTOR:
-            # Sub-sector write: read-modify-write the covering sectors
-            # so neighbouring bytes survive.
-            first = (offset // SECTOR) * SECTOR
-            span = -(-(offset - first + nbytes) // SECTOR) * SECTOR
-            old = None
-            mapped_end = inode.extents.last_logical * PAGE
-            readable = min(span, max(0, mapped_end - first))
-            readable = (readable // SECTOR) * SECTOR
-            if readable > 0:
-                old = yield from self._direct_read(thread, inode, first,
-                                                   readable)
-            merged = None
-            if data is not None:
-                base = bytearray(span)
-                if old is not None:
-                    base[:len(old)] = old
-                skip = offset - first
-                base[skip:skip + nbytes] = data
-                merged = bytes(base)
-            yield from self._direct_write(thread, inode, first, span,
-                                          merged)
-            return
-        yield from self._charge_per_page(thread, nbytes)
-        padded = -(-nbytes // SECTOR) * SECTOR
-        payload = _pad_to(data, padded)
-        pos = offset
-        remaining = padded
-        written = 0
-        while remaining > 0:
-            page_idx = pos // PAGE
-            mapping = self.fs.bmap(inode, page_idx)
-            if mapping is None:
-                raise FsError(f"write into hole at block {page_idx}")
-            lba512 = mapping[0] * (PAGE // SECTOR) + (pos % PAGE) // SECTOR
-            run_bytes = min(remaining, mapping[1] * PAGE - pos % PAGE)
-            chunk = None
-            if payload is not None:
-                chunk = payload[written:written + run_bytes]
-            yield from self.blockio.rw_bytes(thread, OP_WRITE, lba512,
-                                             run_bytes, data=chunk)
-            pos += run_bytes
-            remaining -= run_bytes
-            written += run_bytes
+            return (yield from write_covering(
+                self._direct_read, self._direct_write, thread, inode,
+                offset, nbytes, data))
+        if nbytes > PAGE:
+            yield from thread.compute(
+                (nbytes - 1) // PAGE * self.params.kernel_per_page_ns)
+        yield from self.blockio.rw_runs(
+            thread, OP_WRITE, extent_runs(inode, offset, nbytes),
+            _pad_to(data, nbytes))
 
     def _buffered_write(self, thread: Thread, inode: Inode, offset: int,
                         nbytes: int, data: Optional[bytes]) -> Generator:
@@ -409,35 +370,14 @@ class Kernel:
     def sys_append(self, proc: Process, thread: Thread, fd: int,
                    nbytes: int, data: Optional[bytes] = None) -> Generator:
         """Kernel-routed append for the BypassD interface (Table 3):
-        allocate, attach new FTEs, write unbuffered, update size."""
+        allocate, attach new FTEs, write unbuffered straight to the
+        device (sub-sector alignment is handled by the write path's
+        RMW), update size.  Returns the offset appended at."""
         fdesc = proc.get_fd(fd)
         if not fdesc.writable:
             raise PermissionError_("fd not open for appending")
-        token = self.tracer.begin("syscall", "append", thread=thread)
-        try:
-            yield from self._enter(thread, self._vfs())
-            inode = fdesc.inode
-            lock = self._write_lock(inode)
-            lock_t0 = self.sim.now
-            yield from thread.block(lock.acquire())
-            self.tracer.add_wait("inode_lock", self.sim.now - lock_t0,
-                                 thread=thread)
-            try:
-                offset = inode.size
-                yield from self._extend_for_write(thread, inode, offset,
-                                                  nbytes)
-                # Unbuffered write straight to the device (sub-sector
-                # alignment is handled by the write path's RMW).
-                yield from self._direct_write(thread, inode, offset,
-                                              nbytes, data)
-                self.fs.set_size(inode, offset + nbytes)
-            finally:
-                lock.release()
-            fdesc.modified = True
-            yield from self._exit(thread)
-        finally:
-            self.tracer.end(token)
-        return offset
+        return (yield from self._write(thread, fdesc, "append", None,
+                                       nbytes, data, True))
 
     def sys_fallocate(self, proc: Process, thread: Thread, fd: int,
                       offset: int, length: int) -> Generator:
@@ -446,11 +386,11 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         token = self.tracer.begin("syscall", "fallocate", thread=thread)
         try:
-            yield from self._enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs())
             inode = fdesc.inode
             yield from self.fs.fallocate(inode, offset, length)
             fdesc.modified = True
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
 
@@ -461,7 +401,7 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         token = self.tracer.begin("syscall", "ftruncate", thread=thread)
         try:
-            yield from self._enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs())
             inode = fdesc.inode
             if self.bypassd is not None and inode.file_table is not None:
                 # Detach before blocks are freed so no stale FTE survives.
@@ -478,7 +418,7 @@ class Kernel:
                                               bytes(pad))
             self.pagecache.invalidate_inode(inode.ino)
             fdesc.modified = True
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
 
@@ -487,7 +427,7 @@ class Kernel:
         fdesc = proc.get_fd(fd)
         token = self.tracer.begin("syscall", "fsync", thread=thread)
         try:
-            yield from self._enter(
+            yield from self.enter(
                 thread, self._vfs(self.params.vfs_ext4_ns // 2))
             inode = fdesc.inode
             yield from self.pagecache.sync_inode(thread, inode)
@@ -500,7 +440,7 @@ class Kernel:
             yield from self.fs.fsync(inode)
             self.tracer.add_wait("journal_commit",
                                  self.sim.now - commit_t0, thread=thread)
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
 
@@ -508,15 +448,15 @@ class Kernel:
                    path: str) -> Generator:
         token = self.tracer.begin("syscall", "unlink", thread=thread)
         try:
-            yield from self._enter(thread,
-                                   (None, self.params.open_base_ns))
+            yield from self.enter(thread,
+                                  (None, self.params.open_base_ns))
             path = proc.resolve_path(path)
             inode = self.fs.lookup(path)
             if self.bypassd is not None and inode.fmap_attachments:
                 self.bypassd.revoke(inode)
             self.pagecache.invalidate_inode(inode.ino)
             self.fs.unlink(path)
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
 
@@ -524,10 +464,10 @@ class Kernel:
                  path: str) -> Generator:
         token = self.tracer.begin("syscall", "stat", thread=thread)
         try:
-            yield from self._enter(thread,
-                                   (None, self.params.open_base_ns // 2))
+            yield from self.enter(thread,
+                                  (None, self.params.open_base_ns // 2))
             inode = self.fs.lookup(proc.resolve_path(path))
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
         return inode.attrs
@@ -546,9 +486,9 @@ class Kernel:
         fdesc = proc.get_fd(fd)
         token = self.tracer.begin("syscall", "fmap", thread=thread)
         try:
-            yield from self._enter(thread)
+            yield from self.enter(thread)
             vba = yield from self.bypassd.fmap(proc, thread, fdesc)
-            yield from self._exit(thread)
+            yield from self.leave(thread)
         finally:
             self.tracer.end(token)
         return vba

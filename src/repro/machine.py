@@ -30,6 +30,7 @@ result.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator, List, Optional, Union
 
 from .core.fmap import FmapManager
@@ -56,32 +57,60 @@ from .sim.engine import Simulator
 from .sim.stats import Stats
 from .sim.trace import NULL_TRACER, Tracer
 
-__all__ = ["Machine", "capture_machines", "captured_machines"]
+__all__ = ["CapturedClock", "Machine", "capture_machines"]
 
 
 # -- construction capture (armed by the bench runner) -----------------------
 #
 # Experiments build their machines internally, so the parallel runner
 # cannot see them to attribute simulated time to a job.  While a sink
-# list is armed here, every Machine constructed registers itself; the
-# runner sums `machine.now` over the sink when the job finishes.  Like
-# the ambient fault injector and monitor config, this is process-wide
+# list is armed here, every Machine constructed appends a
+# :class:`CapturedClock` to it; the runner sums ``clock.now`` over the
+# sink when the job finishes.  A clock does not keep its machine alive,
+# so an experiment's finished machines are freed as it goes.  Like the
+# ambient fault injector and monitor config, this is process-wide
 # mutable state: worker processes reset it before each job
 # (:func:`repro.bench.runner.reset_ambient_state`) so nothing leaks
 # across fork/spawn boundaries.
 
-_CAPTURE: Optional[List["Machine"]] = None
+_CAPTURE: Optional[List["CapturedClock"]] = None
 
 
-def capture_machines(sink: Optional[List["Machine"]]) -> None:
+def capture_machines(sink: Optional[List["CapturedClock"]]) -> None:
     """Arm (with a list) or disarm (with None) construction capture."""
     global _CAPTURE
     _CAPTURE = sink
 
 
-def captured_machines() -> Optional[List["Machine"]]:
-    """The currently armed sink, if any (introspection/testing)."""
-    return _CAPTURE
+class CapturedClock:
+    """The simulated time a captured machine reached.
+
+    The machine owns the clock's probe: while the machine lives,
+    ``now`` reads its simulator, and when it is collected the probe's
+    finalizer leaves the clock's last value in ``final_ns``.
+    """
+
+    __slots__ = ("_probe", "final_ns")
+
+    def __init__(self, probe: "_ClockProbe"):
+        self._probe = weakref.ref(probe)
+        self.final_ns = 0
+
+    @property
+    def now(self) -> int:
+        probe = self._probe()
+        return self.final_ns if probe is None else probe.sim.now
+
+
+class _ClockProbe:
+    __slots__ = ("sim", "clock", "__weakref__")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.clock = CapturedClock(self)
+
+    def __del__(self) -> None:
+        self.clock.final_ns = self.sim.now
 
 
 class Machine:
@@ -142,7 +171,8 @@ class Machine:
             self.sim.process(self._power_fail(self.faults.plan.crash_at_ns),
                              name="power-fail")
         if _CAPTURE is not None:
-            _CAPTURE.append(self)
+            self._clock_probe = _ClockProbe(self.sim)
+            _CAPTURE.append(self._clock_probe.clock)
 
     @staticmethod
     def _resolve_injector(faults) -> FaultInjector:

@@ -26,5 +26,5 @@ def test_site_total_is_the_seq_delta_perfbench_reports():
         workload.rep(101, probe)
     assert probe.counts["sim.events"] == events
     # the inline timeout posts land on the model's call sites
-    assert sites["kernel/syscalls.py:_exit > sim/cpu.py:compute"] \
+    assert sites["kernel/syscalls.py:leave > sim/cpu.py:compute"] \
         == 3 * workload.ops

@@ -1,13 +1,16 @@
 """Unit tests for the parallel experiment runner and result cache."""
 
+import gc
 import io
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from repro import Machine
 from repro import machine as machine_mod
 from repro.bench.report import ResultTable
 from repro.bench.runner import (
@@ -236,6 +239,24 @@ class TestTimings:
         assert by["selftest-fail"]["table"] is None
         assert ResultTable.from_dict(by["table4"]["table"]).render() == \
             REGISTRY["table4"].build().render()
+
+    def test_job_machines_can_be_garbage_collected(self):
+        """The capture sink keeps each machine's clock, not the machine:
+        a finished machine is freed and its time still counts."""
+        clocks = []
+        machine_mod.capture_machines(clocks)
+        try:
+            m = Machine(capacity_bytes=1 << 30, memory_bytes=256 << 20)
+            thread = m.spawn_process().new_thread()
+            m.run_process(thread.sleep(5_000))
+            assert [clock.now for clock in clocks] == [m.now]
+            ref = weakref.ref(m)
+            del m, thread
+            gc.collect()
+        finally:
+            machine_mod.capture_machines(None)
+        assert ref() is None
+        assert [clock.now for clock in clocks] == [5_000]
 
     def test_load_timings_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.fs.ext4.directory import FileExists, FileNotFound
-from repro.fs.ext4.filesystem import Ext4Filesystem, FsError
+from repro.fs.ext4.filesystem import Ext4Filesystem
 from repro.hw.params import DEFAULT_PARAMS
+from repro.kernel.blockio import extent_runs
 
 CAP = 256 << 20
 
@@ -86,18 +87,24 @@ class TestAllocation:
         assert len(inode.extents) == 1
 
     def test_map_range(self):
+        # The kernel's direct-I/O mapper: one command per extent run,
+        # sector-addressed, starting mid-block when the range does.
         fs = mkfs()
         inode = fs.create("/f")
         drive(fs.allocate_blocks(inode, 0, 4))
-        runs = fs.map_range(inode, 0, 4 * 4096)
-        assert sum(c for _, c in runs) == 4
+        lba = fs.bmap(inode, 0)[0] * 8
+        assert extent_runs(inode, 0, 4 * 4096) == [(lba, 4 * 4096)]
+        assert extent_runs(inode, 1024, 4096) == [(lba + 2, 4096)]
 
-    def test_map_range_hole_raises(self):
+    def test_map_range_marks_holes(self):
         fs = mkfs()
         inode = fs.create("/f")
         drive(fs.allocate_blocks(inode, 0, 2))
-        with pytest.raises(FsError):
-            fs.map_range(inode, 0, 4 * 4096)
+        drive(fs.allocate_blocks(inode, 3, 1))
+        first = fs.bmap(inode, 0)[0] * 8
+        last = fs.bmap(inode, 3)[0] * 8
+        assert extent_runs(inode, 0, 5 * 4096) == [
+            (first, 2 * 4096), (None, 4096), (last, 4096), (None, 4096)]
 
     def test_fallocate_sets_size(self):
         fs = mkfs()

@@ -146,8 +146,7 @@ class TestBlockIO:
         t = proc.new_thread()
 
         def body():
-            yield from m.blockio.rw_bytes(
-                t, Opcode.READ, 10**12, 512)
+            yield from m.blockio.rw_runs(t, Opcode.READ, [(10**12, 512)])
 
         with pytest.raises(IOError_):
             m.run_process(body())

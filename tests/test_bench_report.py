@@ -40,10 +40,17 @@ class TestResultTable:
         t.add(0.00123)
         t.add(12.3456)
         t.add(123456.0)
+        t.add(37759)
+        t.add(999)
+        t.add(-1234)
+        t.add(True)
         out = t.render()
         assert "0.001" in out
         assert "12.35" in out
         assert "123,456" in out
+        assert "37,759" in out          # ints group like floats
+        assert " 999" in out and "-1,234" in out
+        assert "True" in out
 
     def test_counters_footer(self):
         t = ResultTable("T", ["v"])
