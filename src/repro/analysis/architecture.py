@@ -160,12 +160,12 @@ LAYERS: Tuple[Layer, ...] = (
     Layer("core", ("sim", "hw", "faults", "nvme", "fs", "kernel"),
           "BypassD userlib, file table, fmap manager"),
     Layer("obs", ("sim", "hw"),
-          "metrics, monitor, exporters, trace diff (obs.perf drives a "
+          "histograms, monitor, exporters, trace diff (obs.perf drives a "
           "Machine via a friend edge)"),
     Layer("machine", ("sim", "hw", "faults", "nvme", "fs", "kernel",
                       "core"),
           "the full-system assembly (friend edge into obs for its "
-          "telemetry registry)"),
+          "telemetry monitor)"),
     Layer("baselines", ("sim", "hw", "faults", "nvme", "fs", "kernel",
                         "core", "machine"),
           "io_uring / libaio / spdk / xrp / sync engines"),
@@ -192,8 +192,8 @@ FRIEND_EDGES: Tuple[FriendEdge, ...] = (
     FriendEdge(
         "repro.machine", "repro.obs",
         "the Machine owns its telemetry wiring: it constructs the "
-        "MetricsRegistry and Monitor it hands to every layer; obs "
-        "stays below machine for everything else"),
+        "Monitor that samples every layer; obs stays below machine "
+        "for everything else"),
     FriendEdge(
         "repro.obs.perf", "repro.machine",
         "the span-measured perf matrix boots a full Machine to time "

@@ -59,7 +59,6 @@ class IOUringRing:
         self.kernel = kernel
         self.sq: Store = Store(sim)
         self.poller = cpus.thread(f"iou-sqpoll-{index}")
-        self.sqes = 0
         self.inflight = 0
         self._last_work_ns = 0
         sim.process(self._poll_loop(), name=f"iou-sqpoll-{index}",
@@ -123,7 +122,6 @@ class IOUringRing:
     def submit(self, opcode: Opcode, lba512: int, nbytes: int,
                data: Optional[bytes], cq: Store,
                trace: Optional[Tuple[int, int]]) -> None:
-        self.sqes += 1
         self.inflight += 1
         self.sq.put((opcode, lba512, nbytes, data, cq, trace))
 

@@ -65,8 +65,6 @@ class AIOContext:
         self.kernel = kernel
         self.proc = proc
         self._inflight: List[Event] = []
-        self.submitted = 0
-        self.reaped = 0
 
     @property
     def inflight(self) -> int:
@@ -129,7 +127,6 @@ class AIOContext:
                     end=op.offset + op.nbytes: self.kernel.write_end(
                         inode, lock, end if e.value.ok else 0))
             self._inflight.append(ev)
-            self.submitted += 1
         yield from thread.compute(params.kernel_to_user_ns)
 
     def get_events(self, thread: Thread, min_nr: int) -> Generator:
@@ -164,7 +161,6 @@ class AIOContext:
             if ev.triggered:
                 completions.append(ev.value)
                 self._inflight.remove(ev)
-        self.reaped += len(completions)
         yield from thread.compute(params.kernel_to_user_ns)
         return completions
 

@@ -114,7 +114,6 @@ class SPDKEngine:
         self._qps: Dict[int, object] = {}
         self._files: Dict[str, SPDKFile] = {}
         self._next_page = 64  # skip a "metadata" stripe
-        self.ios = 0
 
     def detach(self) -> None:
         for _tid, qp in sorted(self._qps.items()):
@@ -148,7 +147,6 @@ class SPDKEngine:
         finally:
             tracer.end(token)
         yield from thread.compute(params.spdk_complete_ns)
-        self.ios += 1
         if completion.status is not Status.SUCCESS:
             raise SPDKError(completion)
         return completion

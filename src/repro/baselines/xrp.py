@@ -68,7 +68,6 @@ class XRPFile(KernelFile):
                 read = partial(self._hop, charge_layers=False)
             data = yield from read_covering(read, thread, inode, offset,
                                             max(n, 1))
-            self.engine.hops += 1
             result = (n, data[:n] if data is not None else None)
         yield from kernel.leave(thread)
         return result
@@ -84,10 +83,6 @@ class XRPEngine(SyncEngine):
     """sync-plus-BPF: plain ops use the kernel path, chains use XRP."""
 
     name = "xrp"
-
-    def __init__(self, kernel: Kernel, proc: Process):
-        super().__init__(kernel, proc)
-        self.hops = 0
 
     def _file(self, thread: Thread, fd: int) -> XRPFile:
         return XRPFile(self.kernel, self.proc, fd, self)

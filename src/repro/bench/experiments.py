@@ -392,7 +392,7 @@ def fig12_revocation_timeline(run_ms: int = 20,
         ["Time (ms)", "Throughput (K IOPS)"],
         notes="BypassD interface before revocation, kernel interface "
               "after")
-    for when, kiops in series.points:
+    for when, kiops in series.samples:
         table.add(when / 1e6, kiops)
     table.attach_counters(m.stats().summary())
     return table

@@ -31,13 +31,6 @@ class ResultTable:
                 continue
             self.counters[key] = self.counters.get(key, 0) + int(value)
 
-    def attach_metrics(self, registry,
-                       nonzero_only: bool = True) -> None:
-        """Attach a :class:`repro.obs.metrics.MetricsRegistry`'s
-        counters to the footer (same rendering as attach_counters)."""
-        self.attach_counters(registry.counters_snapshot(),
-                             nonzero_only=nonzero_only)
-
     def to_dict(self) -> Dict[str, Any]:
         """Machine-readable form (sorted-key JSON friendly)."""
         return {

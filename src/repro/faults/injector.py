@@ -54,7 +54,6 @@ class FaultInjector:
         self.plan = plan if plan is not None else FaultPlan()
         self.rng = random.Random(self.plan.seed)
         self.tracer = NULL_TRACER
-        self.metrics = None  # optional MetricsRegistry (set by Machine)
         self.counts: Dict[str, int] = {}
         self._states: List[_RuleState] = [_RuleState()
                                           for _ in self.plan.rules]
@@ -118,8 +117,6 @@ class FaultInjector:
     def _record(self, kind: FaultKind, now: int, extra_ns: int) -> None:
         self.counts[kind.value] = self.counts.get(kind.value, 0) + 1
         self.tracer.record("fault", kind.value, now, now + extra_ns)
-        if self.metrics is not None:
-            self.metrics.counter(f"faults.{kind.value}").inc()
 
     def _matching(self, kinds) -> List[Tuple[FaultRule, _RuleState]]:
         return [(rule, state)

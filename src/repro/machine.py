@@ -50,7 +50,6 @@ from .kernel.pagecache import PageCache
 from .kernel.process import Process
 from .kernel.syscalls import Kernel
 from .nvme.device import NVMeDevice
-from .obs.metrics import MetricsRegistry
 from .obs.monitor import Monitor, MonitorConfig, resolve_monitor_config
 from .sim.cpu import CPUSet
 from .sim.engine import Simulator
@@ -129,10 +128,8 @@ class Machine:
         self.params = params if params is not None else DEFAULT_PARAMS
         self.sim = Simulator(sanitize=sanitize)
         self.tracer = Tracer(self.sim) if trace else NULL_TRACER
-        self.metrics = MetricsRegistry()
         self.faults = self._resolve_injector(faults)
         self.faults.tracer = self.tracer
-        self.faults.metrics = self.metrics
         self.cpus = CPUSet(self.sim, self.params.cpu_cores)
         self.memory = PhysicalMemory(memory_bytes)
         self.iommu = IOMMU(self.params, cache_ftes=cache_ftes)
@@ -249,16 +246,6 @@ class Machine:
         return self.sim.process(thread.run(gen), name=name or thread.name)
 
     # -- observability --------------------------------------------------------
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """The machine's metrics, refreshed from the layer counters.
-
-        Live instruments (fault counters, workload histograms) are
-        already in :attr:`metrics`; this folds in a ``machine.``-prefixed
-        snapshot of :meth:`stats` so one registry holds everything.
-        """
-        self.stats().to_metrics(self.metrics, prefix="machine.")
-        return self.metrics
 
     def write_chrome_trace(self, path, flows: bool = False) -> str:
         """Export the tracer's spans as Chrome trace JSON (Perfetto).

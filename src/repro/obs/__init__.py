@@ -4,9 +4,8 @@ The package re-exports nothing: import each module by its full name, so
 a run loads only the parts it uses (the exporters, for one, pull in
 ``hashlib`` and with it OpenSSL).
 
-* :mod:`repro.obs.metrics` — a registry of counters, gauges, and
-  log-linear histograms (p50/p99/p999 within one bucket's relative
-  error) that absorbs the ad-hoc ``Stats``/counter dicts.
+* :mod:`repro.obs.metrics` — log-linear histograms (p50/p99/p999
+  within one bucket's relative error) for the exemplar reservoir.
 * :mod:`repro.obs.export` — exporters over the hierarchical spans of
   :class:`repro.sim.trace.Tracer`: Chrome ``trace_event`` JSON
   (loadable in Perfetto), collapsed-stack flamegraphs, span-tree

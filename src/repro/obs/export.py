@@ -1,4 +1,4 @@
-"""Exporters over hierarchical spans and metrics.
+"""Exporters over hierarchical spans.
 
 * :func:`chrome_trace_json` — Chrome ``trace_event`` JSON (the
   "JSON Array Format"); load it at https://ui.perfetto.dev or
@@ -37,7 +37,6 @@ __all__ = [
     "write_flamegraph",
     "tree_fingerprint",
     "format_tree",
-    "metrics_json",
 ]
 
 # Synthetic Chrome-trace tid for spans recorded outside any host
@@ -294,9 +293,3 @@ def format_tree(tracer_or_spans, max_roots: Optional[int] = None) -> str:
         render(root, 0)
     return "\n".join(lines)
 
-
-# -- metrics dump -----------------------------------------------------------
-
-def metrics_json(registry) -> str:
-    """Machine-readable metrics dump (deterministic ordering)."""
-    return json.dumps(registry.snapshot(), sort_keys=True, indent=2)

@@ -1,9 +1,10 @@
-"""Metrics registry: counters, gauges, log-linear histograms.
+"""Log-linear latency histograms.
 
-Naming convention (see ``docs/observability.md``): dotted lowercase
-paths, ``<subsystem>.<metric>`` — e.g. ``faults.media_read_error``,
-``fio.lat_ns``, ``machine.device_commands_served``.  Time-valued
-metrics carry a ``_ns`` suffix.
+:class:`Histogram` backs the tail-exemplar reservoir
+(:mod:`repro.obs.exemplar`): it finds each tenant's percentile
+threshold without sorting every sample.  Counters and gauges have no
+registry here; each lives on the layer that counts it (see
+``docs/observability.md``).
 
 The histogram uses HdrHistogram-style log-linear buckets: values below
 ``2**sub_bits`` get exact unit buckets; above that, each power-of-two
@@ -12,44 +13,16 @@ reported quantile is within a relative error of ``2**-sub_bits`` of
 the exact sample.  Percentiles follow the same nearest-rank convention
 as :func:`repro.sim.stats.percentile` (rank = ceil(pct/100 * n)).
 
-Everything is deterministic: snapshots are plain dicts with sorted
-keys, so a JSON dump of the same run is byte-identical.
+Everything is deterministic: :meth:`Histogram.summary` is a plain
+dict, so a JSON dump of the same run is byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing integer (resettable via absorb)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name}: negative increment {n}")
-        self.value += n
-
-
-class Gauge:
-    """A point-in-time numeric value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+__all__ = ["Histogram"]
 
 
 class Histogram:
@@ -210,73 +183,3 @@ class Histogram:
             "p99": self.percentile(99),
             "p999": self.percentile(99.9),
         }
-
-
-class MetricsRegistry:
-    """A flat namespace of metrics, keyed by dotted name.
-
-    ``counter``/``gauge``/``histogram`` create on first use and return
-    the existing instrument afterwards; asking for a name that already
-    holds a different instrument kind is an error.
-    """
-
-    def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def _check_free(self, name: str, own: Dict) -> None:
-        for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges),
-                            ("histogram", self._histograms)):
-            if table is not own and name in table:
-                raise ValueError(f"metric {name!r} already registered "
-                                 f"as a {kind}")
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            self._check_free(name, self._counters)
-            c = self._counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            self._check_free(name, self._gauges)
-            g = self._gauges[name] = Gauge(name)
-        return g
-
-    def histogram(self, name: str, sub_bits: int = 5) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            self._check_free(name, self._histograms)
-            h = self._histograms[name] = Histogram(name, sub_bits)
-        return h
-
-    def absorb_counters(self, values: Dict[str, int],
-                        prefix: str = "") -> None:
-        """Set counters from a snapshot dict (e.g. ``Stats.summary()``).
-
-        Unlike :meth:`Counter.inc` this *sets* the value, so absorbing
-        the same snapshot twice is idempotent.
-        """
-        for key in sorted(values):
-            self.counter(prefix + key).value = int(values[key])
-
-    def counters_snapshot(self) -> Dict[str, int]:
-        return {name: self._counters[name].value
-                for name in sorted(self._counters)}
-
-    def snapshot(self) -> Dict[str, Dict]:
-        """Plain-dict dump with sorted keys (machine-readable export)."""
-        return {
-            "counters": self.counters_snapshot(),
-            "gauges": {name: self._gauges[name].value
-                       for name in sorted(self._gauges)},
-            "histograms": {name: self._histograms[name].summary()
-                           for name in sorted(self._histograms)},
-        }
-
-    def names(self) -> List[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])

@@ -69,6 +69,8 @@ GAUGE_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
+_PERCENTILE_RE = re.compile(r"p(\d+(?:\.\d+)?)")
+
 
 @dataclass(frozen=True)
 class SLO:
@@ -89,14 +91,22 @@ class SLO:
     reduce: str = "max"
     window_ns: int = 0
 
+    def __post_init__(self) -> None:
+        # Checked here, not at the first sampler tick, which would
+        # raise inside the observer process in the middle of a run.
+        if self.reduce in ("max", "mean"):
+            return
+        match = _PERCENTILE_RE.fullmatch(self.reduce)
+        if match is None or not 0.0 <= float(match.group(1)) <= 100.0:
+            raise ValueError(f"unknown SLO reducer: {self.reduce!r} "
+                             f"(want 'max', 'mean' or 'p<0-100>')")
+
     def apply(self, values: List[float]) -> float:
         if self.reduce == "max":
             return max(values)
         if self.reduce == "mean":
             return sum(values) / len(values)
-        if self.reduce.startswith("p"):
-            return percentile(values, float(self.reduce[1:]))
-        raise ValueError(f"unknown SLO reducer: {self.reduce!r}")
+        return percentile(values, float(self.reduce[1:]))
 
 
 @dataclass(frozen=True)
@@ -164,11 +174,11 @@ class Monitor:
     """Periodic telemetry sampler bound to one machine.
 
     Every tick snapshots the gauge set below into per-gauge
-    :class:`TimeSeries` (mirrored into the machine's metrics registry
-    as plain gauges), then evaluates the configured SLOs.  Breaches are
-    edge-triggered: one :class:`Breach` per excursion, stamped into the
-    tracer as a zero-length ``slo`` span and counted in metrics; the
-    per-tick violation count is kept separately in ``breach_ticks``.
+    :class:`TimeSeries`, then evaluates the configured SLOs.  Breaches
+    are edge-triggered: one :class:`Breach` per excursion, kept in
+    ``breaches`` and stamped into the tracer as a zero-length ``slo``
+    span; the per-tick violation count is kept separately in
+    ``breach_ticks``.
     """
 
     def __init__(self, machine, config: Optional[MonitorConfig] = None,
@@ -254,7 +264,6 @@ class Monitor:
         self.samples_taken += 1
         for name, value in self._gauges():
             self._series(name).record(now, value)
-            self.machine.metrics.gauge(name).set(value)
         self._evaluate_slos(now)
 
     # -- SLO evaluation ------------------------------------------------
@@ -281,8 +290,6 @@ class Monitor:
                     self.machine.tracer.record("slo",
                                                f"breach:{slo.name}",
                                                now, now)
-                    self.machine.metrics.counter(
-                        f"slo.{slo.name}.breaches").inc()
             self._in_breach[slo.name] = violated
 
     @property

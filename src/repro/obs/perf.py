@@ -125,9 +125,4 @@ def measure_breakdown(config: PerfConfig,
     out.device_ns = sides["device"] / config.ops
     out.layers = {label: ns / config.ops
                   for label, ns in sorted(layers.items())}
-
-    # Fold the window's latencies into the machine's metrics registry
-    # so exports see the same numbers the table reports.
-    hist = m.metrics.histogram(f"perf.{config.name}.lat_ns")
-    hist.record_many(out.samples)
     return out

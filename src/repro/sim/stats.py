@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,7 +18,6 @@ __all__ = [
     "LatencyRecorder",
     "ThroughputCounter",
     "TimeSeries",
-    "BreakdownRecorder",
     "Stats",
     "percentile",
 ]
@@ -74,26 +73,6 @@ class LatencyRecorder:
 
     def percentile_us(self, pct: float) -> float:
         return self.percentile_ns(pct) / NS_PER_US
-
-    @property
-    def min_ns(self) -> int:
-        return min(self.samples)
-
-    @property
-    def max_ns(self) -> int:
-        return max(self.samples)
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        self.samples.extend(other.samples)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean_us": self.mean_us,
-            "p50_us": self.percentile_us(50),
-            "p99_us": self.percentile_us(99),
-            "p999_us": self.percentile_us(99.9),
-        }
 
 
 class ThroughputCounter:
@@ -154,17 +133,12 @@ class TimeSeries:
     common monotonic case (a sampler only moves forward in simulated
     time) and falls back to an insertion sort for out-of-order times,
     so ``between`` can bisect instead of scanning.  Windowed SLO
-    evaluation over a long run is then O(log n + k) per window rather
-    than O(n) — see the reducers below.
+    evaluation over a long run (:class:`repro.obs.monitor.SLO`) is then
+    O(log n + k) per window rather than O(n).
     """
 
     name: str = "series"
     samples: List[Tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def points(self) -> List[Tuple[int, float]]:
-        """Alias kept for pre-telemetry callers (read-only use)."""
-        return self.samples
 
     def record(self, now_ns: int, value: float) -> None:
         sample = (int(now_ns), float(value))
@@ -189,24 +163,6 @@ class TimeSeries:
     def latest(self) -> Optional[Tuple[int, float]]:
         return self.samples[-1] if self.samples else None
 
-    # -- windowed reducers (SLO evaluation) ----------------------------
-
-    def window_mean(self, t0_ns: int, t1_ns: int) -> float:
-        vals = self.between(t0_ns, t1_ns)
-        if not vals:
-            raise ValueError(f"{self.name}: empty window")
-        return sum(vals) / len(vals)
-
-    def window_max(self, t0_ns: int, t1_ns: int) -> float:
-        vals = self.between(t0_ns, t1_ns)
-        if not vals:
-            raise ValueError(f"{self.name}: empty window")
-        return max(vals)
-
-    def window_percentile(self, t0_ns: int, t1_ns: int,
-                          pct: float) -> float:
-        return percentile(self.between(t0_ns, t1_ns), pct)
-
     def summary(self) -> Dict[str, float]:
         """Deterministic whole-series digest (telemetry dumps)."""
         vals = self.values()
@@ -219,46 +175,6 @@ class TimeSeries:
             "mean": sum(vals) / len(vals),
             "last": vals[-1],
         }
-
-
-class BreakdownRecorder:
-    """Per-component time accounting (Table 1 / Figure 7 style)."""
-
-    def __init__(self, components: Sequence[str]):
-        self.components = list(components)
-        self.totals: Dict[str, int] = {c: 0 for c in self.components}
-        self.ops = 0
-
-    def record(self, **component_ns: int) -> None:
-        for name, ns in component_ns.items():
-            if name not in self.totals:
-                raise KeyError(f"unknown breakdown component: {name}")
-            self.totals[name] += int(ns)
-        self.ops += 1
-
-    def mean_ns(self, component: str) -> float:
-        if self.ops == 0:
-            raise ValueError("no operations recorded")
-        return self.totals[component] / self.ops
-
-    def mean_us(self, component: str) -> float:
-        return self.mean_ns(component) / NS_PER_US
-
-    def total_mean_ns(self) -> float:
-        if self.ops == 0:
-            raise ValueError("no operations recorded")
-        return sum(self.totals.values()) / self.ops
-
-    def shares(self) -> Dict[str, float]:
-        total = sum(self.totals.values())
-        if total == 0:
-            return {c: 0.0 for c in self.components}
-        return {c: self.totals[c] / total for c in self.components}
-
-    def rows(self) -> List[Tuple[str, float, float]]:
-        """(component, mean ns, share) rows like Table 1."""
-        shares = self.shares()
-        return [(c, self.mean_ns(c), shares[c]) for c in self.components]
 
 
 @dataclass
@@ -323,41 +239,17 @@ class Stats:
     def summary(self) -> Dict[str, int]:
         """Flat counter dict, injector counts prefixed ``injected_``.
 
-        Deterministic key order; two same-seed runs must compare equal
-        key for key (the acceptance criterion for reproducible fault
-        schedules).
+        Keys follow the field declaration order, then the sorted
+        injector kinds; two same-seed runs must compare equal key for
+        key (the acceptance criterion for reproducible fault
+        schedules), and the chaos result fingerprints hash them.
         """
-        out: Dict[str, int] = {
-            "commands_served": self.commands_served,
-            "commands_failed": self.commands_failed,
-            "commands_aborted": self.commands_aborted,
-            "dropped_completions": self.dropped_completions,
-            "translation_faults": self.translation_faults,
-            "driver_timeouts": self.driver_timeouts,
-            "driver_aborts": self.driver_aborts,
-            "driver_retries": self.driver_retries,
-            "driver_io_errors": self.driver_io_errors,
-            "userlib_faults_handled": self.userlib_faults_handled,
-            "userlib_kernel_fallbacks": self.userlib_kernel_fallbacks,
-            "userlib_io_retries": self.userlib_io_retries,
-            "userlib_io_errors": self.userlib_io_errors,
-            "userlib_io_timeouts": self.userlib_io_timeouts,
-            "userlib_async_write_errors": self.userlib_async_write_errors,
-            "crashes": self.crashes,
-            "slo_breaches": self.slo_breaches,
-        }
+        out: Dict[str, int] = {f.name: getattr(self, f.name)
+                               for f in fields(self)
+                               if f.name != "injected"}
         for kind, n in sorted(self.injected.items()):
             out[f"injected_{kind}"] = n
         return out
-
-    def to_metrics(self, registry, prefix: str = "machine.") -> None:
-        """Mirror this snapshot into a metrics registry as counters.
-
-        Values are *set*, not incremented, so refreshing from a newer
-        snapshot is idempotent (see
-        :meth:`repro.obs.metrics.MetricsRegistry.absorb_counters`).
-        """
-        registry.absorb_counters(self.summary(), prefix=prefix)
 
     def nonzero(self) -> Dict[str, int]:
         return {k: v for k, v in self.summary().items() if v}

@@ -3,9 +3,11 @@
 A :class:`Tracer` records hierarchical spans against simulated time.
 Models open spans around their phases — UserLib around an operation,
 the kernel around its layers, the device around media/transfer — and
-analysis code aggregates them into the user/kernel/device breakdowns
-of Table 1 and Figure 7, *measured* rather than recomputed from
-constants.
+:mod:`repro.obs.attribution` folds each operation's span tree into
+the user/kernel/device breakdowns of Table 1 and Figure 7, *measured*
+rather than recomputed from constants.  Nested spans overlap, so a
+plain sum of span durations counts the same nanosecond more than
+once; the fold charges every nanosecond to exactly one side.
 
 Spans form trees.  Every span carries
 
@@ -310,38 +312,6 @@ class Tracer:
             yield
         finally:
             self.end(token)
-
-    # -- analysis ------------------------------------------------------------
-
-    def total_ns(self, category: str,
-                 label: Optional[str] = None) -> int:
-        return sum(s.duration_ns for s in self.spans
-                   if s.category == category
-                   and (label is None or s.label == label))
-
-    def by_category(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for s in self.spans:
-            out[s.category] = out.get(s.category, 0) + s.duration_ns
-        return out
-
-    def by_label(self, category: str) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for s in self.spans:
-            if s.category == category:
-                out[s.label] = out.get(s.label, 0) + s.duration_ns
-        return out
-
-    def between(self, t0: int, t1: int) -> List[Span]:
-        return [s for s in self.spans
-                if s.start_ns >= t0 and s.end_ns <= t1]
-
-    def traces(self) -> Dict[int, List[Span]]:
-        """Spans grouped by trace id, in recording order."""
-        out: Dict[int, List[Span]] = {}
-        for s in self.spans:
-            out.setdefault(s.trace_id, []).append(s)
-        return out
 
     def clear(self) -> None:
         """Drop recorded spans (open spans keep accumulating)."""

@@ -31,10 +31,25 @@ def serial():
     return run(SUBSET, jobs=1)
 
 
+@pytest.fixture(scope="module")
+def parallel():
+    """One ``jobs=4`` run of ``SUBSET`` per start method, shared by
+    every test here that compares it with the serial run."""
+    runs = {}
+
+    def get(start_method):
+        if start_method not in runs:
+            runs[start_method] = run(SUBSET, jobs=4,
+                                     start_method=start_method)
+        return runs[start_method]
+
+    return get
+
+
 @pytest.mark.parametrize("start_method", START_METHODS)
-def test_parallel_output_byte_identical(serial, start_method):
+def test_parallel_output_byte_identical(serial, parallel, start_method):
     serial_out, serial_report = serial
-    par_out, par_report = run(SUBSET, jobs=4, start_method=start_method)
+    par_out, par_report = parallel(start_method)
     assert par_out == serial_out
     assert par_report.merged_counters() == serial_report.merged_counters()
     # Workers really built machines (the experiments simulate).
@@ -42,9 +57,9 @@ def test_parallel_output_byte_identical(serial, start_method):
     assert any(ns > 0 for ns in sim_ns)
 
 
-def test_parallel_stats_identical_to_serial(serial):
+def test_parallel_stats_identical_to_serial(serial, parallel):
     _, serial_report = serial
-    _, par_report = run(SUBSET, jobs=4, start_method="fork")
+    _, par_report = parallel("fork")
     for s, p in zip(serial_report.results, par_report.results):
         assert s.experiment == p.experiment
         assert s.payload["table"] == p.payload["table"]

@@ -32,11 +32,15 @@ def _run_reads(m, engine_name, ops=4):
     return m.tracer
 
 
-def _by_category(spans):
+def _group(spans, key):
     out = {}
     for s in spans:
-        out.setdefault(s.category, []).append(s)
+        out.setdefault(getattr(s, key), []).append(s)
     return out
+
+
+def _by_category(spans):
+    return _group(spans, "category")
 
 
 class TestNesting:
@@ -55,7 +59,7 @@ class TestNesting:
                 assert outer.start_ns <= nvme_span.start_ns
                 assert nvme_span.end_ns <= outer.end_ns
         # All spans of one read share its trace id.
-        for spans in tracer.traces().values():
+        for spans in _group(tracer.spans, "trace_id").values():
             roots = [s for s in spans if s.is_root]
             assert len(roots) == 1
             assert roots[0].category == "syscall"
@@ -73,13 +77,13 @@ class TestNesting:
                           ancestor_chain(nvme_span, index)]
             assert "device" in chain_cats
             assert chain_cats[-1] == "op"     # root of the tree
-        assert len(tracer.traces()) == ops    # one tree per pread
+        assert len(_group(tracer.spans, "trace_id")) == ops  # one per pread
 
 
 class TestRetrySpans:
     """Under an injected media error the span tree must show the retry:
-    N+1 device attempts under one operation, matching the Stats and
-    metrics counters exactly."""
+    N+1 device attempts under one operation, matching the Stats
+    counters and the injector's counts exactly."""
 
     def test_sync_retry_produces_two_device_spans(self):
         m = _machine(faults=FaultPlan().media_read_errors(nth=1, count=1))
@@ -98,9 +102,8 @@ class TestRetrySpans:
             assert syscall_id in chain_ids
         # The injector recorded the fault as a span too...
         assert len(cats["fault"]) == 1
-        # ...and mirrored it into the machine's metrics registry.
-        counters = m.metrics.counters_snapshot()
-        assert counters["faults.media_read_error"] == 1
+        # ...and counted it once, where Stats reads it.
+        assert m.faults.counts["media_read_error"] == 1
 
     def test_bypassd_retry_produces_two_device_spans(self):
         m = _machine(faults=FaultPlan().media_read_errors(nth=1, count=1))
@@ -115,16 +118,5 @@ class TestRetrySpans:
         for dev in cats["device"]:
             chain_ids = [s.span_id for s in ancestor_chain(dev, index)]
             assert op_id in chain_ids
-        assert m.metrics.counters_snapshot()[
-            "faults.media_read_error"] == 1
+        assert m.faults.counts["media_read_error"] == 1
 
-    def test_stats_mirror_into_registry(self):
-        m = _machine(faults=FaultPlan().media_read_errors(nth=1, count=1))
-        _run_reads(m, "sync", ops=1)
-        registry = m.metrics_registry()
-        counters = registry.counters_snapshot()
-        summary = m.stats().summary()
-        for key, value in summary.items():
-            assert counters[f"machine.{key}"] == value
-        assert counters["machine.driver_retries"] == 1
-        assert counters["machine.injected_media_read_error"] == 1

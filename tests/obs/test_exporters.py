@@ -1,5 +1,5 @@
 """Exporter unit tests: Chrome trace shape, flamegraph self-time
-accounting, fingerprint sensitivity, tree rendering, metrics dump."""
+accounting, fingerprint sensitivity, tree rendering."""
 
 import json
 
@@ -9,13 +9,11 @@ from repro.obs.export import (
     chrome_trace_json,
     collapsed_stacks,
     format_tree,
-    metrics_json,
     span_index,
     tree_fingerprint,
     write_chrome_trace,
     write_flamegraph,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.trace import Span
 
 # A tiny hand-built forest: one host op with a kernel child and a
@@ -137,44 +135,6 @@ class TestTreeHelpers:
         assert format_tree(FOREST, max_roots=99) == format_tree(FOREST)
         assert format_tree(FOREST, max_roots=0) == ""
         assert format_tree([], max_roots=3) == ""
-
-
-def test_metrics_json_deterministic():
-    r = MetricsRegistry()
-    r.counter("b").inc(2)
-    r.counter("a").inc(1)
-    r.histogram("h").record_many([5, 6, 7])
-    text = metrics_json(r)
-    doc = json.loads(text)
-    assert doc["counters"] == {"a": 1, "b": 2}
-    assert doc["histograms"]["h"]["count"] == 3
-    assert text == metrics_json(r)
-    assert text.index('"a"') < text.index('"b"')
-
-
-def test_metrics_json_mixed_kind_ordering():
-    """Key order is pinned per section, regardless of registration
-    order, with counters/gauges/histograms sharing name prefixes."""
-    r = MetricsRegistry()
-    r.histogram("io.lat_ns").record(10)
-    r.counter("io.ops").inc(4)
-    r.gauge("io.depth").set(2.5)
-    r.counter("faults.count").inc()
-    r.gauge("nvme.qp1.inflight").set(1.0)
-    text = metrics_json(r)
-    doc = json.loads(text)
-    assert list(doc) == ["counters", "gauges", "histograms"]
-    assert list(doc["counters"]) == ["faults.count", "io.ops"]
-    assert list(doc["gauges"]) == ["io.depth", "nvme.qp1.inflight"]
-    assert list(doc["histograms"]) == ["io.lat_ns"]
-    # Byte-stable: re-registering in a different order changes nothing.
-    r2 = MetricsRegistry()
-    r2.gauge("nvme.qp1.inflight").set(1.0)
-    r2.counter("faults.count").inc()
-    r2.gauge("io.depth").set(2.5)
-    r2.counter("io.ops").inc(4)
-    r2.histogram("io.lat_ns").record(10)
-    assert metrics_json(r2) == text
 
 
 class TestCounterEvents:

@@ -1,4 +1,4 @@
-"""Property tests for the log-linear histogram and the registry.
+"""Property tests for the log-linear histogram.
 
 The histogram promises: exact count/sum/min/max; any reported
 percentile falls in the same bucket as the exact nearest-rank
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.sim.stats import percentile as exact_percentile
 
 samples = st.lists(st.integers(min_value=0, max_value=1 << 40),
@@ -178,39 +178,3 @@ def test_merge_with_empty_side_is_identity(values):
     e.merge(Histogram("e2"))
     assert e.summary() == {"count": 0, "sum": 0}
 
-
-def test_registry_create_on_first_use_and_kind_collision():
-    r = MetricsRegistry()
-    c = r.counter("x.count")
-    assert r.counter("x.count") is c
-    c.inc(3)
-    assert c.value == 3
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    with pytest.raises(ValueError):
-        r.gauge("x.count")
-    with pytest.raises(ValueError):
-        r.histogram("x.count")
-    r.gauge("x.g").set(1.5)
-    r.histogram("x.h").record(10)
-    assert r.names() == ["x.count", "x.g", "x.h"]
-
-
-def test_absorb_counters_is_idempotent():
-    r = MetricsRegistry()
-    snap = {"a": 3, "b": 0}
-    r.absorb_counters(snap, prefix="machine.")
-    r.absorb_counters(snap, prefix="machine.")
-    assert r.counters_snapshot() == {"machine.a": 3, "machine.b": 0}
-
-
-def test_snapshot_shape():
-    r = MetricsRegistry()
-    r.counter("c").inc()
-    r.gauge("g").set(2.0)
-    r.histogram("h").record_many([1, 2, 3])
-    snap = r.snapshot()
-    assert set(snap) == {"counters", "gauges", "histograms"}
-    assert snap["counters"] == {"c": 1}
-    assert snap["gauges"] == {"g": 2.0}
-    assert snap["histograms"]["h"]["count"] == 3

@@ -72,14 +72,6 @@ class TestSampler:
         # The whole gauge set follows the documented scheme (SIM012).
         assert all(GAUGE_NAME_RE.match(n) for n in names)
 
-    def test_gauges_mirrored_into_metrics(self):
-        m = _machine(monitor=True)
-        _small_fio(m)
-        snap = m.metrics.snapshot()["gauges"]
-        assert "nvme.device.inflight" in snap
-        assert snap["kernel.pagecache.hit_rate"] == \
-            m.monitor.series["kernel.pagecache.hit_rate"].latest[1]
-
     def test_run_terminates_with_monitor(self):
         # The periodic sampler must never keep the simulation alive.
         m = _machine(monitor=True)
@@ -115,7 +107,8 @@ class TestSLO:
         assert len(spans) == 1
         assert spans[0].label == "breach:latency"
         assert spans[0].start_ns == spans[0].end_ns
-        assert m.metrics.counter("slo.latency.breaches").value == 1
+        assert [(b.slo, b.value) for b in mon.breaches] == \
+            [("latency", 99.0)]
 
     def test_windowed_reduction(self):
         m = _machine()
@@ -135,6 +128,20 @@ class TestSLO:
             == 2.0
         with pytest.raises(ValueError):
             SLO("s", "x", 1.0, reduce="median").apply([1.0])
+
+    @pytest.mark.parametrize("reduce", ["p99.9x", "p150", "p", "p1e1",
+                                        "P99", ""])
+    def test_invalid_reducer_rejected_when_built(self, reduce):
+        # Caught at construction, not at the first sampler tick with
+        # data, where it would raise inside the observer process.
+        with pytest.raises(ValueError, match="unknown SLO reducer"):
+            SLO("x", "a.b", 1.0, reduce=reduce)
+
+    @pytest.mark.parametrize("reduce", ["max", "mean", "p0", "p99",
+                                        "p99.9", "p100"])
+    def test_valid_reducers_accepted(self, reduce):
+        slo = SLO("x", "a.b", 1.0, reduce=reduce)
+        assert slo.apply([1.0, 2.0, 3.0]) >= 1.0
 
     def test_missing_series_never_breaches(self):
         m = _machine()

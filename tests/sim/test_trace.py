@@ -3,6 +3,7 @@
 import pytest
 
 from repro import GiB, Machine
+from repro.obs.attribution import fold_sides, waterfalls
 from repro.sim.cpu import CPUSet
 from repro.sim.engine import Simulator
 from repro.sim.trace import (NULL_TRACER, Span, TraceError, Tracer,
@@ -28,8 +29,8 @@ class TestTracerUnit:
         sim.timeout(250)
         sim.run()
         tracer.end(token)
-        assert tracer.total_ns("kernel") == 250
-        assert tracer.by_label("kernel") == {"vfs": 250}
+        assert [(s.category, s.label, s.duration_ns)
+                for s in tracer.spans] == [("kernel", "vfs", 250)]
 
     def test_context_manager(self):
         sim = Simulator()
@@ -37,16 +38,8 @@ class TestTracerUnit:
         with tracer.span("device", "io"):
             sim.timeout(77)
             sim.run()
-        assert tracer.total_ns("device", "io") == 77
-
-    def test_by_category_and_between(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.record("a", "x", 0, 10)
-        tracer.record("a", "y", 10, 30)
-        tracer.record("b", "z", 5, 6)
-        assert tracer.by_category() == {"a": 30, "b": 1}
-        assert len(tracer.between(0, 10)) == 2
+        assert [(s.category, s.label, s.duration_ns)
+                for s in tracer.spans] == [("device", "io", 77)]
 
     def test_clear(self):
         sim = Simulator()
@@ -165,7 +158,9 @@ class TestHierarchy:
             tok = tracer.begin("op", label, thread=t)
             tracer.record("nvme", "media", 0, 1, thread=t)
             tracer.end(tok)
-        groups = tracer.traces()
+        groups = {}
+        for s in tracer.spans:
+            groups.setdefault(s.trace_id, []).append(s)
         assert len(groups) == 2
         for spans in groups.values():
             assert {s.category for s in spans} == {"op", "nvme"}
@@ -256,21 +251,28 @@ class TestMeasuredBreakdown:
         total = m.run_process(body())
         return m.tracer, total, ops
 
+    def _sides(self, tracer, ops):
+        folded = waterfalls(tracer)
+        assert len(folded) == ops
+        sides, _ = fold_sides(folded)
+        return {side: ns / ops for side, ns in sides.items()}
+
     def test_sync_measured_device_share(self):
         tracer, total, ops = self._run_reads("sync")
-        device = tracer.total_ns("device") / ops
-        syscall = tracer.total_ns("syscall") / ops
-        assert abs(syscall - total) < 5  # syscall span covers the op
+        sides = self._sides(tracer, ops)
+        # The sides partition each op: they add up to its latency.
+        assert abs(sum(sides.values()) - total) < 5
+        assert sides["user"] == 0
         # Table 1: device is ~51% of a sync 4KB read.
-        assert 0.47 < device / total < 0.55
-        kernel = syscall - device
-        assert abs(kernel - 3830) < 100
+        assert 0.47 < sides["device"] / total < 0.55
+        assert abs(sides["kernel"] - 3830) < 100
 
     def test_bypassd_measured_no_kernel(self):
         tracer, total, ops = self._run_reads("bypassd")
-        assert tracer.total_ns("syscall") == 0   # no kernel crossings
-        device = tracer.total_ns("device") / ops
-        user = tracer.total_ns("user") / ops
+        sides = self._sides(tracer, ops)
+        assert sides["kernel"] == 0   # no kernel crossings
+        device = sides["device"]
+        user = sides["user"]
         # Figure 7: almost everything is device; UserLib is tiny.
         assert device / total > 0.9
         assert 0 < user < 500

@@ -17,6 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 UNWANTED = [
     "hashlib",
     "repro.obs.export",
+    "repro.obs.metrics",
     "repro.obs.attribution",
     "repro.obs.exemplar",
     "repro.obs.timings",
