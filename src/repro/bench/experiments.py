@@ -141,8 +141,7 @@ def table4_iommu_overheads() -> ResultTable:
     pt = PageTable()
     iommu.bind_pasid(1, pt)
     base = 0x5000_0000_0000
-    for i in range(300):
-        pt.map_page(base + i * PAGE_SIZE, pfn=i + 1)
+    pt.map_pages(base, range(1, 301))
     engine = IOATEngine(params, iommu=iommu, pasid=1)
 
     engine.copy(base, base + PAGE_SIZE, 64)  # warm both translations

@@ -13,6 +13,14 @@ absent entry, which the IOMMU turns into a translation fault and
 UserLib into a kernel-path retry.  Filling a hole or growing the tail
 updates the shared leaves in place — visible to every attached process
 at once; only brand-new leaves need (re-)attachment.
+
+A leaf that one extent run covers whole is held as its first FTE until
+first touched (:class:`~repro.hw.pagetable.RunLeaf`): the first walk,
+``fill_run``, ``truncate_pages``, ``has_entry`` or ``iter_present`` that
+reads it builds its 512 entries, once, for every process that links it.
+A cold build therefore stores one FTE per whole 2 MiB leaf; the
+simulated cost still charges ``fte_write_ns`` for every FTE, as the
+kernel writes them all, and ``memory_bytes`` still one page per leaf.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from ..hw.pagetable import (
     LEVEL_PT,
     PMD_SPAN,
     PageTableNode,
+    RunLeaf,
     fill_run,
-    fte_block,
     fte_range,
     pte_present,
 )
@@ -104,17 +112,25 @@ class FileTable:
             n = min(PAGES_PER_LEAF - slot, count - done)
             leaf = self.leaves[leaf_idx]
             if leaf is None and n == PAGES_PER_LEAF:
-                # A whole new leaf takes the builder's exact array as is.
-                self.leaves[leaf_idx] = PageTableNode(
-                    LEVEL_PT, fte_block(entries[done], n))
-                new_leaves.append(leaf_idx)
+                # Whole new leaves, up to the run's tail or the next
+                # existing leaf, keep their first FTE until first read.
+                stop = leaf_idx + (count - done) // PAGES_PER_LEAF
+                span = self.leaves[leaf_idx:stop]
+                if any(span):
+                    stop = leaf_idx + next(i for i, node in enumerate(span)
+                                           if node is not None)
+                n = (stop - leaf_idx) * PAGES_PER_LEAF
+                self.leaves[leaf_idx:stop] = map(
+                    RunLeaf, entries[done:done + n:PAGES_PER_LEAF])
+                new_leaves.extend(range(leaf_idx, stop))
+                leaf_idx = stop
             else:
                 if leaf is None:
                     leaf = self.leaves[leaf_idx] = PageTableNode(LEVEL_PT)
                     new_leaves.append(leaf_idx)
                 fill_run(leaf.entries, slot, entries[done:done + n])
+                leaf_idx += 1
             done += n
-            leaf_idx += 1
             slot = 0
         self.pages = max(self.pages, end)
         cost = count * params.fte_write_ns

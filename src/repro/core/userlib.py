@@ -114,9 +114,8 @@ class UserLib(GuardedIO):
             buf = self.memory.alloc_dma_buffer(_DMA_BUFFER_BYTES,
                                                self.proc.pasid)
             # Map the pinned buffer so the IOMMU can validate device DMA.
-            pt = self.proc.aspace.page_table
-            for i, frame in enumerate(buf.frames):
-                pt.map_page(buf.iova + i * 4096, frame, writable=True)
+            self.proc.aspace.page_table.map_pages(buf.iova, buf.frames,
+                                                  writable=True)
             ctx = _ThreadCtx(qp, buf)
             self._ctxs[thread.tid] = ctx
         return ctx

@@ -6,7 +6,8 @@ one ``array("Q")`` of 512 unsigned 64-bit integers — exactly the 4 KiB
 page that ``memory_bytes`` charges per node — and each entry is
 bit-packed so that the FTE format of the paper's Figure 3 —
 DevID | FT | Logical Block Address | ... | R/W — is represented
-faithfully and round-trips through encode/decode.
+faithfully and round-trips through encode/decode.  A :class:`RunLeaf`
+(a leaf one extent run covers whole) builds that array on first read.
 
 Bit layout (leaf entries):
 
@@ -54,6 +55,7 @@ __all__ = [
     "fte_lba",
     "fte_devid",
     "PageTableNode",
+    "RunLeaf",
     "WalkResult",
     "PageTable",
     "level_span",
@@ -81,6 +83,7 @@ _FT = 1 << 58
 _FRAME_SHIFT = 12
 _FRAME_MASK = ((1 << 40) - 1) << _FRAME_SHIFT
 _FRAME_STEP = 1 << _FRAME_SHIFT  # between entries of consecutive frames
+_PFN_LIMIT = 1 << 40
 _DEVID_SHIFT = 52
 _DEVID_MASK = 0x3F << _DEVID_SHIFT
 
@@ -109,7 +112,7 @@ def _index(va: int, level: int) -> int:
 def pte_encode(pfn: int, writable: bool = True, user: bool = True,
                present: bool = True) -> int:
     """Encode a regular page table entry."""
-    if pfn < 0 or pfn >= (1 << 40):
+    if pfn < 0 or pfn >= _PFN_LIMIT:
         raise ValueError(f"PFN out of range: {pfn}")
     entry = (pfn << _FRAME_SHIFT) & _FRAME_MASK
     if present:
@@ -213,16 +216,11 @@ class PageTableNode:
 
     __slots__ = ("level", "entries", "children")
 
-    def __init__(self, level: int,
-                 entries: "Optional[array[int]]" = None):
+    def __init__(self, level: int):
         if not LEVEL_PT <= level <= LEVEL_PGD:
             raise ValueError(f"bad node level {level}")
-        if entries is None:
-            entries = array("Q", [0]) * ENTRIES_PER_NODE
-        elif entries.typecode != "Q" or len(entries) != ENTRIES_PER_NODE:
-            raise ValueError("a node's entries are 512 uint64s")
         self.level = level
-        self.entries = entries
+        self.entries = array("Q", [0]) * ENTRIES_PER_NODE
         self.children: Optional[List[Optional["PageTableNode"]]] = (
             None if level == LEVEL_PT else [None] * ENTRIES_PER_NODE
         )
@@ -243,6 +241,33 @@ class PageTableNode:
                 if child is not None:
                     total += child.node_count()
         return total
+
+
+class RunLeaf(PageTableNode):
+    """A PT leaf whose 512 entries count up one frame at a time from
+    the FTE ``first``: a 2 MiB stretch that one extent run covers whole.
+
+    The leaf holds only ``first`` until something reads ``entries``; that
+    read fills the slot once with :func:`fte_block`, and every later read
+    (a walk, an in-place update) is a plain slot access.  Process page
+    tables link the leaf object itself, so the first read from any of
+    them builds it for all.
+    """
+
+    __slots__ = ("first",)
+
+    def __init__(self, first: int):
+        self.level = LEVEL_PT
+        self.children = None
+        self.first = first
+
+    def __getattr__(self, name: str):
+        # Only reached while a slot is unset.
+        if name != "entries":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = self.entries = fte_block(self.first, ENTRIES_PER_NODE)
+        return entries
 
 
 @dataclass
@@ -272,6 +297,39 @@ class PageTable:
 
     def map_page(self, va: int, pfn: int, writable: bool = True) -> None:
         self._set_leaf(va, pte_encode(pfn, writable=writable))
+
+    def map_pages(self, va: int, pfns: Sequence[int],
+                  writable: bool = True) -> None:
+        """``map_page(va + i * PAGE_SIZE, pfns[i])`` for every ``i``,
+        with one leaf lookup and one slice assignment per leaf.
+
+        A bad PFN or VA raises the error the per-page loop would raise
+        first, before any page is mapped.
+        """
+        count = len(pfns)
+        if not count:
+            return
+        # Pages [0, fits) lie inside the 48-bit VA space; the loop
+        # checks a page's PFN before its VA.
+        fits = (0 if va < 0 else
+                min(count, max(0, -(-(VA_LIMIT - va) // PAGE_SIZE))))
+        reached = pfns[:fits + 1]
+        if reached and (min(reached) < 0 or max(reached) >= _PFN_LIMIT):
+            bad = next(p for p in reached if not 0 <= p < _PFN_LIMIT)
+            raise ValueError(f"PFN out of range: {bad}")
+        if fits < count:
+            self._check_va(va + fits * PAGE_SIZE)
+        flags = _PRESENT | _USER | (_WRITABLE if writable else 0)
+        entries = array("Q", [pfn << _FRAME_SHIFT | flags for pfn in pfns])
+        done = 0
+        while done < count:
+            page_va = va + done * PAGE_SIZE
+            node = self._leaf_node(page_va, create=True)
+            assert node is not None
+            slot = _index(page_va, LEVEL_PT)
+            n = min(count - done, ENTRIES_PER_NODE - slot)
+            node.entries[slot:slot + n] = entries[done:done + n]
+            done += n
 
     def map_file_page(self, va: int, lba: int, devid: int,
                       writable: bool = True) -> None:

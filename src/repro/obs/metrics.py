@@ -8,19 +8,16 @@ registry here; each lives on the layer that counts it (see
 
 The histogram uses HdrHistogram-style log-linear buckets: values below
 ``2**sub_bits`` get exact unit buckets; above that, each power-of-two
-range is split into ``2**sub_bits`` linear sub-buckets, so any
-reported quantile is within a relative error of ``2**-sub_bits`` of
-the exact sample.  Percentiles follow the same nearest-rank convention
-as :func:`repro.sim.stats.percentile` (rank = ceil(pct/100 * n)).
-
-Everything is deterministic: :meth:`Histogram.summary` is a plain
-dict, so a JSON dump of the same run is byte-identical.
+range is split into ``2**sub_bits`` linear sub-buckets, so the bucket
+that holds a quantile is within a relative error of ``2**-sub_bits``
+of the exact sample.  Ranks follow the same nearest-rank convention as
+:func:`repro.sim.stats.percentile` (rank = ceil(pct/100 * n)).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["Histogram"]
 
@@ -29,14 +26,7 @@ class Histogram:
     """Fixed-bucket log-linear histogram of non-negative integers.
 
     ``sub_bits=5`` (the default) bounds the relative quantile error at
-    1/32 ≈ 3.1%; count and sum are exact.
-
-    Empty-histogram contract (pinned by tests): quantile accessors
-    (:meth:`percentile`, :attr:`mean`) raise ``ValueError("no
-    samples")`` — a percentile of nothing is a bug at the call site,
-    not a zero — while :meth:`summary` degrades gracefully to
-    ``{"count": 0, "sum": 0}`` so dumps of idle registries stay valid.
-    :meth:`merge` treats an empty side as the identity.
+    1/32 ≈ 3.1%; count, sum, min and max are exact.
     """
 
     __slots__ = ("name", "sub_bits", "counts", "count", "sum",
@@ -89,52 +79,7 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def record_many(self, values: Iterable[int]) -> None:
-        for v in values:
-            self.record(v)
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into self (same sub_bits required).
-
-        Merging an empty histogram is the identity, in either
-        direction: counts, sum and min/max are unaffected by the
-        empty side.
-        """
-        if other.sub_bits != self.sub_bits:
-            raise ValueError("cannot merge histograms with different "
-                             f"sub_bits: {self.sub_bits} vs {other.sub_bits}")
-        for idx, n in other.counts.items():
-            self.counts[idx] = self.counts.get(idx, 0) + n
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None
-                                      or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None
-                                      or other.max > self.max):
-            self.max = other.max
-
     # -- quantiles ---------------------------------------------------------
-
-    def percentile(self, pct: float) -> int:
-        """Nearest-rank percentile, reported as the containing bucket's
-        upper bound (clamped to the observed max).
-
-        Raises ``ValueError`` when the histogram is empty (see the
-        class docstring for the empty-histogram contract).
-        """
-        if self.count == 0:
-            raise ValueError("no samples")
-        if pct <= 0:
-            return int(self.min)  # type: ignore[arg-type]
-        rank = min(self.count, math.ceil(pct / 100.0 * self.count))
-        cum = 0
-        for idx in sorted(self.counts):
-            cum += self.counts[idx]
-            if cum >= rank:
-                _, upper = self.bucket_bounds(idx)
-                return min(upper, self.max)  # type: ignore[arg-type]
-        raise AssertionError("unreachable: rank exceeded total count")
 
     def quantile_bounds(self, pct: float) -> Tuple[int, int]:
         """Exact inclusive ``(lower, upper)`` value bounds of the
@@ -143,12 +88,13 @@ class Histogram:
         The true sample at that rank lies inside these bounds — the
         log-linear layout makes ``upper - lower < lower / 2**sub_bits``
         above the linear range, which is where the ≤1/32 relative-error
-        contract comes from.  Unlike :meth:`percentile` the bounds are
-        *not* clamped to the observed max: they describe the bucket,
-        so thresholds derived from ``lower`` (the exemplar reservoir)
-        admit exactly the samples that landed in or above the bucket.
+        contract comes from.  The bounds are *not* clamped to the
+        observed max: they describe the bucket, so thresholds derived
+        from ``lower`` (the exemplar reservoir) admit exactly the
+        samples that landed in or above the bucket.
 
-        Raises ``ValueError`` on an empty histogram.
+        Raises ``ValueError("no samples")`` on an empty histogram: a
+        quantile of nothing is a bug at the call site, not a zero.
         """
         if self.count == 0:
             raise ValueError("no samples")
@@ -161,25 +107,3 @@ class Histogram:
             if cum >= rank:
                 return self.bucket_bounds(idx)
         raise AssertionError("unreachable: rank exceeded total count")
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("no samples")
-        return self.sum / self.count
-
-    def summary(self) -> Dict[str, float]:
-        """Deterministic digest; an empty histogram yields exactly
-        ``{"count": 0, "sum": 0}`` (no min/max/quantile keys)."""
-        if self.count == 0:
-            return {"count": 0, "sum": 0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": int(self.min),       # type: ignore[arg-type]
-            "max": int(self.max),       # type: ignore[arg-type]
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "p999": self.percentile(99.9),
-        }

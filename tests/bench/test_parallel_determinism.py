@@ -72,12 +72,20 @@ def test_parallel_stats_identical_to_serial(serial, parallel):
                 == p.payload["timing"]["machines"])
 
 
+FAULTS_SUBSET = ["table4", "fig12"]
+FAULTS_KW = dict(faults="seed=9,media_error_rate=0.001", monitor=True)
+
+
+@pytest.fixture(scope="module")
+def faults_serial():
+    return run(FAULTS_SUBSET, jobs=1, **FAULTS_KW)
+
+
 @pytest.mark.parametrize("start_method", START_METHODS)
-def test_faults_and_monitor_parity(start_method):
-    kw = dict(faults="seed=9,media_error_rate=0.001", monitor=True)
-    serial_out, serial_report = run(["table4", "fig12"], jobs=1, **kw)
-    par_out, par_report = run(["table4", "fig12"], jobs=2,
-                              start_method=start_method, **kw)
+def test_faults_and_monitor_parity(faults_serial, start_method):
+    serial_out, serial_report = faults_serial
+    par_out, par_report = run(FAULTS_SUBSET, jobs=2,
+                              start_method=start_method, **FAULTS_KW)
     assert par_out == serial_out
     assert (par_report.merged_fault_summary()
             == serial_report.merged_fault_summary())
@@ -88,5 +96,11 @@ def test_request_order_preserved_not_registry_order(serial):
     reordered = list(reversed(SUBSET))
     out, report = run(reordered, jobs=4, start_method="fork")
     assert [r.experiment for r in report.results] == reordered
-    serial_out, _ = run(reordered, jobs=1)
+    # Without faults the merged stream is each experiment's output in
+    # request order, so the serial run of ``SUBSET`` holds every piece.
+    serial_out, serial_report = serial
+    outputs = {r.experiment: r.payload["output"]
+               for r in serial_report.results}
+    assert "".join(outputs[name] for name in SUBSET) == serial_out
+    serial_out = "".join(outputs[name] for name in reordered)
     assert out == serial_out

@@ -1,6 +1,7 @@
 """Unit + property tests for file tables (FTE subtrees)."""
 
 import sys
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -265,6 +266,20 @@ def _oracle_set_range(leaves, logical, device_page, count, devid):
     return new
 
 
+def _oracle_truncate(leaves, keep):
+    """Per-page reference for ``truncate_pages(keep)`` below the last
+    mapped page: returns the indices of the leaves it drops."""
+    first_dead = -(-keep // PAGES_PER_LEAF)
+    dead = [idx for idx in range(first_dead, len(leaves))
+            if leaves[idx] is not None]
+    del leaves[first_dead:]
+    for page in range(keep, first_dead * PAGES_PER_LEAF):
+        leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
+        if leaves[leaf_idx] is not None:
+            leaves[leaf_idx][slot] = 0
+    return dead
+
+
 # A run's start: leaf-aligned half the time, else mid-leaf.
 _OFFSETS = st.one_of(st.just(0), st.integers(1, PAGES_PER_LEAF - 1))
 # A run's length: inside a leaf or two, or 2–6 whole leaves' worth with
@@ -320,14 +335,7 @@ class TestBulkFillMatchesOracle:
         if keep >= pages:
             assert dead == []
             return
-        first_dead = -(-keep // PAGES_PER_LEAF)
-        assert dead == [idx for idx in range(first_dead, len(oracle))
-                        if oracle[idx] is not None]
-        del oracle[first_dead:]
-        for page in range(keep, first_dead * PAGES_PER_LEAF):
-            leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
-            if oracle[leaf_idx] is not None:
-                oracle[leaf_idx][slot] = 0
+        assert dead == _oracle_truncate(oracle, keep)
         assert [None if leaf is None else list(leaf.entries)
                 for leaf in t.leaves] == oracle
         assert t.pages == keep
@@ -408,6 +416,111 @@ class TestLeafAllocation:
         exact = sys.getsizeof(PageTableNode(LEVEL_PT).entries)
         assert [sys.getsizeof(leaf.entries) for leaf in t.leaves] == (
             [exact] * 4)
+
+
+def _unread(leaf):
+    """True when ``leaf`` has never built its entries."""
+    try:
+        PageTableNode.entries.__get__(leaf)
+    except AttributeError:
+        return True
+    return False
+
+
+class TestLazyLeaves:
+    """Whole leaves of a run hold their first FTE until first read."""
+
+    def test_cold_build_of_2gib_reads_no_entries(self):
+        pages = 2 * GiB // 4096
+        t = build_file_table([(0, 4096, pages)], devid=3,
+                             params=DEFAULT_PARAMS)
+        assert len(t.leaves) == pages // PAGES_PER_LEAF
+        assert all(_unread(leaf) for leaf in t.leaves)
+        assert t.memory_bytes() == 2 * GiB // 512
+        assert t.build_cost_ns == pages * DEFAULT_PARAMS.fte_write_ns
+        # A warm fmap's attach links the leaves without reading them.
+        pt = PageTable()
+        pt.attach_leaves(0x4000_0000_0000, t.leaves, t.leaf_runs(),
+                         writable=False)
+        assert all(_unread(leaf) for leaf in t.leaves)
+        # The first walk builds exactly the leaf it lands in, from that
+        # leaf's own first FTE.
+        walk = pt.walk(0x4000_0000_0000 + (700 * PAGES_PER_LEAF + 9) * 4096)
+        assert fte_lba(walk.entry) == 4096 + 700 * PAGES_PER_LEAF + 9
+        assert [i for i, leaf in enumerate(t.leaves)
+                if not _unread(leaf)] == [700]
+
+    def test_partial_and_existing_leaves_are_built_now(self):
+        t = FileTable(devid=1)
+        new, _cost = t.set_range(2 * PAGES_PER_LEAF + 5, 100,
+                                 3 * PAGES_PER_LEAF, DEFAULT_PARAMS)
+        assert new == [2, 3, 4, 5]
+        assert [_unread(leaf) for leaf in t.leaves[2:]] == [
+            False, True, True, False]
+        # Whole new leaves stop at the first existing leaf; existing
+        # leaves, unread or not, are built and updated in place.
+        leaf3 = t.leaves[3]
+        new, _cost = t.set_range(0, 9000, 7 * PAGES_PER_LEAF,
+                                 DEFAULT_PARAMS)
+        assert new == [0, 1, 6]
+        assert t.leaves[3] is leaf3
+        assert [_unread(leaf) for leaf in t.leaves] == [
+            True, True, False, False, False, False, True]
+        assert fte_lba(t.leaves[1].entries[7]) == 9000 + PAGES_PER_LEAF + 7
+        assert fte_lba(leaf3.entries[4]) == 9000 + 3 * PAGES_PER_LEAF + 4
+        assert fte_lba(t.leaves[6].entries[0]) == 9000 + 6 * PAGES_PER_LEAF
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), st.integers(0, 5), _OFFSETS,
+                      st.integers(0, (1 << 40) - 8 * PAGES_PER_LEAF),
+                      _COUNTS),
+            st.tuples(st.just("truncate"),
+                      st.integers(0, 12 * PAGES_PER_LEAF))),
+        min_size=1, max_size=8),
+        devid=st.integers(0, 63),
+        probes=st.lists(st.integers(-1, 13 * PAGES_PER_LEAF), max_size=20))
+    def test_matches_an_eagerly_built_table(self, ops, devid, probes):
+        """Random ``set_range`` / ``truncate_pages`` sequences, which
+        build a leaf only where they write into it, give the same
+        entries and answers as a table built eagerly from the per-page
+        oracle."""
+        lazy = FileTable(devid=devid)
+        oracle, pages = [], 0
+        for op in ops:
+            if op[0] == "set":
+                _, leaf, offset, device_page, count = op
+                logical = leaf * PAGES_PER_LEAF + offset
+                new, _cost = lazy.set_range(logical, device_page, count,
+                                            DEFAULT_PARAMS)
+                assert new == _oracle_set_range(oracle, logical, device_page,
+                                                count, devid)
+                pages = max(pages, logical + count)
+            else:
+                keep = op[1]
+                dead = lazy.truncate_pages(keep)
+                if keep >= pages:
+                    assert dead == []
+                    continue
+                assert dead == _oracle_truncate(oracle, keep)
+                pages = keep
+        eager = FileTable(devid=devid, pages=pages,
+                          build_cost_ns=lazy.build_cost_ns,
+                          leaves=[None] * len(oracle))
+        for idx, leaf in enumerate(oracle):
+            if leaf is not None:
+                eager.leaves[idx] = PageTableNode(LEVEL_PT)
+                eager.leaves[idx].entries[:] = array("Q", leaf)
+        assert lazy.pages == eager.pages
+        assert lazy.memory_bytes() == eager.memory_bytes()
+        assert lazy.leaf_runs() == eager.leaf_runs()
+        assert [lazy.has_entry(p) for p in probes] == [
+            eager.has_entry(p) for p in probes]
+        assert lazy.entry_count() == eager.entry_count()
+        assert entries(lazy) == entries(eager)
+        assert [None if leaf is None else list(leaf.entries)
+                for leaf in lazy.leaves] == oracle
 
 
 class TestGrowthThroughFmap:

@@ -6,6 +6,8 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.hw.iommu import IOMMU
+from repro.hw.params import DEFAULT_PARAMS
 from repro.hw.pagetable import (
     ENTRIES_PER_NODE,
     LEVEL_PGD,
@@ -17,6 +19,7 @@ from repro.hw.pagetable import (
     PAGE_SIZE,
     PageTable,
     PageTableNode,
+    RunLeaf,
     fte_devid,
     fte_encode,
     fte_lba,
@@ -237,6 +240,167 @@ class TestPageTable:
             result = pt.walk(va)
             assert result.present
             assert pte_pfn(result.entry) == i + 1
+
+
+def _leaves_by_va(pt):
+    """Every leaf's entries, keyed by the VA it maps."""
+    out = {}
+
+    def visit(node, va):
+        for idx, child in enumerate(node.children):
+            if child is None:
+                continue
+            child_va = va + idx * level_span(node.level)
+            if child.level == LEVEL_PT:
+                out[child_va] = list(child.entries)
+            else:
+                visit(child, child_va)
+
+    visit(pt.root, 0)
+    return out
+
+
+def _loop_error(pfns, va):
+    """The error the per-page ``map_page`` loop raises first."""
+    with pytest.raises(ValueError) as err:
+        pt = PageTable()
+        for i, pfn in enumerate(pfns):
+            pt.map_page(va + i * PAGE_SIZE, pfn)
+    return str(err.value)
+
+
+class TestMapPages:
+    """``map_pages`` writes what the per-page ``map_page`` loop writes."""
+
+    @pytest.mark.parametrize("va, count", [
+        (0x7000_0000_0000, 64),                             # one leaf
+        (0x7000_0000_0000 + 500 * PAGE_SIZE, 300),          # two leaves
+        (0x7000_0000_0000 - 3 * PAGE_SIZE + 123, 2 * ENTRIES_PER_NODE),
+        (PUD_SPAN - 7 * PAGE_SIZE, 20),                     # new PMD node
+        ((1 << 48) - 5 * PAGE_SIZE, 5),                     # last VA page
+    ])
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_matches_per_page_loop(self, va, count, writable):
+        pfns = [(7 * i + 3) % (1 << 40) for i in range(count)]
+        pfns[-1] = (1 << 40) - 1
+        batched, looped = PageTable(), PageTable()
+        batched.map_pages(va, pfns, writable=writable)
+        for i, pfn in enumerate(pfns):
+            looped.map_page(va + i * PAGE_SIZE, pfn, writable=writable)
+        assert _leaves_by_va(batched) == _leaves_by_va(looped)
+        assert batched.node_count() == looped.node_count()
+        for i, pfn in enumerate(pfns):
+            walk = batched.walk(va + i * PAGE_SIZE)
+            assert pte_pfn(walk.entry) == pfn
+            assert walk.effective_writable is writable
+
+    def test_updates_existing_entries_in_place(self):
+        va = 0x10_0000_0000
+        pt = PageTable()
+        pt.map_page(va - PAGE_SIZE, pfn=9)
+        pt.map_page(va + 2 * PAGE_SIZE, pfn=8)
+        pt.map_pages(va, range(100, 104))
+        assert [pte_pfn(pt.walk(va + i * PAGE_SIZE).entry)
+                for i in range(-1, 5)] == [9, 100, 101, 102, 103, 0]
+
+    def test_empty_run_maps_nothing(self):
+        pt = PageTable()
+        pt.map_pages(-1, [])
+        assert pt.node_count() == 1
+
+    @pytest.mark.parametrize("va, pfns", [
+        (-PAGE_SIZE, [1, 2]),                         # negative VA
+        ((1 << 48) - 2 * PAGE_SIZE, [1, 2, 3, 4]),    # runs off the top
+        (1 << 48, [1]),                               # starts past it
+        (0x1000, [1, -2, 3]),                         # negative PFN
+        (0x1000, [1, 2, 1 << 40]),                    # PFN too large
+        ((1 << 48) - PAGE_SIZE, [1, 1 << 40]),        # both bad: PFN first
+        ((1 << 48) - PAGE_SIZE, [1, 2, -1]),          # VA fails before PFN
+    ])
+    def test_errors_match_per_page_loop_and_map_nothing(self, va, pfns):
+        pt = PageTable()
+        with pytest.raises(ValueError) as err:
+            pt.map_pages(va, pfns)
+        assert str(err.value) == _loop_error(pfns, va)
+        assert pt.node_count() == 1
+
+
+class TestRunLeaf:
+    """A whole-leaf run keeps its first FTE until ``entries`` is read."""
+
+    # (first LBA, DevID): a run across a 4096-LBA boundary, and one
+    # ending at the last LBA.
+    RUNS = [(4096 * 3 - 100, 5), ((1 << 40) - ENTRIES_PER_NODE, 63)]
+    FIRSTS = [fte_encode(lba, devid) for lba, devid in RUNS]
+
+    @staticmethod
+    def _unread(leaf):
+        with pytest.raises(AttributeError):
+            PageTableNode.entries.__get__(leaf)
+        return True
+
+    @pytest.mark.parametrize("lba, devid", RUNS)
+    def test_first_read_builds_the_run_once(self, lba, devid):
+        leaf = RunLeaf(fte_encode(lba, devid))
+        assert leaf.level == LEVEL_PT and leaf.children is None
+        assert self._unread(leaf)
+        entries = leaf.entries
+        assert list(entries) == [fte_encode(lba + i, devid)
+                                 for i in range(ENTRIES_PER_NODE)]
+        assert entries.typecode == "Q"
+        assert PageTableNode.entries.__get__(leaf) is entries
+        assert leaf.entries is entries
+        assert leaf.present_count() == ENTRIES_PER_NODE
+
+    def test_other_missing_names_raise_and_build_nothing(self):
+        leaf = RunLeaf(self.FIRSTS[0])
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            leaf.missing
+        assert not hasattr(leaf, "__deepcopy__")
+        assert self._unread(leaf)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_walk_through_an_unread_shared_leaf(self, writable):
+        """The first walk from either process builds the one shared
+        leaf; the other process then reads the same array."""
+        lba, devid = self.RUNS[1]
+        first = fte_encode(lba, devid)
+        leaf = RunLeaf(first)
+        va = 0x5000_0000_0000
+        owner, reader = PageTable(), PageTable()
+        owner.attach_subtree(va, leaf, writable=True)
+        reader.attach_subtree(va, leaf, writable=writable)
+        assert self._unread(leaf)
+        walk = reader.walk(va + 300 * PAGE_SIZE)
+        assert walk.entry == fte_encode(lba + 300, devid)
+        assert walk.effective_writable is writable
+        built = PageTableNode.entries.__get__(leaf)
+        assert owner.walk(va).entry == first
+        assert owner.walk(va).effective_writable
+        assert PageTableNode.entries.__get__(leaf) is built
+
+    @pytest.mark.parametrize("first", FIRSTS)
+    @pytest.mark.parametrize("offset, nbytes", [
+        (0, PAGE_SIZE), (4 * PAGE_SIZE + 1, 37 * PAGE_SIZE),
+        (0, PMD_SPAN)])
+    def test_translate_vba_matches_a_built_leaf(self, first, offset,
+                                                nbytes):
+        va = 0x5000_0000_0000
+        replies = []
+        built = PageTableNode(LEVEL_PT)
+        built.entries[:] = fte_block(first, ENTRIES_PER_NODE)
+        for leaf in (RunLeaf(first), built):
+            iommu = IOMMU(DEFAULT_PARAMS)
+            pt = PageTable()
+            pt.attach_subtree(va, leaf, writable=True)
+            iommu.bind_pasid(1, pt)
+            reply = iommu.translate_vba(1, va + offset, nbytes, write=True,
+                                        requester_devid=fte_devid(first))
+            replies.append((reply.pairs, reply.cost_ns))
+        assert replies[0] == replies[1]
+        lba = fte_lba(first) + offset // PAGE_SIZE
+        assert replies[0][0] == [(lba, -(-(offset % PAGE_SIZE + nbytes)
+                                         // PAGE_SIZE))]
 
 
 class TestSubtreeAttach:
