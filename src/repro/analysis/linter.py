@@ -87,7 +87,8 @@ EVENT_FACTORY_ATTRS = {
 }
 
 # SIM008: modules whose classes are allocated on the per-I/O hot path.
-HOT_PATH_MODULES = ("sim/engine.py", "nvme/spec.py", "sim/trace.py")
+HOT_PATH_MODULES = ("sim/engine.py", "nvme/spec.py", "sim/trace.py",
+                    "sim/spans.py")
 HOT_BASE_CLASSES = {"Event", "Timeout", "Process", "Condition"}
 _EXEMPT_BASES = {"Enum", "IntEnum", "IntFlag", "Flag", "Exception",
                  "BaseException"}
@@ -167,6 +168,8 @@ def is_entropy_call(full: str) -> bool:
 
 @dataclass
 class Violation:
+    """A rule finding at ``path:line:col``, with its autofix if known."""
+
     rule: Rule
     path: str
     line: int
@@ -203,6 +206,8 @@ class Violation:
 
 @dataclass
 class LintResult:
+    """The findings of one lint run and how many files it checked."""
+
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
     baselined: int = 0

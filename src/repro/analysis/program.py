@@ -124,18 +124,24 @@ class CallSite:
 
 @dataclass
 class AllocSite:
+    """A class instantiation inside a function body."""
+
     line: int
     cls: str                       # class dotted path "pkg.mod.Class"
 
 
 @dataclass
 class MutationSite:
+    """A state mutation inside a function body."""
+
     line: int
     desc: str                      # human description of the mutation
 
 
 @dataclass
 class FunctionInfo:
+    """One function's identity and its intraprocedural seed facts."""
+
     qualname: str                  # "pkg.mod:Class.m" or "pkg.mod:f"
     module: str
     name: str
@@ -150,6 +156,8 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
+    """One class: its bases, ``__slots__`` and methods."""
+
     name: str
     module: str
     lineno: int
@@ -164,6 +172,8 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
+    """One parsed module: its imports, aliases, functions and classes."""
+
     name: str                      # "repro.sim.engine"
     path: str                      # repo-relative posix path
     is_package: bool
@@ -746,6 +756,8 @@ class _Witness:
 
 @dataclass
 class ProgramResult:
+    """The whole-program pass: violations plus the propagated facts."""
+
     program: Program
     manifest: Manifest
     violations: List[Violation] = field(default_factory=list)

@@ -26,6 +26,8 @@ __all__ = ["BPFKVGeometry", "BPFKVResult", "run_bpfkv"]
 
 @dataclass(frozen=True)
 class BPFKVGeometry:
+    """The BPF-KV B+-tree: object count and node, key and value sizes."""
+
     n_objects: int = 920_000_000
     node_size: int = 512
     key_size: int = 8
@@ -89,6 +91,8 @@ class BPFKVGeometry:
 
 @dataclass
 class BPFKVResult:
+    """One Figure 15 cell: throughput with mean and p99.9 latency."""
+
     engine: str
     threads: int
     kops: float

@@ -56,6 +56,8 @@ class FioJob:
 
 @dataclass
 class FioResult:
+    """One fio run: latency, throughput and each process's share."""
+
     job: FioJob
     latency: LatencyRecorder
     throughput: ThroughputCounter

@@ -34,6 +34,8 @@ PAGE = 4096
 
 @dataclass(frozen=True)
 class KVellConfig:
+    """The KVell store: object count, item sizes, queue depth, engine."""
+
     n_objects: int = 50_000_000
     key_size: int = 16
     value_size: int = 1024
@@ -66,6 +68,8 @@ class KVellConfig:
 
 @dataclass
 class KVellResult:
+    """One Figure 16 cell: throughput with mean and p99 latency."""
+
     workload: str
     engine: str
     queue_depth: int

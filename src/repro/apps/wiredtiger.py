@@ -124,6 +124,8 @@ class _PageCacheLRU:
 
 @dataclass
 class WTResult:
+    """One YCSB run on WiredTiger: throughput, latency, cache hits, I/Os."""
+
     workload: str
     engine: str
     threads: int

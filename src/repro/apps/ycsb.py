@@ -146,6 +146,8 @@ class LatestGenerator:
 
 @dataclass
 class YCSBOp:
+    """One YCSB operation: its kind, key and (for scans) length."""
+
     kind: str   # read | update | insert | scan | rmw
     key: int
     scan_len: int = 0

@@ -1,36 +1,12 @@
-"""Baseline I/O engines the paper compares BypassD against."""
+"""Baseline I/O engines the paper compares BypassD against.
 
-from .base import EngineFile, IOEngine
-from .sync_io import KernelFile, SyncEngine
-from .libaio import AIOContext, AioOp, LibaioEngine, LibaioFile
-from .io_uring import IOUringEngine, IOUringFile, IOUringRing
-from .spdk import SPDKEngine, SPDKFile
-from .xrp import XRPEngine, XRPFile
-from .registry import (
-    ENGINE_NAMES,
-    BypassDEngine,
-    chained_read,
-    make_engine,
-)
+Build engines through :func:`repro.baselines.registry.make_engine`
+(re-exported here), which imports only the engine module it builds.
+The engine classes are imported from their own modules
+(``repro.baselines.libaio``, ``.io_uring``, ``.spdk``, ``.xrp``,
+``.sync_io``), so a run loads only the engines it uses.
+"""
 
-__all__ = [
-    "EngineFile",
-    "IOEngine",
-    "KernelFile",
-    "SyncEngine",
-    "AIOContext",
-    "AioOp",
-    "LibaioEngine",
-    "LibaioFile",
-    "IOUringEngine",
-    "IOUringFile",
-    "IOUringRing",
-    "SPDKEngine",
-    "SPDKFile",
-    "XRPEngine",
-    "XRPFile",
-    "ENGINE_NAMES",
-    "BypassDEngine",
-    "chained_read",
-    "make_engine",
-]
+from .registry import make_engine
+
+__all__ = ["make_engine"]

@@ -14,11 +14,6 @@ from ..core.userlib import UserLib
 from ..kernel.process import Process
 from ..machine import Machine
 from ..sim.cpu import Thread
-from .io_uring import IOUringEngine
-from .libaio import LibaioEngine
-from .spdk import SPDKEngine
-from .sync_io import SyncEngine
-from .xrp import XRPEngine
 
 __all__ = ["ENGINE_NAMES", "make_engine", "chained_read",
            "BypassDEngine"]
@@ -41,17 +36,25 @@ class BypassDEngine:
 
 def make_engine(machine: Machine, proc: Process, name: str,
                 buffered: bool = False):
-    """Build the named engine for ``proc`` on ``machine``."""
+    """Build the named engine for ``proc`` on ``machine``.
+
+    Each baseline's module is imported here, on first use, so a run
+    loads only the engines it builds."""
     if name == "sync":
+        from .sync_io import SyncEngine
         return SyncEngine(machine.kernel, proc, direct=not buffered)
     if name == "libaio":
+        from .libaio import LibaioEngine
         return LibaioEngine(machine.sim, machine.kernel, proc)
     if name == "io_uring":
+        from .io_uring import IOUringEngine
         return IOUringEngine(machine.sim, machine.cpus, machine.kernel,
                              proc)
     if name == "spdk":
+        from .spdk import SPDKEngine
         return SPDKEngine(machine.sim, machine.device, proc)
     if name == "xrp":
+        from .xrp import XRPEngine
         return XRPEngine(machine.kernel, proc)
     if name == "bypassd":
         return BypassDEngine(machine.userlib(proc))

@@ -15,6 +15,8 @@ __all__ = ["ResultTable"]
 
 @dataclass
 class ResultTable:
+    """One experiment's result rows, notes and attached counters."""
+
     title: str
     headers: Sequence[str]
     rows: List[Sequence[Any]] = field(default_factory=list)

@@ -433,9 +433,9 @@ class UserLib(GuardedIO):
                 token = tracer.begin("device", "direct-io", thread=thread)
                 tracer.stamp(cmd, thread=thread)
             try:
-                ev = self.device.submit(ctx.qp, cmd)
+                # Unnamed, so the processed event can be recycled.
                 completion = yield from self._guarded_wait(
-                    thread.poll, ctx.qp, cmd, ev)
+                    thread.poll, ctx.qp, cmd, self.device.submit(ctx.qp, cmd))
             finally:
                 if traced:
                     tracer.end(token)

@@ -22,6 +22,8 @@ __all__ = ["Extent", "ExtentTree", "ExtentStatusCache"]
 
 @dataclass(frozen=True)
 class Extent:
+    """A run of ``count`` file blocks mapped to contiguous device blocks."""
+
     logical: int   # first file block
     physical: int  # first fs/device block
     count: int     # blocks

@@ -29,6 +29,8 @@ JournalRecord = Tuple[str, Dict[str, Any]]
 
 @dataclass
 class Transaction:
+    """One journal transaction: its records, logged until commit."""
+
     txid: int
     records: List[JournalRecord] = field(default_factory=list)
     committed: bool = False

@@ -1,4 +1,8 @@
-"""Hardware substrate: parameters, memory, page tables, IOMMU, PCIe, IOAT."""
+"""Hardware substrate: parameters, memory, page tables, IOMMU, PCIe.
+
+The I/OAT DMA engine model is imported by its full name,
+:mod:`repro.hw.ioat`: only Table 4 (IOMMU translation overheads) uses it.
+"""
 
 from .params import DEFAULT_PARAMS, GiB, HardwareParams, KiB, MiB
 from .memory import DMABuffer, OutOfMemoryError, PhysicalMemory
@@ -29,7 +33,6 @@ from .pagetable import (
 )
 from .pcie import PCIeLink
 from .iommu import IOMMU, AtsResult, TranslationFault
-from .ioat import CopyTiming, IOATEngine
 
 __all__ = [
     "DEFAULT_PARAMS",
@@ -67,6 +70,4 @@ __all__ = [
     "IOMMU",
     "AtsResult",
     "TranslationFault",
-    "CopyTiming",
-    "IOATEngine",
 ]

@@ -21,6 +21,8 @@ __all__ = ["IOATEngine", "CopyTiming"]
 
 @dataclass
 class CopyTiming:
+    """One copy's latency, split into IOMMU translation and engine time."""
+
     total_ns: int
     translation_ns: int
     engine_ns: int

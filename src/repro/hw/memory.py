@@ -79,7 +79,28 @@ class PhysicalMemory:
         return frame
 
     def alloc_frames(self, count: int) -> List[int]:
-        return [self.alloc_frame() for _ in range(count)]
+        """``count`` frames in one step: the same frames, in the same
+        order, as ``count`` calls of :meth:`alloc_frame`, and like them
+        it raises :class:`OutOfMemoryError` once both the free list and
+        the fresh range are used up, keeping the frames taken so far."""
+        if count <= 0:
+            return []
+        free = self._free
+        take = min(count, len(free))
+        split = len(free) - take
+        frames = free[split:]
+        frames.reverse()
+        del free[split:]
+        start = self._next_frame
+        fresh = min(count - take, self.capacity_frames - start)
+        frames.extend(range(start, start + fresh))
+        self._next_frame = start + fresh
+        self.allocated_frames += take + fresh
+        if take + fresh < count:
+            raise OutOfMemoryError(
+                f"out of frames ({self.capacity_frames} total)"
+            )
+        return frames
 
     def free_frame(self, frame: int) -> None:
         if frame < 0 or frame >= self._next_frame:

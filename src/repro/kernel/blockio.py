@@ -282,9 +282,10 @@ class BlockIOLayer(GuardedIO):
             token = self.tracer.begin("device", "kernel-io", thread=thread)
             try:
                 self.tracer.stamp(cmd, thread=thread)
-                ev = self.device.submit(qp, cmd)
+                # The submit event goes unnamed: a local would keep it
+                # from being recycled once it has been processed.
                 completion = yield from self._guarded_wait(
-                    thread.block, qp, cmd, ev)
+                    thread.block, qp, cmd, self.device.submit(qp, cmd))
             finally:
                 self.tracer.end(token)
             if charge_irq and self.params.irq_completion_ns:

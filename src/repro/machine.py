@@ -31,7 +31,7 @@ result.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Generator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Union
 
 from .core.fmap import FmapManager
 from .core.userlib import UserLib
@@ -50,11 +50,14 @@ from .kernel.pagecache import PageCache
 from .kernel.process import Process
 from .kernel.syscalls import Kernel
 from .nvme.device import NVMeDevice
-from .obs.monitor import Monitor, MonitorConfig, resolve_monitor_config
+from .obs import default_monitor
 from .sim.cpu import CPUSet
 from .sim.engine import Simulator
 from .sim.stats import Stats
-from .sim.trace import NULL_TRACER, Tracer
+from .sim.trace import NULL_TRACER
+
+if TYPE_CHECKING:
+    from .obs.monitor import Monitor, MonitorConfig
 
 __all__ = ["CapturedClock", "Machine", "capture_machines"]
 
@@ -127,7 +130,10 @@ class Machine:
                  monitor: Union[bool, MonitorConfig, None] = None):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.sim = Simulator(sanitize=sanitize)
-        self.tracer = Tracer(self.sim) if trace else NULL_TRACER
+        self.tracer = NULL_TRACER
+        if trace:
+            from .sim.spans import Tracer
+            self.tracer = Tracer(self.sim)
         self.faults = self._resolve_injector(faults)
         self.faults.tracer = self.tracer
         self.cpus = CPUSet(self.sim, self.params.cpu_cores)
@@ -159,10 +165,13 @@ class Machine:
         # Telemetry last, so the sampler sees every layer wired up.
         # `monitor=True` attaches defaults, a MonitorConfig customises,
         # None defers to the ambient config (repro.bench --monitor),
-        # False forces it off.
+        # False forces it off.  The monitor module loads only when one
+        # of those attaches a monitor.
         self.monitor: Optional[Monitor] = None
-        mon_cfg, ambient = resolve_monitor_config(monitor)
-        if mon_cfg is not None:
+        if monitor is not False and (monitor is not None
+                                     or default_monitor() is not None):
+            from .obs.monitor import Monitor, resolve_monitor_config
+            mon_cfg, ambient = resolve_monitor_config(monitor)
             self.monitor = Monitor(self, mon_cfg, ambient=ambient)
         if self.faults.plan.crash_at_ns is not None:
             self.sim.process(self._power_fail(self.faults.plan.crash_at_ns),

@@ -214,9 +214,10 @@ class NVMeDevice:
             if self._pending:
                 self._pending -= 1
             else:
-                wake = sim.event()
-                idle.append(wake)
-                yield wake
+                # No local holds the wake-up, so it is recycled once
+                # processed.
+                idle.append(sim.event())
+                yield idle[-1]
             # Commands that finished VBA translation resume first; they
             # already won arbitration once.
             if translated:

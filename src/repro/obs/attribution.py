@@ -44,7 +44,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..sim.trace import Span, WAIT_KINDS, WAIT_PREFIX
+from ..sim.spans import Span
+from ..sim.trace import WAIT_KINDS, WAIT_PREFIX
 from .export import children_map, span_index
 
 __all__ = [

@@ -28,7 +28,8 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.stats import percentile
-from ..sim.trace import Span, WAIT_PREFIX
+from ..sim.spans import Span
+from ..sim.trace import WAIT_PREFIX
 from .attribution import SERVICE, build_waterfall, op_roots
 from .export import children_map
 

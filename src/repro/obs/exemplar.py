@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..sim.trace import Span
+from ..sim.spans import Span
 from .attribution import Waterfall, build_waterfall, op_roots
 from .export import children_map, format_tree
 from .metrics import Histogram

@@ -23,7 +23,7 @@ import hashlib
 import json
 from typing import Dict, Iterable, List, Optional
 
-from ..sim.trace import Span
+from ..sim.spans import Span
 
 __all__ = [
     "span_index",

@@ -42,6 +42,8 @@ from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Tuple,
                     Union)
 
 from ..sim.stats import TimeSeries, percentile
+from . import (_ambient_monitors, default_monitor, drain_ambient_monitors,
+               set_default_monitor)
 
 if TYPE_CHECKING:
     from .exemplar import ExemplarConfig
@@ -120,6 +122,8 @@ class Breach:
 
 @dataclass(frozen=True)
 class MonitorConfig:
+    """A monitor's sampling period and phase, SLOs and exemplar capture."""
+
     period_ns: int = DEFAULT_PERIOD_NS
     phase_ns: int = DEFAULT_PHASE_NS
     slos: Tuple[SLO, ...] = ()
@@ -139,35 +143,6 @@ BACKLOG_SLOS = (
     SLO("softirq_backlog", "kernel.blockio.softirq_backlog", 32.0,
         reduce="max", window_ns=100_000),
 )
-
-
-# -- ambient configuration (mirrors repro.faults.default_injector) -----
-#
-# `repro.bench --monitor` can't thread a config through every
-# experiment signature, so it installs one here; each Machine built
-# while it is set attaches a Monitor and registers it for collection.
-
-_DEFAULT_CONFIG: Optional[MonitorConfig] = None
-_AMBIENT: List["Monitor"] = []
-
-
-def set_default_monitor(config: Optional[MonitorConfig]) -> None:
-    """Install (or clear, with None) the ambient monitor config."""
-    global _DEFAULT_CONFIG
-    _DEFAULT_CONFIG = config
-    if config is None:
-        _AMBIENT.clear()
-
-
-def default_monitor() -> Optional[MonitorConfig]:
-    return _DEFAULT_CONFIG
-
-
-def drain_ambient_monitors() -> List["Monitor"]:
-    """Monitors attached via the ambient config since the last drain."""
-    out = list(_AMBIENT)
-    _AMBIENT.clear()
-    return out
 
 
 class Monitor:
@@ -194,7 +169,7 @@ class Monitor:
         self._in_breach: Dict[str, bool] = {}
         self._prev_cumulative: Dict[str, float] = {}
         if ambient:
-            _AMBIENT.append(self)
+            _ambient_monitors.append(self)
         machine.sim.process(self._sampler(), name="telemetry-sampler",
                             daemon=True, observer=True)
 
@@ -439,7 +414,8 @@ def resolve_monitor_config(
     forces monitoring off regardless of the ambient setting.
     """
     if monitor is None:
-        return _DEFAULT_CONFIG, _DEFAULT_CONFIG is not None
+        config = default_monitor()
+        return config, config is not None
     if monitor is True:
         return MonitorConfig(), False
     if monitor is False:

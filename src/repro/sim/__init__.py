@@ -1,4 +1,10 @@
-"""Discrete-event simulation substrate (engine, resources, CPUs, stats)."""
+"""Discrete-event simulation substrate (engine, resources, CPUs, stats).
+
+The package re-exports only what every run loads.  The optional parts
+are imported by their full names where they are switched on:
+:mod:`repro.sim.sanitizer` (``Simulator(sanitize=True)``) and the span
+recorder :mod:`repro.sim.spans` (``Machine(trace=True)``).
+"""
 
 from .engine import (
     AllOf,
@@ -12,8 +18,7 @@ from .engine import (
 )
 from .resources import Lock, Resource, Semaphore, Store
 from .cpu import CPUSet, Thread
-from .sanitizer import Diagnostic, EventProvenance, Sanitizer, SanitizerError
-from .trace import NULL_TRACER, NullTracer, Span, Tracer
+from .trace import NULL_TRACER, NullTracer
 from .stats import (
     LatencyRecorder,
     ThroughputCounter,
@@ -42,10 +47,4 @@ __all__ = [
     "percentile",
     "NULL_TRACER",
     "NullTracer",
-    "Span",
-    "Tracer",
-    "Diagnostic",
-    "EventProvenance",
-    "Sanitizer",
-    "SanitizerError",
 ]

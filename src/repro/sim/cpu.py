@@ -126,6 +126,9 @@ class Thread:
         self.release_core()
         t0 = self.sim.now
         value = yield event
+        # Drop the event before waiting for a core, so the engine can
+        # recycle it once its callbacks have run.
+        del event
         self.block_ns += self.sim.now - t0
         yield from self._acquire_core()
         return value

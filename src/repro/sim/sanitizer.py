@@ -58,6 +58,8 @@ class EventProvenance:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
+    """One sanitizer finding: kind, severity, time and processes involved."""
+
     kind: str          # "ordering-race" | "stranded-process" |
     #                    "leaked-event" | "leaked-resource"
     severity: str      # "error" | "warning"

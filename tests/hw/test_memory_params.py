@@ -33,6 +33,60 @@ class TestPhysicalMemory:
         with pytest.raises(OutOfMemoryError):
             mem.alloc_frame()
 
+    @staticmethod
+    def _state(mem):
+        return (mem._next_frame, list(mem._free), mem.allocated_frames,
+                mem.free_frames)
+
+    def _batch_matches_loop(self, capacity, used, freed, count):
+        """``alloc_frames(count)`` against ``count`` ``alloc_frame``
+        calls on two allocators with the same history (``used`` frames
+        handed out, then ``freed`` given back): the same frames in the
+        same order, the same error, the same state afterwards."""
+        def outcome(alloc):
+            mem = PhysicalMemory(capacity * 4096)
+            for _ in range(used):
+                mem.alloc_frame()
+            for frame in freed:
+                mem.free_frame(frame)
+            try:
+                return alloc(mem), self._state(mem)
+            except OutOfMemoryError as exc:
+                return ("OutOfMemoryError", str(exc)), self._state(mem)
+
+        def loop(mem):
+            frames = []
+            for _ in range(count):
+                frames.append(mem.alloc_frame())
+            return frames
+
+        assert outcome(lambda mem: mem.alloc_frames(count)) == outcome(loop)
+
+    def test_alloc_frames_matches_per_frame_loop(self):
+        cases = [
+            # capacity, used, freed, count
+            (16, 8, [], 0),               # nothing asked for
+            (16, 8, [3, 7, 1], 2),        # only from the free list
+            (16, 8, [3, 7, 1], 3),        # exactly the free list
+            (16, 8, [3, 7, 1], 5),        # free list, then fresh frames
+            (16, 0, [], 16),              # every fresh frame
+            (16, 8, [], 8),               # the rest of the fresh range
+            (4, 4, [2, 0], 2),            # partly free, fresh range spent
+            (4, 4, [2, 0], 3),            # out of frames after the list
+            (4, 3, [1], 3),               # out after list and fresh range
+            (4, 0, [], 5),                # out of frames, none free
+        ]
+        for capacity, used, freed, count in cases:
+            self._batch_matches_loop(capacity, used, freed, count)
+
+    @given(capacity=st.integers(1, 64), data=st.data())
+    def test_alloc_frames_matches_loop_property(self, capacity, data):
+        used = data.draw(st.integers(0, capacity))
+        freed = data.draw(st.lists(st.integers(0, max(used - 1, 0)),
+                                   unique=True)) if used else []
+        count = data.draw(st.integers(0, capacity + 4))
+        self._batch_matches_loop(capacity, used, freed, count)
+
     def test_bogus_free_rejected(self):
         mem = PhysicalMemory(1 << 20)
         with pytest.raises(ValueError):

@@ -81,3 +81,41 @@ def test_events_per_wiredtiger_read_with_one_path_miss():
     m.run_process(model.do_op(thread, YCSBOp("read", 16)))
     assert model.ios - ios == 1
     assert (m.sim._seq - seq, m.now - now) == (19, 6169)
+
+
+@pytest.mark.parametrize("engine", ["sync", "bypassd"])
+def test_steady_state_read_loop_builds_no_new_event(engine, monkeypatch):
+    """Every processed event that nothing else holds goes back to the
+    pool, so once the pool is warm a 4 KiB read loop allocates no
+    ``Event``: a generator frame that keeps a reference to a processed
+    event (the one it blocked on, a submit, a channel wake-up) stops it
+    from being recycled and shows up here."""
+    from repro.sim import engine as engine_mod
+
+    m = Machine()
+    proc = m.spawn_process("app")
+    thread = proc.new_thread()
+    eng = make_engine(m, proc, engine)
+    built = []
+    original = engine_mod.Event.__init__
+
+    def counting_init(event, sim):
+        if type(event) is engine_mod.Event:
+            built.append(event)
+        original(event, sim)
+
+    def reads(f, n):
+        for i in range(n):
+            yield from f.pread(thread, (i % 16) * 4096, 4096)
+
+    def workload():
+        f = yield from eng.open(thread, "/data", write=True, create=True)
+        yield from f.pwrite(thread, 0, 16 * 4096, b"a" * (16 * 4096))
+        yield from reads(f, 64)                   # warm the pools
+        monkeypatch.setattr(engine_mod.Event, "__init__", counting_init)
+        yield from reads(f, 256)
+
+    served = m.device.commands_served
+    m.run_process(workload())
+    assert m.device.commands_served - served >= 256 + 64
+    assert built == []

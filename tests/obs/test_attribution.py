@@ -31,7 +31,8 @@ from repro.obs.export import (children_map, chrome_trace_json,
 from repro.obs.monitor import MonitorConfig
 from repro.obs.perf import PerfConfig, measure_breakdown
 from repro.sim.stats import percentile
-from repro.sim.trace import Span, WAIT_KINDS, WAIT_PREFIX
+from repro.sim.spans import Span
+from repro.sim.trace import WAIT_KINDS, WAIT_PREFIX
 
 
 # -- workloads ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.obs.diff import (
     spans_from_chrome_trace,
 )
 from repro.obs.export import chrome_trace_json
-from repro.sim.trace import Span
+from repro.sim.spans import Span
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TRACE_DIFF = REPO_ROOT / "scripts" / "trace_diff.py"

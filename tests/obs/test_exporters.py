@@ -14,7 +14,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_flamegraph,
 )
-from repro.sim.trace import Span
+from repro.sim.spans import Span
 
 # A tiny hand-built forest: one host op with a kernel child and a
 # device-side nvme grandchild (tid -1), plus an unrelated root.

@@ -5,11 +5,11 @@ import pytest
 
 from repro.sim import (
     Resource,
-    SanitizerError,
     Semaphore,
     Simulator,
     Store,
 )
+from repro.sim.sanitizer import SanitizerError
 
 
 # -- ordering races ------------------------------------------------------

@@ -6,8 +6,8 @@ from repro import GiB, Machine
 from repro.obs.attribution import fold_sides, waterfalls
 from repro.sim.cpu import CPUSet
 from repro.sim.engine import Simulator
-from repro.sim.trace import (NULL_TRACER, Span, TraceError, Tracer,
-                             charge_phases)
+from repro.sim.spans import Span, TraceError, Tracer
+from repro.sim.trace import NULL_TRACER, charge_phases
 
 
 class FakeThread:
