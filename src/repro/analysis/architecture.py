@@ -171,7 +171,7 @@ LAYERS: Tuple[Layer, ...] = (
           "io_uring / libaio / spdk / xrp / sync engines"),
     Layer("apps", ("sim", "hw", "nvme", "kernel", "machine",
                    "baselines"),
-          "workload models: fio, YCSB, KVell, WiredTiger, BPF-KV, LSM "
+          "workload models: fio, YCSB, KVell, WiredTiger, BPF-KV "
           "— they drive kernel syscalls and pick I/O engines from the "
           "baselines registry"),
     Layer("bench", ("sim", "hw", "faults", "nvme", "kernel", "machine",

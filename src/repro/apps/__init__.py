@@ -1,4 +1,4 @@
-"""Workloads: fio, YCSB, WiredTiger, BPF-KV, KVell, and a real KV store.
+"""Workloads: fio, YCSB, WiredTiger, BPF-KV, and KVell.
 
 The package re-exports nothing: import each model by its full name
 (``repro.apps.fio``, ``repro.apps.wiredtiger``, ...), so a run loads

@@ -45,13 +45,6 @@ class BlockAllocator:
     def deferred_blocks(self) -> int:
         return sum(length for _, length in self._deferred)
 
-    def is_free(self, block: int) -> bool:
-        idx = bisect.bisect_right(self._free, (block, float("inf"))) - 1
-        if idx < 0:
-            return False
-        start, length = self._free[idx]
-        return start <= block < start + length
-
     def check_invariants(self) -> None:
         """Free runs must be sorted, disjoint and coalesced (fsck)."""
         prev_end = None

@@ -179,13 +179,5 @@ class HardwareParams:
             + self.completion_post_ns
         )
 
-    def device_write_ns(self, nbytes: int) -> int:
-        return (
-            self.command_fetch_ns
-            + self.write_media_ns
-            + self.media_transfer_ns(nbytes)
-            + self.completion_post_ns
-        )
-
 
 DEFAULT_PARAMS = HardwareParams()

@@ -28,10 +28,6 @@ class PCIeLink:
     def one_way_ns(self) -> int:
         return self.params.pcie_round_trip_ns // 2
 
-    @property
-    def round_trip_ns(self) -> int:
-        return self.params.pcie_round_trip_ns
-
     def doorbell_ns(self) -> int:
         """Posted MMIO write (does not wait for completion)."""
         self.posted_writes += 1

@@ -131,10 +131,6 @@ class Waterfall:
             out[seg.layer] = out.get(seg.layer, 0) + seg.duration_ns
         return out
 
-    def wait_ns(self) -> int:
-        return sum(seg.duration_ns for seg in self.segments
-                   if seg.kind != SERVICE)
-
     def check(self) -> None:
         """Assert conservation: segments partition [start, end]."""
         if self.segments_total_ns != self.duration_ns:

@@ -82,10 +82,6 @@ class Thread:
         self.block_ns = 0
         self.run_queue_ns = 0
 
-    @property
-    def on_core(self) -> bool:
-        return self._on_core
-
     # -- core ownership ----------------------------------------------------
 
     def _acquire_core(self) -> Iterable[Event]:
@@ -186,10 +182,3 @@ class Thread:
             return result
         finally:
             self.release_core()
-
-    # -- accounting ---------------------------------------------------------
-
-    @property
-    def cpu_ns(self) -> int:
-        """Total core occupancy (work + busy-poll)."""
-        return self.compute_ns + self.poll_ns

@@ -5,6 +5,7 @@ manifests; the real ``src/repro`` tree is analysed with the default
 manifest at the end (mirroring what CI enforces).
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -547,3 +548,46 @@ def test_real_repo_graph_exports(real_program):
     assert data["modules"]["repro.sim.engine"]["layer"] == "sim"
     assert data["friends"], "friend edges should be on public record"
     assert any("Simulator.run" in e for e in data["hot_entries"])
+
+
+# Modules that no entry point imports but that stay on purpose.
+UNREACHED_ON_PURPOSE = {
+    # Declares the EngineFile and IOEngine protocols that
+    # docs/extending.md and docs/architecture.md point new engines to.
+    "repro.baselines.base",
+}
+
+
+def _entry_points(program):
+    """``__main__`` modules plus the repro modules scripts import."""
+    entries = {m for m in program.modules if m.endswith(".__main__")}
+    files = sorted((REPO_ROOT / "scripts").glob("*.py")) + \
+        sorted((REPO_ROOT / "perfbench").glob("*.py"))
+    for file in files:
+        for node in ast.walk(ast.parse(file.read_text())):
+            if isinstance(node, ast.Import):
+                entries.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                entries.add(node.module)
+                entries.update(f"{node.module}.{a.name}"
+                               for a in node.names)
+    return entries & set(program.modules)
+
+
+def test_every_module_is_reachable_from_an_entry_point(real_program):
+    """A module nothing imports is code no result depends on.
+
+    Edges are ``ModuleInfo.imports``, in-function imports included;
+    importing a submodule runs its parent packages too."""
+    modules = real_program.modules
+    reached = set()
+    todo = list(_entry_points(real_program))
+    while todo:
+        parts = todo.pop().split(".")
+        for i in range(1, len(parts) + 1):
+            name = ".".join(parts[:i])
+            if name in modules and name not in reached:
+                reached.add(name)
+                todo.extend(modules[name].imports)
+    unreached = set(modules) - reached - UNREACHED_ON_PURPOSE
+    assert not unreached, sorted(unreached)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro import GiB, Machine
-from repro.apps.kvstore import KVStore
 from repro.baselines import make_engine
 from repro.fs.ext4.filesystem import Ext4Filesystem
 from repro.kernel.process import O_CREAT, O_DIRECT, O_RDWR
@@ -114,44 +113,6 @@ def test_crash_recovery_through_full_machine(m):
         for start, count in runs
     )
     assert payload == b"D" * 16384
-
-
-def test_kvstore_on_every_engine(m):
-    """The real B-tree works identically over bypassd and sync."""
-    for engine_name in ("bypassd", "sync"):
-        proc = m.spawn_process()
-        t = proc.new_thread()
-        if engine_name == "bypassd":
-            lib = m.userlib(proc)
-
-            def open_file():
-                f = yield from lib.open(t, f"/kv-{engine_name}",
-                                        write=True, create=True)
-                yield from m.kernel.sys_fallocate(proc, t, f.state.fd,
-                                                  0, 16 << 20)
-                return f
-        else:
-            engine = make_engine(m, proc, engine_name)
-
-            def open_file():
-                f = yield from engine.open(t, f"/kv-{engine_name}",
-                                           write=True, create=True)
-                yield from m.kernel.sys_fallocate(proc, t, f.fd, 0,
-                                                  16 << 20)
-                return f
-
-        f = m.run_process(open_file())
-
-        def run_store():
-            store = yield from KVStore.create(f, t)
-            for i in range(200):
-                yield from store.put(f"k{i:04d}".encode(),
-                                     f"v{i}".encode())
-            yield from store.check_tree()
-            v = yield from store.get(b"k0123")
-            return v
-
-        assert m.run_process(run_store()) == b"v123"
 
 
 def test_fmap_survives_heavy_growth(m):

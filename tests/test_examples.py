@@ -16,9 +16,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
 @pytest.mark.parametrize("script", [
     "quickstart.py",
     "shared_device.py",
-    "kvstore_app.py",
     "log_ingest.py",
-    "lsm_engine.py",
     "fault_injection.py",
 ])
 def test_example_runs(script, capsys):

@@ -26,8 +26,6 @@ UNWANTED = [
     "repro.obs.timings",
     "repro.apps.kvell",
     "repro.apps.bpfkv",
-    "repro.apps.lsm",
-    "repro.apps.kvstore",
     "repro.sim.sanitizer",
     "repro.sim.spans",
     "repro.obs.monitor",
