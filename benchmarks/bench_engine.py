@@ -10,10 +10,11 @@ switch needed), plus one full-stack loop (fio ops through a whole
 ``Machine``) on each engine via a ``REPRO_ENGINE`` subprocess:
 
 - ``pure-timeout``   — one process yielding a constant timeout N times:
-  the no-observer fast path plus the current-bucket queue, nothing else;
-- ``timer-wheel``    — N timers with delays straddling every queue
-  boundary (instant / bucket / ring / far-heap), posted in batches and
-  drained: the calendar-queue placement and migration paths;
+  the no-observer fast path plus a one-entry heap, nothing else;
+- ``timer-wheel``    — a mixed-delay batch loop: N timers, instant, near
+  (1 ns to 262 us) and far (1 ms), posted 256 at a time and drained,
+  so the heap holds up to 256 entries (the name and delays are kept so
+  the rows stay comparable across versions);
 - ``event-churn``    — N bare events succeeded and drained in batches:
   the freelist recycle rate;
 - ``full-stack``     — fio 4k random reads on the bypassd engine through

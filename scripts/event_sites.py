@@ -29,8 +29,8 @@ from probes import RepProbe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SIM = ROOT / "src" / "repro" / "sim"
-PRIMITIVES = {"_post_fast", "_post_slow", "_place", "succeed", "fail",
-              "timeout", "event", "__init__"}
+PRIMITIVES = {"_post_fast", "_post_slow", "succeed", "fail", "timeout",
+              "event", "__init__"}
 RUN_LOOP = {"_run_fast", "_run_slow"}
 
 

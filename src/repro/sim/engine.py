@@ -11,13 +11,13 @@ simulated event it is the wall-clock bottleneck of every experiment,
 so the scheduler is organised around four hot-path ideas (see
 ``docs/engine_performance.md`` for the full design):
 
-- **bucketed near/far event queue** — a calendar-style ring of
-  1024 ns buckets covers the near horizon; an append-only FIFO holds
-  the (very common) events posted *at the current instant*; a plain
-  heap catches far timers.  Pop order is still exactly ``(time, seq)``
-  — the differential harness (``tests/sim/test_engine_diff.py``)
-  proves timelines byte-identical against the pre-overhaul single-heap
-  engine kept in :mod:`repro.sim.engine_reference`.
+- **one heap plus a current-instant FIFO** — future timers go on one
+  C ``heapq`` of ``(time, seq, event)``; an append-only FIFO holds the
+  (very common) events posted *at the current instant*, which skip the
+  heap.  Pop order is exactly ``(time, seq)`` — the differential
+  harness (``tests/sim/test_engine_diff.py``) proves timelines
+  byte-identical against the pre-overhaul engine kept in
+  :mod:`repro.sim.engine_reference`.
 - **event/timeout freelists** — processed events that nobody else
   references (checked by refcount) are recycled, so steady-state runs
   allocate near-zero events.  Pooling is disabled under
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
                     Optional)
@@ -58,14 +58,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
 ]
-
-# Calendar ring geometry: 2**_W_SHIFT ns per bucket, _N_BUCKETS slots.
-# The near horizon is _N_BUCKETS << _W_SHIFT = 262,144 ns — wide enough
-# for every device service time in hw/params.py; millisecond timers
-# (watchdogs, journal commit intervals) overflow into the far heap.
-_W_SHIFT = 10
-_N_BUCKETS = 256
-_B_MASK = _N_BUCKETS - 1
 
 # Freelist bound: recycling beyond this keeps no more memory live than
 # the run's own peak, but a cap makes the worst case explicit.
@@ -143,7 +135,6 @@ class Event:
         else:
             # Simulator._post_fast inlined: the commonest post of a run.
             sim._seq += 1
-            sim._count += 1
             sim._imm.append(self)
         return self
 
@@ -429,23 +420,18 @@ class AnyOf(Condition):
 
 
 class Simulator:
-    """The event loop: a bucketed near/far queue of (time, seq, event).
+    """The event loop: one heap of (time, seq, event) plus a FIFO.
 
-    Scheduled events live in one of four places, all popped in exact
-    ``(time, seq)`` order:
+    Scheduled events live in one of two places, popped together in
+    exact ``(time, seq)`` order:
 
+    - ``_heap`` — a ``heapq`` of ``(time, seq, event)`` for events
+      posted with a delay.
     - ``_imm`` — an append-only FIFO of events posted at the *current*
       instant (``delay == 0``).  Sequence numbers increase with
-      insertion, and nothing earlier at the same timestamp can still be
-      outside the drain loop, so FIFO order is (time, seq) order.
-    - ``_cur`` — a small heap holding the current calendar bucket.
-    - ``_buckets`` — the calendar ring: events within the near horizon
-      (``_N_BUCKETS << _W_SHIFT`` ns), appended unsorted and heapified
-      only when their bucket becomes current.  ``_bucket_heap`` tracks
-      which absolute buckets are populated, so advancing never scans
-      empty slots.
-    - ``_far`` — a plain heap for timers beyond the horizon; entries
-      migrate into the ring as the horizon reaches them.
+      insertion, and a heap entry due now was posted before the clock
+      reached now, so heap entries at ``now`` pop first and the FIFO
+      then pops in (time, seq) order.
 
     ``sanitize=True`` attaches a :class:`repro.sim.sanitizer.Sanitizer`
     that records event provenance and reports ordering races, stranded
@@ -467,16 +453,10 @@ class Simulator:
                  pooling: Optional[bool] = None):
         self.now: int = 0
         self._seq = 0
-        self._count = 0              # queued events, all structures
         self._obs_count = 0          # queued observer events
+        self._heap: List = []        # (time, seq, event) of delayed posts
         # current-instant FIFO: events posted at self.now, in seq order
         self._imm: Deque[Event] = deque()
-        # calendar ring + current bucket
-        self._cur: List = []         # heap: this bucket's entries
-        self._cur_abs = 0            # absolute bucket number of _cur
-        self._buckets: List[List] = [[] for _ in range(_N_BUCKETS)]
-        self._bucket_heap: List[int] = []   # populated absolute buckets
-        self._far: List = []         # heap: beyond the near horizon
         self._active_process: Optional[Process] = None
         self._san = None
         self._instrumented = False
@@ -520,9 +500,8 @@ class Simulator:
                 return to
             # _post_fast inlined: one call less on every pooled timeout.
             self._seq = seq = self._seq + 1
-            self._count += 1
             if d:
-                self._place(self.now + d, seq, to)
+                heappush(self._heap, (self.now + d, seq, to))
             else:
                 self._imm.append(to)
             return to
@@ -554,15 +533,13 @@ class Simulator:
 
     def _post_fast(self, event: Event, delay: int = 0) -> None:
         self._seq = seq = self._seq + 1
-        self._count += 1
         if delay == 0:
             self._imm.append(event)
             return
-        self._place(self.now + delay, seq, event)
+        heappush(self._heap, (self.now + delay, seq, event))
 
     def _post_slow(self, event: Event, delay: int = 0) -> None:
         self._seq = seq = self._seq + 1
-        self._count += 1
         active = self._active_process
         if active is not None and active.observer:
             event._observer = True
@@ -572,52 +549,9 @@ class Simulator:
         if delay == 0:
             self._imm.append(event)
         else:
-            self._place(when, seq, event)
+            heappush(self._heap, (when, seq, event))
         if self._san is not None:
             self._san.note_scheduled(event, when, seq)
-
-    def _place(self, t: int, seq: int, event: Event) -> None:
-        """File a future entry into the current bucket, ring, or far heap."""
-        ab = t >> _W_SHIFT
-        cur_abs = self._cur_abs
-        if ab <= cur_abs:
-            # Current bucket — or earlier, which only happens after an
-            # `until` stop parked the clock below the rotated bucket;
-            # the heap keeps (time, seq) order either way.
-            heappush(self._cur, (t, seq, event))
-        elif ab < cur_abs + _N_BUCKETS:
-            slot = self._buckets[ab & _B_MASK]
-            if not slot:
-                heappush(self._bucket_heap, ab)
-            slot.append((t, seq, event))
-        else:
-            heappush(self._far, (t, seq, event))
-
-    def _advance(self) -> int:
-        """Rotate to the next populated bucket; return its first time.
-
-        Only called when ``_imm`` is drained and ``_cur`` is empty but
-        events remain, so there is always a next bucket — either the
-        smallest populated ring slot or the far heap's bucket,
-        whichever starts sooner (far entries for that bucket migrate
-        into ``_cur`` so ties resolve by seq).
-        """
-        far = self._far
-        bh = self._bucket_heap
-        if bh and (not far or bh[0] <= far[0][0] >> _W_SHIFT):
-            ab = heappop(bh)
-            slot_i = ab & _B_MASK
-            cur = self._buckets[slot_i]
-            self._buckets[slot_i] = self._cur     # recycle the empty list
-        else:
-            ab = far[0][0] >> _W_SHIFT
-            cur = self._cur
-        while far and far[0][0] >> _W_SHIFT == ab:
-            cur.append(heappop(far))
-        self._cur_abs = ab
-        heapify(cur)
-        self._cur = cur
-        return cur[0][0]
 
     # -- the event loop ----------------------------------------------------
 
@@ -645,24 +579,25 @@ class Simulator:
         """The no-sanitizer/no-observer drain loop."""
         pooling = self._pooling
         pool_to, pool_ev = self._pool_to, self._pool_ev
-        imm = self._imm
-        while self._count:
+        heap, imm = self._heap, self._imm
+        now = self.now
+        while True:
             if self._instrumented:
                 # An observer process appeared mid-run.
                 return self._run_slow(until)
-            cur = self._cur
-            if cur and cur[0][0] == self.now:
-                event = heappop(cur)[2]
+            if heap and heap[0][0] == now:
+                event = heappop(heap)[2]
             elif imm:
                 event = imm.popleft()
-            else:
-                when = cur[0][0] if cur else self._advance()
+            elif heap:
+                when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
                     return until
-                self.now = when
-                continue
-            self._count -= 1
+                self.now = now = when
+                event = heappop(heap)[2]
+            else:
+                break
             callbacks = event.callbacks
             event.callbacks = None
             for fn in callbacks:
@@ -695,17 +630,17 @@ class Simulator:
     def _run_slow(self, until: Optional[int]) -> int:
         """The instrumented drain loop (sanitizer and/or observers)."""
         pooling = self._pooling
-        while self._count:
-            if self._obs_count >= self._count and until is None:
+        heap, imm = self._heap, self._imm
+        while heap or imm:
+            if self._obs_count >= len(heap) + len(imm) and until is None:
                 # Only sampler wake-ups left: the model is quiescent.
                 break
-            cur = self._cur
-            if cur and cur[0][0] == self.now:
-                event = heappop(cur)[2]
-            elif self._imm:
-                event = self._imm.popleft()
+            if heap and heap[0][0] == self.now:
+                event = heappop(heap)[2]
+            elif imm:
+                event = imm.popleft()
             else:
-                when = cur[0][0] if cur else self._advance()
+                when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
                     if self._san is not None:
@@ -713,7 +648,6 @@ class Simulator:
                     return self.now
                 self.now = when
                 continue
-            self._count -= 1
             if event._observer:
                 self._obs_count -= 1
             callbacks = event.callbacks
@@ -758,7 +692,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return self._count
+        return len(self._heap) + len(self._imm)
 
 
 # Differential-timeline escape hatch: with REPRO_ENGINE=reference in the

@@ -6,15 +6,19 @@ host path included.  A dead event that comes back on the device path,
 or a fixed-delay chain that is no longer charged as one delay (the
 syscall entry and VFS, the block layer and driver, a write's transfer
 and media, a WiredTiger path's cache lookups), changes these counts and
-fails here.
+fails here.  A contended fio job pins the same counts, and the latency
+percentiles, for many queues posting at one instant, where the order
+in which the engine pops same-time events decides every completion.
 """
 
 import pytest
 
 from repro import Machine
+from repro.apps.fio import FioJob, run_fio
 from repro.apps.wiredtiger import BTreeGeometry, WiredTigerModel
 from repro.apps.ycsb import YCSBOp
 from repro.baselines.registry import make_engine
+from repro.hw.params import MiB
 
 # (engine, write, posted events, simulated ns)
 BUDGET = [
@@ -58,6 +62,32 @@ def _one_op(engine: str, write: bool):
                               "sync-write"])
 def test_events_per_4k_command(engine, write, events, elapsed_ns):
     assert _one_op(engine, write) == (events, elapsed_ns)
+
+
+# (engine, posted events, final simulated ns, p50 ns, p99 ns)
+CONTENDED = [
+    ("bypassd", 3438, 3240397, 9133, 9162),
+    ("sync", 2784, 3220888, 9104, 9104),
+]
+
+
+@pytest.mark.parametrize("engine,events,now_ns,p50_ns,p99_ns", CONTENDED,
+                         ids=["bypassd", "sync"])
+def test_contended_randread_job(engine, events, now_ns, p50_ns, p99_ns):
+    """4 processes x 4 threads of QD1 4 KiB random reads on one device:
+    16 submission queues race for the device channels, so same-instant
+    posts from many queues must pop in exact (time, seq) order for the
+    event count, the end time and the latencies to stay put."""
+    m = Machine()
+    job = FioJob(engine=engine, rw="randread", block_size=4096,
+                 file_size=16 * MiB, processes=4, threads=4,
+                 ops_per_thread=16, ramp_ops=2, seed=7)
+    seq = m.sim._seq
+    result = run_fio(m, job)
+    assert result.latency.count == 4 * 4 * 16
+    assert (m.sim._seq - seq, m.now) == (events, now_ns)
+    assert (result.latency.percentile_ns(50),
+            result.latency.percentile_ns(99)) == (p50_ns, p99_ns)
 
 
 def test_events_per_wiredtiger_read_with_one_path_miss():

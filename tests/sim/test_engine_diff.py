@@ -1,8 +1,9 @@
 """Differential-timeline harness: new engine vs the frozen reference.
 
-The engine overhaul (bucketed calendar queue, event pooling, fast-path
-dispatch) is only safe if it changed *nothing observable*.  This
-harness runs identical workloads on both engines — the overhauled
+The engine overhaul (current-instant FIFO beside the heap, event
+pooling, fast-path dispatch) is only safe if it changed *nothing
+observable*.  This harness runs identical workloads on both engines —
+the overhauled
 ``repro.sim.engine`` and the pre-overhaul copy in
 ``repro.sim.engine_reference``, selected per-subprocess via the
 ``REPRO_ENGINE`` environment variable — and asserts the resulting

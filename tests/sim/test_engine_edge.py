@@ -95,3 +95,25 @@ def test_nested_process_failure_propagates_to_parent():
             return "caught-inner"
 
     assert sim.run_process(parent()) == "caught-inner"
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_timers_due_now_pop_before_events_posted_now(sanitize):
+    """Two timers fire at t=10; the first one's callback succeeds an
+    event at t=10.  The second timer was posted earlier (lower seq), so
+    it pops before that event, as one (time, seq) heap would order it."""
+    sim = Simulator(sanitize=sanitize)
+    order = []
+    first, second = sim.timeout(10), sim.timeout(10)
+    now_ev = sim.event()
+    now_ev.add_callback(lambda ev: order.append("posted-now"))
+
+    def on_first(ev):
+        order.append("first")
+        now_ev.succeed()
+
+    first.add_callback(on_first)
+    second.add_callback(lambda ev: order.append("second"))
+    sim.run()
+    assert order == ["first", "second", "posted-now"]
+    assert sim.now == 10 and sim.pending_events == 0

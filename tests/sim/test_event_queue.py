@@ -1,15 +1,17 @@
-"""Property suite for the bucketed near/far event queue and freelists.
+"""Property suite for the event queue and freelists.
 
 The overhauled :class:`repro.sim.engine.Simulator` files events into
-four structures (current-instant FIFO, current-bucket heap, calendar
-ring, far heap) but must pop in exactly ``(time, seq)`` order — the
-order the pre-overhaul single-``heapq`` engine guarantees by
-construction.  Hypothesis drives both engines (plus an explicit
-sorted-list oracle computed in the test) with arbitrary interleavings
-of posts and ``until``-bounded drains: duplicate timestamps, bucket
-boundaries, far-horizon spill, and pathological ``until < now`` calls
-(which the live engine refuses with the clock and queue untouched; the
-frozen reference parked its clock there, so it skips them).
+two structures (a current-instant FIFO and one heap of delayed posts)
+but must pop in exactly ``(time, seq)`` order — the order the
+pre-overhaul single-``heapq`` engine guarantees by construction.
+Hypothesis drives both engines (plus an explicit sorted-list oracle
+computed in the test) with arbitrary interleavings of posts and
+``until``-bounded drains: duplicate timestamps, delays from 0 ns to
+5 ms (kept at the edges of the 1024 ns buckets and the 262,144 ns
+horizon of the calendar queue that this heap replaced), and
+pathological ``until < now`` calls (which the live engine refuses with
+the clock and queue untouched; the frozen reference parked its clock
+there, so it skips them).
 
 The freelist properties: recycled events are only ever ones nobody
 else references (a held event is never mutated by later traffic), and
@@ -22,9 +24,9 @@ from hypothesis import strategies as st
 
 from repro.sim import engine, engine_reference
 
-# Delays that straddle every queue boundary: the current instant, the
-# current 1024 ns bucket, its edges, ring slots, and the 262,144 ns
-# near-horizon spill into the far heap — plus duplicates of each.
+# Delays from the current instant to 5 ms, at the edges of the former
+# calendar queue's 1024 ns buckets and 262,144 ns horizon — plus
+# duplicates of each.
 INTERESTING_DELAYS = [
     0, 0, 1, 2, 3, 17, 1023, 1024, 1025, 2048, 9973,
     262_143, 262_144, 262_145, 300_000, 1_000_000, 5_000_000,
@@ -173,8 +175,8 @@ def test_pool_capacity_is_bounded():
 
 
 def test_far_horizon_spill_and_migration():
-    """Timers beyond the 262,144 ns horizon migrate back into the ring
-    and still fire in exact time order, interleaved with near posts."""
+    """Timers from 0 ns to 1 ms, posted out of order, fire in exact
+    time order."""
     sim = engine.Simulator()
     fired = []
     for delay in (1_000_000, 3, 500_000, 262_144, 262_143, 0, 750_000):
