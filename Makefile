@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay event-sites
+.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay event-sites cold-start
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,6 +61,11 @@ event-sites:
 	  $(PYTHON) scripts/event_sites.py --workload $$w --seed 101 \
 	    || exit 1; \
 	done
+
+# fresh-interpreter cost of `import repro; repro.Machine()`: the
+# fastest of 12 timings and the 10 largest -X importtime self times
+cold-start:
+	$(PYTHON) scripts/cold_start.py
 
 # hot-path ops/sec, overhauled engine vs the frozen reference
 bench-engine:

@@ -90,13 +90,17 @@ EVENT_FACTORY_ATTRS = {
 HOT_PATH_MODULES = ("sim/engine.py", "nvme/spec.py", "sim/trace.py",
                     "sim/spans.py")
 HOT_BASE_CLASSES = {"Event", "Timeout", "Process", "Condition"}
+# Plain classes built for every I/O in those modules, checked like the
+# dataclasses and Event subclasses there.
+HOT_RECORD_CLASSES = {"Command", "Completion"}
 _EXEMPT_BASES = {"Enum", "IntEnum", "IntFlag", "Flag", "Exception",
                  "BaseException"}
 
 # SIM011: list mutators that bypass TimeSeries.record()'s sorted-
-# samples invariant.  sim/ is the owning layer; a module declaring its
-# *own* samples/points attribute (e.g. a dataclass field) is a friend.
-SERIES_ATTRS = {"samples", "points"}
+# samples invariant.  sim/ is the owning layer; a module that assigns
+# its *own* samples attribute (e.g. ``self.samples = []`` in a class's
+# constructor) is a friend.
+SERIES_ATTRS = {"samples"}
 SERIES_MUTATORS = {"append", "extend", "insert", "remove", "pop",
                    "clear", "sort", "reverse"}
 
@@ -606,8 +610,8 @@ class _Checker(ast.NodeVisitor):
             return
         if _is_self(attr_node.value):
             return
-        # Friend: this module declares its own samples/points field
-        # (e.g. a dataclass with a `samples` list of its own).
+        # Friend: this module assigns a samples attribute of its own
+        # (e.g. a class whose constructor sets `self.samples = []`).
         if attr_node.attr in self.ctx.own_attrs:
             return
         expr = _dotted_target(attr_node) or f"?.{attr_node.attr}"
@@ -628,7 +632,7 @@ class _Checker(ast.NodeVisitor):
         if isinstance(target, ast.Attribute):
             if _is_self(target.value):
                 return
-            # friend: the module's own dataclass fields (cf. SIM011)
+            # friend: attributes the module assigns itself (cf. SIM011)
             if target.attr in self.ctx.own_attrs:
                 return
             expr = _dotted_target(target) or f"?.{target.attr}"
@@ -910,7 +914,8 @@ class _Checker(ast.NodeVisitor):
                 isinstance(t, ast.Name) and t.id == "__slots__"
                 for t in s.targets)
             for s in node.body)
-        relevant = is_dataclass or bool(base_names & HOT_BASE_CLASSES)
+        relevant = (is_dataclass or bool(base_names & HOT_BASE_CLASSES)
+                    or node.name in HOT_RECORD_CLASSES)
         if not relevant:
             return
         if is_dataclass and not has_slots_kw:

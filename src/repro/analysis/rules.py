@@ -185,9 +185,8 @@ RULES: Tuple[Rule, ...] = (
         rationale=(
             "TimeSeries keeps its samples sorted by timestamp so "
             "windowed SLO reducers can bisect; appending or assigning "
-            "to .samples (or the legacy .points alias) from model or "
-            "analysis code can break that invariant silently.  Call "
-            "record() instead."
+            "to .samples from model or analysis code can break that "
+            "invariant silently.  Call record() instead."
         ),
         tags=("layering", "observability"),
     ),

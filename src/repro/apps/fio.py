@@ -10,7 +10,6 @@ The RNG is seeded per job so runs are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..machine import Machine
@@ -22,28 +21,35 @@ __all__ = ["FioJob", "FioResult", "run_fio"]
 SECTOR = 512
 
 
-@dataclass
 class FioJob:
-    """One fio invocation."""
+    """One fio invocation.
 
-    engine: str = "sync"
-    rw: str = "randread"          # randread | randwrite | read | write
-    block_size: int = 4096
-    file_size: int = 256 * 1024 * 1024
-    threads: int = 1
-    processes: int = 1            # each process gets a private file
-    ops_per_thread: int = 200
-    seed: int = 42
-    buffered: bool = False
-    ramp_ops: int = 8             # warm-up ops excluded from stats
+    ``rw`` is randread, randwrite, read or write; each of ``processes``
+    gets a private file; the first ``ramp_ops`` ops of each thread are
+    warm-up, left out of the statistics.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rw not in ("randread", "randwrite", "read", "write"):
-            raise ValueError(f"unknown rw mode {self.rw!r}")
-        if self.block_size % SECTOR:
+    def __init__(self, engine: str = "sync", rw: str = "randread",
+                 block_size: int = 4096, file_size: int = 256 * 1024 * 1024,
+                 threads: int = 1, processes: int = 1,
+                 ops_per_thread: int = 200, seed: int = 42,
+                 buffered: bool = False, ramp_ops: int = 8) -> None:
+        if rw not in ("randread", "randwrite", "read", "write"):
+            raise ValueError(f"unknown rw mode {rw!r}")
+        if block_size % SECTOR:
             raise ValueError("block size must be sector-aligned")
-        if self.block_size > self.file_size:
+        if block_size > file_size:
             raise ValueError("block size larger than file")
+        self.engine = engine
+        self.rw = rw
+        self.block_size = block_size
+        self.file_size = file_size
+        self.threads = threads
+        self.processes = processes
+        self.ops_per_thread = ops_per_thread
+        self.seed = seed
+        self.buffered = buffered
+        self.ramp_ops = ramp_ops
 
     @property
     def is_write(self) -> bool:
@@ -54,20 +60,27 @@ class FioJob:
         return self.rw.startswith("rand")
 
 
-@dataclass
 class FioResult:
     """One fio run: latency, throughput and each process's share."""
 
-    job: FioJob
-    latency: LatencyRecorder
-    throughput: ThroughputCounter
-    per_process_gbps: List[float] = field(default_factory=list)
-    per_process_lat_us: List[float] = field(default_factory=list)
-    # Full per-process recorders (index = process), so multi-tenant
-    # consumers (repro.bench.sweep) can read per-tenant percentiles, not
-    # just the mean.
-    per_process_latency: List[LatencyRecorder] = field(
-        default_factory=list)
+    def __init__(self, job: FioJob, latency: LatencyRecorder,
+                 throughput: ThroughputCounter,
+                 per_process_gbps: Optional[List[float]] = None,
+                 per_process_lat_us: Optional[List[float]] = None,
+                 per_process_latency: Optional[
+                     List[LatencyRecorder]] = None) -> None:
+        self.job = job
+        self.latency = latency
+        self.throughput = throughput
+        self.per_process_gbps: List[float] = (
+            [] if per_process_gbps is None else per_process_gbps)
+        self.per_process_lat_us: List[float] = (
+            [] if per_process_lat_us is None else per_process_lat_us)
+        # Full per-process recorders (index = process), so multi-tenant
+        # consumers (repro.bench.sweep) can read per-tenant percentiles,
+        # not just the mean.
+        self.per_process_latency: List[LatencyRecorder] = (
+            [] if per_process_latency is None else per_process_latency)
 
     @property
     def mean_lat_us(self) -> float:

@@ -20,7 +20,6 @@ real engine I/O against the simulated device, and inserts land in the
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Generator, List, Optional, Tuple
 
@@ -35,14 +34,21 @@ __all__ = ["BTreeGeometry", "WiredTigerModel", "WTResult",
            "run_wiredtiger_ycsb"]
 
 
-@dataclass(frozen=True)
 class BTreeGeometry:
-    """Shape of the on-disk B-tree."""
+    """Shape of the on-disk B-tree.  Frozen."""
 
-    n_keys: int
-    page_size: int = 512
-    key_size: int = 16
-    value_size: int = 16
+    def __init__(self, n_keys: int, page_size: int = 512, key_size: int = 16,
+                 value_size: int = 16) -> None:
+        vars(self).update(n_keys=n_keys, page_size=page_size,
+                          key_size=key_size, value_size=value_size)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             "BTreeGeometry is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: "
+                             "BTreeGeometry is frozen")
 
     @property
     def entries_per_leaf(self) -> int:
@@ -122,17 +128,18 @@ class _PageCacheLRU:
             self._lru.popitem(last=False)
 
 
-@dataclass
 class WTResult:
     """One YCSB run on WiredTiger: throughput, latency, cache hits, I/Os."""
 
-    workload: str
-    engine: str
-    threads: int
-    kops: float
-    mean_lat_us: float
-    cache_hit_rate: float
-    ios: int
+    def __init__(self, workload: str, engine: str, threads: int, kops: float,
+                 mean_lat_us: float, cache_hit_rate: float, ios: int) -> None:
+        self.workload = workload
+        self.engine = engine
+        self.threads = threads
+        self.kops = kops
+        self.mean_lat_us = mean_lat_us
+        self.cache_hit_rate = cache_hit_rate
+        self.ios = ios
 
 
 class WiredTigerModel:

@@ -21,7 +21,6 @@ Workload mixes (standard YCSB):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 __all__ = ["ZipfianGenerator", "LatestGenerator", "YCSBWorkload",
@@ -144,13 +143,14 @@ class LatestGenerator:
         return self.count - 1 - rank
 
 
-@dataclass
 class YCSBOp:
-    """One YCSB operation: its kind, key and (for scans) length."""
+    """One YCSB operation: its kind (read, update, insert, scan or rmw),
+    key and (for scans) length."""
 
-    kind: str   # read | update | insert | scan | rmw
-    key: int
-    scan_len: int = 0
+    def __init__(self, kind: str, key: int, scan_len: int = 0) -> None:
+        self.kind = kind
+        self.key = key
+        self.scan_len = scan_len
 
 
 class YCSBWorkload:

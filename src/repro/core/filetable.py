@@ -26,8 +26,7 @@ kernel writes them all, and ``memory_bytes`` still one page per leaf.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..hw.pagetable import (
     ENTRIES_PER_NODE,
@@ -49,14 +48,17 @@ PAGE = 4096
 Mapping = Tuple[int, int, int]  # (logical page, device page, count)
 
 
-@dataclass
 class FileTable:
-    """The cached file-table subtree for one inode."""
+    """The cached file-table subtree for one inode; ``pages`` is one
+    past the highest mapped page."""
 
-    devid: int
-    leaves: List[PageTableNode] = field(default_factory=list)
-    pages: int = 0          # one past the highest mapped page
-    build_cost_ns: int = 0
+    def __init__(self, devid: int,
+                 leaves: Optional[List[PageTableNode]] = None,
+                 pages: int = 0, build_cost_ns: int = 0) -> None:
+        self.devid = devid
+        self.leaves: List[PageTableNode] = [] if leaves is None else leaves
+        self.pages = pages
+        self.build_cost_ns = build_cost_ns
 
     @property
     def span_bytes(self) -> int:

@@ -25,7 +25,6 @@ brand-new leaves are attached to every mapped process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -58,21 +57,23 @@ def _runs(indices: Sequence[int]) -> Runs:
     return runs
 
 
-@dataclass
 class Attachment:
     """One process's live mapping of one file.
 
     It links every allocated leaf of the inode's table: fmap links them
     all, growth links each new one (or dooms the attachment) and
     truncate unlinks each dropped one, so the table's ``leaf_runs()``
-    are always what it has linked.
+    are always what it has linked.  ``region_leaves`` is its VA
+    capacity in leaves (growth headroom).
     """
 
-    proc: Process
-    base_va: int
-    region_leaves: int   # VA capacity in leaves (growth headroom)
-    writable: bool
-    refcount: int = 1
+    def __init__(self, proc: Process, base_va: int, region_leaves: int,
+                 writable: bool, refcount: int = 1) -> None:
+        self.proc = proc
+        self.base_va = base_va
+        self.region_leaves = region_leaves
+        self.writable = writable
+        self.refcount = refcount
 
 
 class FmapManager:

@@ -25,7 +25,6 @@ Applications see :class:`BypassDFile`, which mirrors the POSIX calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..hw.memory import DMABuffer, PhysicalMemory
@@ -46,24 +45,33 @@ _PREALLOC_CHUNK = 4 * 1024 * 1024
 _MAX_FAULT_RETRIES = 3
 
 
-@dataclass
 class FileState:
     """UserLib's per-open-file record (flags, offset, size, VBA)."""
 
-    fd: int
-    path: str
-    inode: object
-    vba: int
-    writable: bool
-    size: int
-    offset: int = 0
-    fallback: bool = False
-    prealloc_end: int = 0
-    # Offsets of in-flight partial (sub-sector) writes -> completion event.
-    partial_writes: Dict[Tuple[int, int], Event] = field(default_factory=dict)
-    # Non-blocking mode: in-flight async overwrites, byte range -> event.
-    pending_writes: Dict[Tuple[int, int], Event] = field(
-        default_factory=dict)
+    def __init__(self, fd: int, path: str, inode: object, vba: int,
+                 writable: bool, size: int, offset: int = 0,
+                 fallback: bool = False, prealloc_end: int = 0,
+                 partial_writes: Optional[
+                     Dict[Tuple[int, int], Event]] = None,
+                 pending_writes: Optional[
+                     Dict[Tuple[int, int], Event]] = None) -> None:
+        self.fd = fd
+        self.path = path
+        self.inode = inode
+        self.vba = vba
+        self.writable = writable
+        self.size = size
+        self.offset = offset
+        self.fallback = fallback
+        self.prealloc_end = prealloc_end
+        # Offsets of in-flight partial (sub-sector) writes -> completion
+        # event.
+        self.partial_writes: Dict[Tuple[int, int], Event] = (
+            {} if partial_writes is None else partial_writes)
+        # Non-blocking mode: in-flight async overwrites, byte range ->
+        # event.
+        self.pending_writes: Dict[Tuple[int, int], Event] = (
+            {} if pending_writes is None else pending_writes)
 
     @property
     def direct(self) -> bool:

@@ -32,7 +32,6 @@ or parsed from the CLI grammar used by ``python -m repro.bench
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 __all__ = ["FaultKind", "FaultRule", "FaultPlan"]
@@ -58,36 +57,48 @@ TERMINAL_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
 class FaultRule:
-    """One injection rule; immutable so plans can be shared freely."""
+    """One injection rule; immutable so plans can be shared freely.
 
-    kind: FaultKind
-    probability: float = 0.0
-    nth: Optional[int] = None              # 1-based index of matching commands
-    count: Optional[int] = None            # max fires (None: 1 for nth, inf for rate)
-    lba_range: Optional[Tuple[int, int]] = None   # [start, end) in 512 B LBAs
-    window: Optional[Tuple[int, int]] = None      # [t0, t1) in sim ns
-    extra_ns: int = 2_000_000              # LATENCY_SPIKE delay
-    at_ns: Optional[int] = None            # POWER_FAILURE instant
+    ``nth`` is the 1-based index of the matching command to fail;
+    ``count`` caps the fires (None: 1 for ``nth``, unlimited for a
+    rate); ``lba_range`` is [start, end) in 512 B LBAs and ``window``
+    [t0, t1) in sim ns; ``extra_ns`` is a LATENCY_SPIKE's delay and
+    ``at_ns`` a POWER_FAILURE's instant.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability out of range: {self.probability}")
-        if self.nth is not None and self.nth < 1:
-            raise ValueError(f"nth is 1-based, got {self.nth}")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.kind is FaultKind.POWER_FAILURE and self.at_ns is None:
+    def __init__(self, kind: FaultKind, probability: float = 0.0,
+                 nth: Optional[int] = None, count: Optional[int] = None,
+                 lba_range: Optional[Tuple[int, int]] = None,
+                 window: Optional[Tuple[int, int]] = None,
+                 extra_ns: int = 2_000_000,
+                 at_ns: Optional[int] = None) -> None:
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability out of range: {probability}")
+        if nth is not None and nth < 1:
+            raise ValueError(f"nth is 1-based, got {nth}")
+        if count is not None and count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if kind is FaultKind.POWER_FAILURE and at_ns is None:
             raise ValueError("POWER_FAILURE rules need at_ns")
-        if self.kind is not FaultKind.POWER_FAILURE \
-                and self.nth is None and self.probability == 0.0:
-            raise ValueError(f"rule {self.kind.value} can never fire: "
+        if kind is not FaultKind.POWER_FAILURE \
+                and nth is None and probability == 0.0:
+            raise ValueError(f"rule {kind.value} can never fire: "
                              "give it nth= or probability=")
-        for name, pair in (("lba_range", self.lba_range),
-                           ("window", self.window)):
+        for name, pair in (("lba_range", lba_range), ("window", window)):
             if pair is not None and pair[1] <= pair[0]:
                 raise ValueError(f"empty {name}: {pair}")
+        vars(self).update(kind=kind, probability=probability, nth=nth,
+                          count=count, lba_range=lba_range, window=window,
+                          extra_ns=extra_ns, at_ns=at_ns)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             "FaultRule is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: "
+                             "FaultRule is frozen")
 
     @property
     def max_fires(self) -> Optional[int]:
@@ -97,12 +108,13 @@ class FaultRule:
         return 1 if self.nth is not None else None
 
 
-@dataclass
 class FaultPlan:
     """A seed plus an ordered rule list; the unit of configuration."""
 
-    seed: int = 0
-    rules: List[FaultRule] = field(default_factory=list)
+    def __init__(self, seed: int = 0,
+                 rules: Optional[List[FaultRule]] = None) -> None:
+        self.seed = seed
+        self.rules: List[FaultRule] = [] if rules is None else rules
 
     # -- builder API ---------------------------------------------------------
 

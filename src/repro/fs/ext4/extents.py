@@ -14,25 +14,37 @@ metadata from the device (Section 4.1, Table 5).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 __all__ = ["Extent", "ExtentTree", "ExtentStatusCache"]
 
 
-@dataclass(frozen=True)
 class Extent:
-    """A run of ``count`` file blocks mapped to contiguous device blocks."""
+    """A run of ``count`` file blocks mapped to contiguous device blocks:
+    file blocks from ``logical`` on, fs/device blocks from ``physical``
+    on.  Frozen."""
 
-    logical: int   # first file block
-    physical: int  # first fs/device block
-    count: int     # blocks
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
+    def __init__(self, logical: int, physical: int, count: int) -> None:
+        if count <= 0:
             raise ValueError("extent must cover at least one block")
-        if self.logical < 0 or self.physical < 0:
+        if logical < 0 or physical < 0:
             raise ValueError("negative block number")
+        object.__setattr__(self, "logical", logical)
+        object.__setattr__(self, "physical", physical)
+        object.__setattr__(self, "count", count)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             "Extent is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: "
+                             "Extent is frozen")
+
+    def __repr__(self) -> str:
+        # Named in the overlap and ordering errors of ExtentTree.
+        return (f"Extent(logical={self.logical}, "
+                f"physical={self.physical}, count={self.count})")
 
     @property
     def logical_end(self) -> int:

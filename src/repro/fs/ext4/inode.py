@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import stat as stat_module
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from .extents import ExtentTree
@@ -24,18 +23,20 @@ class FileType(enum.Enum):
     DIRECTORY = "directory"
 
 
-@dataclass
 class InodeAttrs:
     """The stat()-visible attribute block."""
 
-    mode: int
-    uid: int
-    gid: int
-    size: int = 0
-    atime_ns: int = 0
-    mtime_ns: int = 0
-    ctime_ns: int = 0
-    nlink: int = 1
+    def __init__(self, mode: int, uid: int, gid: int, size: int = 0,
+                 atime_ns: int = 0, mtime_ns: int = 0, ctime_ns: int = 0,
+                 nlink: int = 1) -> None:
+        self.mode = mode
+        self.uid = uid
+        self.gid = gid
+        self.size = size
+        self.atime_ns = atime_ns
+        self.mtime_ns = mtime_ns
+        self.ctime_ns = ctime_ns
+        self.nlink = nlink
 
 
 class Inode:

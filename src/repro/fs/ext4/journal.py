@@ -16,7 +16,6 @@ guarantee.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .extents import Extent
@@ -27,13 +26,15 @@ __all__ = ["JournalRecord", "Transaction", "Journal", "replay_into"]
 JournalRecord = Tuple[str, Dict[str, Any]]
 
 
-@dataclass
 class Transaction:
     """One journal transaction: its records, logged until commit."""
 
-    txid: int
-    records: List[JournalRecord] = field(default_factory=list)
-    committed: bool = False
+    def __init__(self, txid: int,
+                 records: Optional[List[JournalRecord]] = None,
+                 committed: bool = False) -> None:
+        self.txid = txid
+        self.records: List[JournalRecord] = [] if records is None else records
+        self.committed = committed
 
     def log(self, op: str, **args: Any) -> None:
         if self.committed:

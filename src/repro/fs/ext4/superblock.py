@@ -9,25 +9,23 @@ BypassD packs into File Table Entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["Superblock", "FS_BLOCK_SIZE"]
 
 FS_BLOCK_SIZE = 4096
 
 
-@dataclass
 class Superblock:
     """Geometry and counters for one mounted filesystem."""
 
-    total_blocks: int
-    journal_blocks: int = 2048
-    inode_count: int = 1 << 20
-    block_size: int = FS_BLOCK_SIZE
-    mounted: bool = field(default=False, init=False)
-    mount_count: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, total_blocks: int, journal_blocks: int = 2048,
+                 inode_count: int = 1 << 20,
+                 block_size: int = FS_BLOCK_SIZE) -> None:
+        self.total_blocks = total_blocks
+        self.journal_blocks = journal_blocks
+        self.inode_count = inode_count
+        self.block_size = block_size
+        self.mounted = False
+        self.mount_count = 0
         if self.total_blocks <= self.first_data_block:
             raise ValueError(
                 f"filesystem too small: {self.total_blocks} blocks, "

@@ -7,7 +7,6 @@ not actual byte storage (file payloads live in the NVMe backend).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["PhysicalMemory", "DMABuffer", "OutOfMemoryError"]
@@ -20,21 +19,20 @@ class OutOfMemoryError(Exception):
     """Raised when the frame allocator is exhausted."""
 
 
-@dataclass
 class DMABuffer:
     """A pinned, IOVA-addressable buffer owned by one process/thread."""
 
-    iova: int
-    size: int
-    frames: List[int]
-    pasid: int
-    pinned: bool = True
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
+    def __init__(self, iova: int, size: int, frames: List[int], pasid: int,
+                 pinned: bool = True) -> None:
+        if size <= 0:
             raise ValueError("DMA buffer size must be positive")
-        if self.iova % PAGE_SIZE:
+        if iova % PAGE_SIZE:
             raise ValueError("DMA buffer IOVA must be page-aligned")
+        self.iova = iova
+        self.size = size
+        self.frames = frames
+        self.pasid = pasid
+        self.pinned = pinned
 
     @property
     def pages(self) -> int:

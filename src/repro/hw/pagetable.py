@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -270,13 +269,15 @@ class RunLeaf(PageTableNode):
         return entries
 
 
-@dataclass
 class WalkResult:
-    """Outcome of a software/hardware page walk."""
+    """Outcome of a software/hardware page walk: the leaf ``entry``
+    (0 if not present) and the ``level`` at which the walk ended."""
 
-    entry: int                       # leaf entry (0 if not present)
-    level: int                       # level at which the walk ended
-    effective_writable: bool
+    def __init__(self, entry: int, level: int,
+                 effective_writable: bool) -> None:
+        self.entry = entry
+        self.level = level
+        self.effective_writable = effective_writable
 
     @property
     def present(self) -> bool:

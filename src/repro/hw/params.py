@@ -19,9 +19,6 @@ behind a running simulation's back.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 __all__ = ["HardwareParams", "DEFAULT_PARAMS", "KiB", "MiB", "GiB"]
 
 KiB = 1024
@@ -29,9 +26,14 @@ MiB = 1024 * KiB
 GiB = 1024 * MiB
 
 
-@dataclass(frozen=True)
 class HardwareParams:
-    """All model constants, in nanoseconds / bytes unless noted."""
+    """All model constants, in nanoseconds / bytes unless noted.
+
+    Each annotated class attribute below is a constant and its default.
+    The constructor takes them in declaration order, positionally or
+    by name, and copies every one onto the instance; the instance is
+    then frozen.
+    """
 
     # -- machine -----------------------------------------------------------
     cpu_cores: int = 24  # 12 physical, 24 with hyper-threading
@@ -119,9 +121,34 @@ class HardwareParams:
     io_retry_backoff_ns: int = 50_000  # first backoff; doubles per retry
     io_retry_backoff_max_ns: int = 400_000  # bound on the exponential
 
+    def __init__(self, *args, **kwargs) -> None:
+        if len(args) > len(_FIELDS):
+            raise TypeError(f"HardwareParams takes at most {len(_FIELDS)} "
+                            f"positional arguments, got {len(args)}")
+        values = dict(_DEFAULTS)
+        values.update(zip(_FIELDS, args))
+        for name in kwargs:
+            if name not in _DEFAULTS:
+                raise TypeError(
+                    f"HardwareParams has no constant {name!r}")
+            if _FIELDS.index(name) < len(args):
+                raise TypeError(
+                    f"HardwareParams got multiple values for {name!r}")
+        values.update(kwargs)
+        vars(self).update(values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             "HardwareParams is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: "
+                             "HardwareParams is frozen")
+
     def replace(self, **kwargs) -> "HardwareParams":
-        """Return a copy with some constants overridden."""
-        return dataclasses.replace(self, **kwargs)
+        """Return a copy with some constants overridden; an unknown
+        name raises ``TypeError``."""
+        return HardwareParams(**{**vars(self), **kwargs})
 
     # -- derived helpers ------------------------------------------------------
 
@@ -179,5 +206,9 @@ class HardwareParams:
             + self.completion_post_ns
         )
 
+
+# Constant names in declaration order, and their defaults.
+_FIELDS = tuple(HardwareParams.__annotations__)
+_DEFAULTS = {name: getattr(HardwareParams, name) for name in _FIELDS}
 
 DEFAULT_PARAMS = HardwareParams()

@@ -9,20 +9,18 @@ queue translation messages behind data transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .params import HardwareParams
 
 __all__ = ["PCIeLink"]
 
 
-@dataclass
 class PCIeLink:
     """Point-to-point link between host root complex and a device."""
 
-    params: HardwareParams
-    posted_writes: int = field(default=0, init=False)
-    round_trips: int = field(default=0, init=False)
+    def __init__(self, params: HardwareParams) -> None:
+        self.params = params
+        self.posted_writes = 0
+        self.round_trips = 0
 
     @property
     def one_way_ns(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import errno as _errno
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
@@ -90,36 +89,47 @@ ADDR_LBA, ADDR_VBA = AddressKind.LBA, AddressKind.VBA
 ST_SUCCESS = Status.SUCCESS
 
 
-@dataclass(slots=True)
 class Command:
-    """One submission queue entry."""
+    """One submission queue entry.
 
-    opcode: Opcode
-    addr: int                      # LBA (blocks) or VBA (bytes)
-    nbytes: int
-    addr_kind: AddressKind = AddressKind.LBA
-    buffer_iova: int = 0           # host DMA target/source
-    data: Optional[bytes] = None   # payload for writes (None = timing-only)
-    cid: int = field(default_factory=lambda: next(_cid_counter))
-    # Host trace context (trace_id, span_id) stamped by the submitter
-    # so device-side phase spans parent under the host's wait span.
-    # Carries no timing information; None when tracing is off.
-    trace: Optional[Tuple[int, int]] = None
-    # Doorbell timestamp (sim ns) set by NVMeDevice.submit; the delta
-    # to fetch start is the arbiter queueing delay the device stamps
-    # as a wait attr.  Never read by timing decisions.
-    submit_ns: int = -1
+    ``addr`` is an LBA (512 B blocks) or a VBA (bytes), as
+    ``addr_kind`` says; ``buffer_iova`` is the host DMA target or
+    source; ``data`` is the payload of a write (None = timing-only).
+    ``cid`` defaults to the next number of a process-wide counter.
+    ``trace`` is the host trace context (trace_id, span_id) stamped by
+    the submitter so device-side phase spans parent under the host's
+    wait span; it carries no timing information and is None when
+    tracing is off.  ``submit_ns`` is the doorbell timestamp (sim ns)
+    set by NVMeDevice.submit; the delta to fetch start is the arbiter
+    queueing delay the device stamps as a wait attr, never read by
+    timing decisions.
+    """
 
-    def __post_init__(self) -> None:
-        if self.opcode is not OP_FLUSH:
-            if self.nbytes <= 0:
+    __slots__ = ("opcode", "addr", "nbytes", "addr_kind", "buffer_iova",
+                 "data", "cid", "trace", "submit_ns")
+
+    def __init__(self, opcode: Opcode, addr: int, nbytes: int,
+                 addr_kind: AddressKind = ADDR_LBA, buffer_iova: int = 0,
+                 data: Optional[bytes] = None, cid: Optional[int] = None,
+                 trace: Optional[Tuple[int, int]] = None,
+                 submit_ns: int = -1) -> None:
+        self.opcode = opcode
+        self.addr = addr
+        self.nbytes = nbytes
+        self.addr_kind = addr_kind
+        self.buffer_iova = buffer_iova
+        self.data = data
+        self.cid = next(_cid_counter) if cid is None else cid
+        self.trace = trace
+        self.submit_ns = submit_ns
+        if opcode is not OP_FLUSH:
+            if nbytes <= 0:
                 raise ValueError("I/O command needs a positive size")
-            if self.addr < 0:
+            if addr < 0:
                 raise ValueError("negative address")
-            if (self.addr_kind is ADDR_LBA
-                    and self.nbytes % LBA_SIZE):
+            if addr_kind is ADDR_LBA and nbytes % LBA_SIZE:
                 raise ValueError(
-                    f"LBA I/O must be {LBA_SIZE}-byte aligned, got {self.nbytes}"
+                    f"LBA I/O must be {LBA_SIZE}-byte aligned, got {nbytes}"
                 )
 
     @property
@@ -127,14 +137,19 @@ class Command:
         return self.opcode is OP_WRITE
 
 
-@dataclass(slots=True)
 class Completion:
-    """One completion queue entry."""
+    """One completion queue entry; ``data`` is a read's payload
+    (None = timing-only)."""
 
-    cid: int
-    status: Status
-    data: Optional[bytes] = None   # read payload (None = timing-only)
-    fault_reason: str = ""
+    __slots__ = ("cid", "status", "data", "fault_reason")
+
+    def __init__(self, cid: int, status: Status,
+                 data: Optional[bytes] = None,
+                 fault_reason: str = "") -> None:
+        self.cid = cid
+        self.status = status
+        self.data = data
+        self.fault_reason = fault_reason
 
     @property
     def ok(self) -> bool:

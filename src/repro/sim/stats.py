@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,7 +124,6 @@ class ThroughputCounter:
         return self.gbps * 1_000.0
 
 
-@dataclass
 class TimeSeries:
     """Time-ordered (time, value) samples (Figure 12, telemetry gauges).
 
@@ -137,8 +135,11 @@ class TimeSeries:
     O(log n + k) per window rather than O(n).
     """
 
-    name: str = "series"
-    samples: List[Tuple[int, float]] = field(default_factory=list)
+    def __init__(self, name: str = "series",
+                 samples: Optional[List[Tuple[int, float]]] = None) -> None:
+        self.name = name
+        self.samples: List[Tuple[int, float]] = (
+            [] if samples is None else samples)
 
     def record(self, now_ns: int, value: float) -> None:
         sample = (int(now_ns), float(value))
@@ -177,7 +178,6 @@ class TimeSeries:
         }
 
 
-@dataclass
 class Stats:
     """Machine-wide health and fault-handling counters.
 
@@ -188,24 +188,36 @@ class Stats:
     free of model imports.
     """
 
-    commands_served: int = 0
-    commands_failed: int = 0
-    commands_aborted: int = 0
-    dropped_completions: int = 0
-    translation_faults: int = 0
-    driver_timeouts: int = 0
-    driver_aborts: int = 0
-    driver_retries: int = 0
-    driver_io_errors: int = 0
-    userlib_faults_handled: int = 0
-    userlib_kernel_fallbacks: int = 0
-    userlib_io_retries: int = 0
-    userlib_io_errors: int = 0
-    userlib_io_timeouts: int = 0
-    userlib_async_write_errors: int = 0
-    crashes: int = 0
-    slo_breaches: int = 0
-    injected: Dict[str, int] = field(default_factory=dict)
+    def __init__(self, commands_served: int = 0, commands_failed: int = 0,
+                 commands_aborted: int = 0, dropped_completions: int = 0,
+                 translation_faults: int = 0, driver_timeouts: int = 0,
+                 driver_aborts: int = 0, driver_retries: int = 0,
+                 driver_io_errors: int = 0, userlib_faults_handled: int = 0,
+                 userlib_kernel_fallbacks: int = 0,
+                 userlib_io_retries: int = 0, userlib_io_errors: int = 0,
+                 userlib_io_timeouts: int = 0,
+                 userlib_async_write_errors: int = 0, crashes: int = 0,
+                 slo_breaches: int = 0,
+                 injected: Optional[Dict[str, int]] = None) -> None:
+        # summary() lists the counters in this assignment order.
+        self.commands_served = commands_served
+        self.commands_failed = commands_failed
+        self.commands_aborted = commands_aborted
+        self.dropped_completions = dropped_completions
+        self.translation_faults = translation_faults
+        self.driver_timeouts = driver_timeouts
+        self.driver_aborts = driver_aborts
+        self.driver_retries = driver_retries
+        self.driver_io_errors = driver_io_errors
+        self.userlib_faults_handled = userlib_faults_handled
+        self.userlib_kernel_fallbacks = userlib_kernel_fallbacks
+        self.userlib_io_retries = userlib_io_retries
+        self.userlib_io_errors = userlib_io_errors
+        self.userlib_io_timeouts = userlib_io_timeouts
+        self.userlib_async_write_errors = userlib_async_write_errors
+        self.crashes = crashes
+        self.slo_breaches = slo_breaches
+        self.injected: Dict[str, int] = {} if injected is None else injected
 
     @classmethod
     def from_machine(cls, machine) -> "Stats":
@@ -239,14 +251,14 @@ class Stats:
     def summary(self) -> Dict[str, int]:
         """Flat counter dict, injector counts prefixed ``injected_``.
 
-        Keys follow the field declaration order, then the sorted
-        injector kinds; two same-seed runs must compare equal key for
-        key (the acceptance criterion for reproducible fault
+        Keys follow the counters' order in ``__init__``, then the
+        sorted injector kinds; two same-seed runs must compare equal key
+        for key (the acceptance criterion for reproducible fault
         schedules), and the chaos result fingerprints hash them.
         """
-        out: Dict[str, int] = {f.name: getattr(self, f.name)
-                               for f in fields(self)
-                               if f.name != "injected"}
+        out: Dict[str, int] = {name: value
+                               for name, value in vars(self).items()
+                               if name != "injected"}
         for kind, n in sorted(self.injected.items()):
             out[f"injected_{kind}"] = n
         return out

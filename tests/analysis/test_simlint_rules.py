@@ -336,6 +336,25 @@ def test_sim008_flags_event_subclass_without_slots():
     assert "SIM008" in _ids(vs)
 
 
+def test_sim008_flags_plain_command_without_slots():
+    bare = _lint("""
+        class Command:
+            def __init__(self, opcode, addr):
+                self.opcode = opcode
+                self.addr = addr
+    """, is_hot_module=True)
+    slotted = _lint("""
+        class Command:
+            __slots__ = ("opcode", "addr")
+
+            def __init__(self, opcode, addr):
+                self.opcode = opcode
+                self.addr = addr
+    """, is_hot_module=True)
+    assert "SIM008" in _ids(bare)
+    assert "SIM008" not in _ids(slotted)
+
+
 def test_sim008_exempts_enums():
     vs = _lint("""
         import enum
@@ -415,7 +434,7 @@ def test_sim011_flags_direct_series_mutation():
     vs = _lint("""
         def feed(series, ts):
             series.samples.append((10, 1.0))
-            ts.points.extend([(1, 2.0)])
+            ts.samples.extend([(1, 2.0)])
             ts.samples.sort()
     """)
     assert _ids(vs).count("SIM011") == 3
@@ -425,7 +444,7 @@ def test_sim011_flags_rebinding_the_sample_list():
     vs = _lint("""
         def reset(series, other):
             series.samples = []
-            other.points = list(other.points)
+            other.samples = list(other.samples)
     """)
     assert _ids(vs).count("SIM011") == 2
 
@@ -434,9 +453,19 @@ def test_sim011_ok_record_and_reads():
     vs = _lint("""
         def feed(series):
             series.record(10, 1.0)
-            return series.samples[-1], len(series.points)
+            return series.samples[-1], len(series.samples)
     """)
     assert "SIM011" not in _ids(vs)
+
+
+def test_sim011_fires_outside_sim_and_not_on_points():
+    # TimeSeries has no .points any more, so only .samples is guarded.
+    vs = _lint("""
+        def feed(series, trace):
+            series.samples.append((10, 1.0))
+            trace.points.append((10, 1.0))
+    """, path="src/repro/apps/feeder.py")
+    assert [v.line for v in vs if v.rule.id == "SIM011"] == [3]
 
 
 def test_sim011_ok_inside_sim_layer():
@@ -460,6 +489,18 @@ def test_sim011_ok_module_owning_its_own_samples_attr():
             def add(self, v):
                 self.samples.append(v)
     """)
+    assert "SIM011" not in _ids(vs)
+
+
+def test_sim011_ok_plain_class_assigning_its_own_samples():
+    vs = _lint("""
+        class Histogram:
+            def __init__(self):
+                self.samples = []
+
+            def add(self, v):
+                self.samples.append(v)
+    """, path="src/repro/apps/histogram.py")
     assert "SIM011" not in _ids(vs)
 
 

@@ -1,7 +1,5 @@
 """Unit tests for physical memory, DMA buffers and the parameter block."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,13 +153,41 @@ class TestHardwareParams:
                 + p.full_pagewalk_ns()) == 550
 
     def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        # AttributeError is also the base of dataclasses'
+        # FrozenInstanceError, which the class used to raise.
+        with pytest.raises(AttributeError):
             DEFAULT_PARAMS.cpu_cores = 1
+        with pytest.raises(AttributeError):
+            del DEFAULT_PARAMS.cpu_cores
+        assert DEFAULT_PARAMS.cpu_cores == 24
 
     def test_replace_creates_variant(self):
         p = DEFAULT_PARAMS.replace(pcie_round_trip_ns=145)
         assert p.pcie_round_trip_ns == 145
         assert DEFAULT_PARAMS.pcie_round_trip_ns == 345
+
+    def test_replace_rejects_unknown_names(self):
+        before = dict(vars(DEFAULT_PARAMS))
+        with pytest.raises(TypeError):
+            DEFAULT_PARAMS.replace(pcie_round_trip=145)
+        assert vars(DEFAULT_PARAMS) == before
+
+    def test_replace_leaves_the_default_unchanged(self):
+        before = dict(vars(DEFAULT_PARAMS))
+        p = DEFAULT_PARAMS.replace(cpu_cores=2, iotlb_entries=8)
+        assert (p.cpu_cores, p.iotlb_entries) == (2, 8)
+        assert vars(DEFAULT_PARAMS) == before
+        assert HardwareParams().cpu_cores == 24
+
+    def test_constructor_keeps_order_and_defaults(self):
+        p = HardwareParams(4, 20.0, user_to_kernel_ns=1)
+        assert (p.cpu_cores, p.memcpy_bytes_per_ns,
+                p.user_to_kernel_ns) == (4, 20.0, 1)
+        assert p.kernel_to_user_ns == DEFAULT_PARAMS.kernel_to_user_ns
+        with pytest.raises(TypeError):
+            HardwareParams(4, cpu_cores=5)
+        with pytest.raises(TypeError):
+            HardwareParams(no_such_constant=1)
 
     @given(st.integers(min_value=0, max_value=1 << 24))
     def test_memcpy_monotone(self, nbytes):

@@ -7,8 +7,6 @@ the cap, monotone non-decreasing in attempt, overflow-safe for
 pathological attempt counts, and exactly the documented
 ``min(base << (attempt-1), cap)`` wherever that formula is evaluable."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +18,8 @@ attempts = st.integers(min_value=1, max_value=10 ** 6)
 
 
 def params(base, cap):
-    return replace(HardwareParams(), io_retry_backoff_ns=base,
-                   io_retry_backoff_max_ns=cap)
+    return HardwareParams().replace(io_retry_backoff_ns=base,
+                                    io_retry_backoff_max_ns=cap)
 
 
 @given(base=bases, cap=caps, attempt=attempts)

@@ -15,8 +15,6 @@ were taken from the tree that charged every phase as its own delay, so
 any fused run of delays must trace exactly the same forest.
 """
 
-from dataclasses import replace
-
 from repro import Machine
 from repro.baselines.registry import make_engine
 from repro.hw.params import DEFAULT_PARAMS
@@ -81,7 +79,7 @@ EXPECTED = [
 def _forest():
     # A long emulated ATS delay (as Figure 5 sweeps) makes the write's
     # translation outlast its 4 KiB transfer.
-    params = replace(DEFAULT_PARAMS, cpu_cores=1, ats_processing_ns=1500)
+    params = DEFAULT_PARAMS.replace(cpu_cores=1, ats_processing_ns=1500)
     m = Machine(params=params, trace=True)
     p_sync, p_kern, p_byp = (m.spawn_process(n)
                              for n in ("sync", "kern", "bypassd"))

@@ -1,13 +1,16 @@
 """Import weight: a plain run loads only the model.
 
-``import repro``, a ``Machine`` and the fio and WiredTiger models must
-not load ``repro.obs.export`` (whose ``hashlib`` maps OpenSSL's
-libcrypto), the other trace-only obs modules, the app models the run
-does not drive, or the optional subsystems: the sanitizer, the
-telemetry monitor, the span recorder, the I/OAT model and the baseline
-engines.  Each optional subsystem loads exactly when its feature is
-switched on.  Checked in fresh interpreters, since this test process
-has long imported all of them.
+``import repro``, a ``Machine``, a sync and a bypassd fio random read,
+a short WiredTiger YCSB-A batch and one fmap must not load
+``repro.obs.export`` (whose ``hashlib`` maps OpenSSL's libcrypto), the
+other trace-only obs modules, the app models the run does not drive,
+the optional subsystems (the sanitizer, the telemetry monitor, the span
+recorder, the I/OAT model and the engines other than sync), or
+``dataclasses`` and the ``inspect`` it pulls in: the model classes on
+this path are plain classes, so no method is compiled at import.  Each
+optional subsystem loads exactly when its feature is switched on.
+Checked in fresh interpreters, since this test process has long
+imported all of them.
 """
 
 import json
@@ -18,6 +21,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 UNWANTED = [
+    "dataclasses",
+    "inspect",
     "hashlib",
     "repro.obs.export",
     "repro.obs.metrics",
@@ -40,8 +45,28 @@ PROGRAM = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import repro
-repro.Machine()
-import repro.apps.fio, repro.apps.wiredtiger
+from repro.apps.fio import FioJob, run_fio
+from repro.apps.wiredtiger import BTreeGeometry, run_wiredtiger_ycsb
+from repro.kernel.process import O_CREAT, O_DIRECT, O_RDWR
+
+for engine in ("sync", "bypassd"):
+    run_fio(repro.Machine(), FioJob(engine=engine, file_size=1 << 20,
+                                    ops_per_thread=4, ramp_ops=1))
+run_wiredtiger_ycsb(repro.Machine(), "bypassd", "A", threads=1,
+                    ops_per_thread=8, geometry=BTreeGeometry(10_000))
+
+m = repro.Machine()
+proc = m.spawn_process("p")
+thread = proc.new_thread("t")
+
+def fmap_once():
+    fd = yield from m.kernel.sys_open(proc, thread, "/f",
+                                      O_RDWR | O_CREAT | O_DIRECT,
+                                      bypass_intent=True)
+    yield from m.kernel.sys_fallocate(proc, thread, fd, 0, 1 << 20)
+    return (yield from m.kernel.sys_fmap(proc, thread, fd))
+
+assert m.run_process(fmap_once()) != 0
 print(json.dumps(sorted(m for m in {UNWANTED!r} if m in sys.modules)))
 """
 
