@@ -301,8 +301,10 @@ RULES: Tuple[Rule, ...] = (
         summary="function reachable from the engine's per-event "
                 "dispatch allocates an unslotted class",
         rationale=(
-            "SIM008 checks class *definitions* in three hardcoded "
-            "modules; this rule checks *allocation sites*: any class "
+            "SIM008 checks class *definitions* in the per-I/O "
+            "modules the linter lists (HOT_PATH_MODULES, plus the "
+            "plain records in HOT_RECORD_CLASSES); this rule checks "
+            "*allocation sites*: any class "
             "without __slots__ (or dataclass(slots=True)) constructed "
             "in a function transitively reachable from the engine's "
             "per-event dispatch (Simulator.run and friends, declared "

@@ -115,34 +115,41 @@ def run_fio(machine: Machine, job: FioJob) -> FioResult:
             f = yield from engine.open(thread, path,
                                        write=job.is_write)
         yield from gate.arrive(thread)
-        max_off = job.file_size - job.block_size
-        steps = max_off // job.block_size + 1
+        # Everything below is fixed for the job, so the op loop reads
+        # locals (``Machine.monitor`` is only set at construction).
+        sim = machine.sim
+        block_size = job.block_size
+        ramp_ops = job.ramp_ops
+        is_random = job.is_random
+        io = f.pwrite if job.is_write else f.pread
+        monitor = machine.monitor
+        proc_lat = per_proc_lat[proc_idx]
+        proc_tput = per_proc[proc_idx]
+        max_off = job.file_size - block_size
+        steps = max_off // block_size + 1
         seq_pos = 0
-        for op in range(job.ops_per_thread + job.ramp_ops):
-            if job.is_random:
-                offset = rng.randrange(steps) * job.block_size
+        for op in range(job.ops_per_thread + ramp_ops):
+            if is_random:
+                offset = rng.randrange(steps) * block_size
             else:
                 offset = seq_pos
-                seq_pos += job.block_size
+                seq_pos += block_size
                 if seq_pos > max_off:
                     seq_pos = 0
-            t0 = machine.now
-            if job.is_write:
-                yield from f.pwrite(thread, offset, job.block_size)
-            else:
-                yield from f.pread(thread, offset, job.block_size)
-            if op >= job.ramp_ops:
-                lat = machine.now - t0
+            t0 = sim.now
+            yield from io(thread, offset, block_size)
+            if op >= ramp_ops:
+                lat = sim.now - t0
                 overall.record(lat)
-                per_proc_lat[proc_idx].record(lat)
-                if machine.monitor is not None:
+                proc_lat.record(lat)
+                if monitor is not None:
                     # Feed the telemetry layer so latency SLOs can
                     # window over per-op samples (pure recording:
                     # does not touch simulated time).
-                    machine.monitor.observe("fio.lat_ns", float(lat))
-                throughput.record(nbytes=job.block_size)
-                per_proc[proc_idx].record(nbytes=job.block_size)
-        finish_times.append(machine.now)
+                    monitor.observe("fio.lat_ns", float(lat))
+                throughput.record(nbytes=block_size)
+                proc_tput.record(nbytes=block_size)
+        finish_times.append(sim.now)
 
     # -- set up processes, files and threads ---------------------------------
     from .workload_utils import StartGate

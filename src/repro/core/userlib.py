@@ -170,9 +170,19 @@ class UserLib(GuardedIO):
         if not state.direct:
             return (yield from self._kernel_read(thread, state,
                                                  offset, nbytes))
-        self._refresh_size(state)
-        n = max(0, min(nbytes, state.size - offset))
-        if n == 0:
+        # ``_refresh_size`` only ever raises ``state.size``, so a read
+        # that ends inside the size UserLib knows reads in full and
+        # needs no look at the inode.
+        n = nbytes
+        size = state.size
+        if offset + n > size:
+            if not state.prealloc_end:
+                inode_size = state.inode.size
+                if inode_size > size:
+                    size = state.size = inode_size
+            if size - offset < n:
+                n = size - offset
+        if n <= 0:
             return 0, b""
         if self.nonblocking_writes and state.pending_writes:
             # Reads must see the latest data: order behind overlapping

@@ -52,38 +52,17 @@ class FaultInjector:
 
     def __init__(self, plan: Optional[FaultPlan] = None):
         self.plan = plan if plan is not None else FaultPlan()
+        # Adopting the plan freezes it (``FaultPlan.add`` raises from
+        # now on), so every per-rule trigger state exists and the plan's
+        # classification is worked out once, not per command.
+        self.plan.freeze()
         self.rng = random.Random(self.plan.seed)
         self.tracer = NULL_TRACER
         self.counts: Dict[str, int] = {}
         self._states: List[_RuleState] = [_RuleState()
                                           for _ in self.plan.rules]
-
-    def _check_plan(self) -> None:
-        """Fail loudly if the plan was mutated after adoption.
-
-        Per-rule trigger state is allocated at construction; a rule
-        appended afterwards would silently never fire (``zip``
-        truncates) while still flipping queries like ``may_drop`` —
-        the exact mismatch that leaves driver timeouts unarmed against
-        a plan that can drop completions.  Mutating an adopted plan is
-        a bug; surface it at the first query instead of hanging later.
-        """
-        if len(self.plan.rules) != len(self._states):
-            raise RuntimeError(
-                f"fault plan mutated after the injector adopted it "
-                f"({len(self.plan.rules)} rules, trigger state for "
-                f"{len(self._states)}); build the full plan before "
-                f"constructing the FaultInjector/Machine")
-
-    # -- classification -------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        return bool(self.plan.rules)    # not plan.empty: asked per command
-
-    @property
-    def may_drop(self) -> bool:
-        return self.plan.may_drop
+        self.active = bool(self.plan.rules)
+        self.may_drop = self.plan.may_drop
 
     # -- rule evaluation ------------------------------------------------------
 
@@ -127,7 +106,6 @@ class FaultInjector:
 
     def translation_fault(self, now: int) -> bool:
         """Should this VBA command see a spurious translation fault?"""
-        self._check_plan()
         for rule, state in self._matching((FaultKind.TRANSLATION_FAULT,)):
             if self._fires(rule, state, now, None):
                 return True
@@ -142,7 +120,6 @@ class FaultInjector:
         (later terminal rules are not even consulted, so their trigger
         counters only see commands that survived to their turn).
         """
-        self._check_plan()
         spike_ns = 0
         terminal: Optional[FaultKind] = None
         media_kind = (FaultKind.MEDIA_WRITE_ERROR if is_write

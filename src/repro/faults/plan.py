@@ -109,16 +109,35 @@ class FaultRule:
 
 
 class FaultPlan:
-    """A seed plus an ordered rule list; the unit of configuration."""
+    """A seed plus an ordered rule list; the unit of configuration.
+
+    A :class:`~repro.faults.injector.FaultInjector` freezes the plan it
+    adopts: ``rules`` becomes a tuple and every builder method raises
+    ``RuntimeError``, so the injector can classify the plan once.
+    """
 
     def __init__(self, seed: int = 0,
                  rules: Optional[List[FaultRule]] = None) -> None:
         self.seed = seed
         self.rules: List[FaultRule] = [] if rules is None else rules
+        self.frozen = False
+
+    def freeze(self) -> None:
+        """Refuse every later mutation (an injector adopted the plan)."""
+        self.rules = tuple(self.rules)  # type: ignore[assignment]
+        self.frozen = True
 
     # -- builder API ---------------------------------------------------------
 
     def add(self, rule: FaultRule) -> "FaultPlan":
+        if self.frozen:
+            # A rule added now would have no trigger state in the
+            # injector, yet could flip ``may_drop``: the driver would
+            # leave its timeouts unarmed against a plan that drops.
+            raise RuntimeError(
+                "fault plan mutated after the injector adopted it; build "
+                "the full plan before constructing the FaultInjector/"
+                "Machine")
         self.rules.append(rule)
         return self
 
@@ -195,10 +214,8 @@ class FaultPlan:
     def may_drop(self) -> bool:
         """Whether any rule can swallow a completion (hosts must arm
         timeouts before submitting when this is set)."""
-        for rule in self.rules:     # a loop, not any(): asked per I/O
-            if rule.kind is FaultKind.DROP_COMPLETION:
-                return True
-        return False
+        return any(rule.kind is FaultKind.DROP_COMPLETION
+                   for rule in self.rules)
 
     # -- CLI grammar ----------------------------------------------------------
 

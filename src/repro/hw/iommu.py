@@ -26,7 +26,7 @@ Per the paper, FTEs are *not* inserted into the IOTLB by default
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .pagetable import (
     _DEVID_MASK,
@@ -59,6 +59,28 @@ class TranslationFault(Exception):
         self.reason = reason
         self.va = va
         self.pasid = pasid
+
+
+def _vba_fault(entry: Optional[int], requester_devid: int, va: int,
+               pasid: int) -> TranslationFault:
+    """The fault for a VBA page that failed the FTE or the write check.
+
+    ``entry`` is the walked leaf entry, or None for an IOTLB-cached
+    translation, which can only fail the write check.  The reasons are
+    tested in this order: no FTE, regular PTE, DevID, read-only.
+    """
+    if entry is not None:
+        if not entry & _PRESENT:
+            return TranslationFault("no file table entry", va=va, pasid=pasid)
+        if not entry & _FT:
+            return TranslationFault("regular PTE in block translation",
+                                    va=va, pasid=pasid)
+        if fte_devid(entry) != requester_devid:
+            return TranslationFault(
+                f"DevID mismatch (FTE dev {fte_devid(entry)}, "
+                f"requester {requester_devid})", va=va, pasid=pasid)
+    return TranslationFault("write to read-only file mapping",
+                            va=va, pasid=pasid)
 
 
 class AtsResult:
@@ -223,6 +245,23 @@ class IOMMU:
         fte_key = (_PRESENT | _FT | (requester_devid << _DEVID_SHIFT)
                    if 0 <= requester_devid <= 0x3F else -1)
 
+        if first_page == last_page and not self.cache_ftes:
+            # One page, one walk, one leaf cacheline: no run to coalesce
+            # and no cacheline count.  An unaligned VBA in a leaf's last
+            # page still pays the next leaf's PMD reference, as below.
+            va = first_page << PAGE_SHIFT
+            entry, writable, _level = table.lookup(va)
+            self.pagewalks += 1
+            if entry & fte_mask != fte_key or (write and not writable):
+                raise _vba_fault(entry, requester_devid, va, pasid)
+            walk_ns = self._walk_ns
+            if (vba + PAGE_SIZE - 1) >> _LEAF_SHIFT != vba >> _LEAF_SHIFT:
+                walk_ns += self.params.pagewalk_memref_ns
+            if self.nested:
+                walk_ns = int(round(walk_ns * self.params.nested_walk_factor))
+            return AtsResult([((entry & _FRAME_MASK) >> _FRAME_SHIFT, 1)],
+                             self._ats_ns + walk_ns)
+
         pairs: List[Tuple[int, int]] = []
         run_lba = run_len = 0          # the pair being coalesced
         iotlb_hits = 0
@@ -234,20 +273,8 @@ class IOMMU:
             if cached is None:
                 entry, writable, _level = table.lookup(va)
                 self.pagewalks += 1
-                if entry & fte_mask != fte_key:
-                    if not entry & _PRESENT:
-                        raise TranslationFault("no file table entry",
-                                               va=va, pasid=pasid)
-                    if not entry & _FT:
-                        raise TranslationFault(
-                            "regular PTE in block translation",
-                            va=va, pasid=pasid)
-                    raise TranslationFault(
-                        f"DevID mismatch (FTE dev {fte_devid(entry)}, "
-                        f"requester {requester_devid})", va=va, pasid=pasid)
-                if write and not writable:
-                    raise TranslationFault("write to read-only file mapping",
-                                           va=va, pasid=pasid)
+                if entry & fte_mask != fte_key or (write and not writable):
+                    raise _vba_fault(entry, requester_devid, va, pasid)
                 lba = (entry & _FRAME_MASK) >> _FRAME_SHIFT
                 if self.cache_ftes:
                     self.iotlb.put((pasid, vpn), (lba, writable))
@@ -255,8 +282,7 @@ class IOMMU:
                 lba, writable = cached
                 iotlb_hits += 1
                 if write and not writable:
-                    raise TranslationFault("write to read-only file mapping",
-                                           va=va, pasid=pasid)
+                    raise _vba_fault(None, requester_devid, va, pasid)
             if run_len and run_lba + run_len == lba:
                 run_len += 1
             else:

@@ -85,6 +85,11 @@ _FRAME_STEP = 1 << _FRAME_SHIFT  # between entries of consecutive frames
 _PFN_LIMIT = 1 << 40
 _DEVID_SHIFT = 52
 _DEVID_MASK = 0x3F << _DEVID_SHIFT
+# Index extraction in ``PageTable.lookup``.
+_INDEX_MASK = ENTRIES_PER_NODE - 1
+_PMD_SHIFT = PAGE_SHIFT + INDEX_BITS
+_PUD_SHIFT = _PMD_SHIFT + INDEX_BITS
+_PGD_SHIFT = _PUD_SHIFT + INDEX_BITS
 
 
 # Byte templates for ``fte_block``.  Inside one run, consecutive FTEs
@@ -504,31 +509,40 @@ class PageTable:
         """Resolve ``va`` to ``(leaf entry, effective writable, level)``.
 
         The entry is 0 and ``level`` is where the walk stopped when
-        nothing is mapped.  Every ATS request walks, so the tests of
-        :meth:`_check_va`, :func:`_index`, :func:`pte_present` and
-        :func:`pte_writable` are inlined; ``_check_va`` only raises.
+        nothing is mapped.  Every ATS request walks, so the three
+        interior levels are unrolled and the tests of :meth:`_check_va`,
+        :func:`_index`, :func:`pte_present` and :func:`pte_writable` are
+        inlined; ``_check_va`` only raises.  An interior node without
+        ``children`` (a leaf linked too high) fails on the subscript.
         """
         if va < 0 or va >= VA_LIMIT:
             self._check_va(va)
         node = self.root
-        writable = _WRITABLE
-        shift = PAGE_SHIFT + INDEX_BITS * (LEVEL_PGD - 1)
-        for level in (LEVEL_PGD, LEVEL_PUD, LEVEL_PMD):
-            idx = (va >> shift) & (ENTRIES_PER_NODE - 1)
-            entry = node.entries[idx]
-            if not entry & _PRESENT:
-                return 0, False, level
-            writable &= entry
-            assert node.children is not None
-            child = node.children[idx]
-            if child is None:
-                return 0, False, level
-            node = child
-            shift -= INDEX_BITS
-        leaf = node.entries[(va >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)]
+        idx = (va >> _PGD_SHIFT) & _INDEX_MASK
+        pgd = node.entries[idx]
+        if not pgd & _PRESENT:
+            return 0, False, LEVEL_PGD
+        node = node.children[idx]
+        if node is None:
+            return 0, False, LEVEL_PGD
+        idx = (va >> _PUD_SHIFT) & _INDEX_MASK
+        pud = node.entries[idx]
+        if not pud & _PRESENT:
+            return 0, False, LEVEL_PUD
+        node = node.children[idx]
+        if node is None:
+            return 0, False, LEVEL_PUD
+        idx = (va >> _PMD_SHIFT) & _INDEX_MASK
+        pmd = node.entries[idx]
+        if not pmd & _PRESENT:
+            return 0, False, LEVEL_PMD
+        node = node.children[idx]
+        if node is None:
+            return 0, False, LEVEL_PMD
+        leaf = node.entries[(va >> PAGE_SHIFT) & _INDEX_MASK]
         if not leaf & _PRESENT:
             return 0, False, LEVEL_PT
-        return leaf, bool(writable & leaf), LEVEL_PT
+        return leaf, bool(pgd & pud & pmd & leaf & _WRITABLE), LEVEL_PT
 
     def walk(self, va: int) -> WalkResult:
         """:meth:`lookup` as a :class:`WalkResult`."""

@@ -291,12 +291,25 @@ class NVMeDevice:
                                reason=exc.reason)
                 return
             translation_ns = ats.cost_ns
-            segments = self._segments(ats.pairs, cmd.addr, cmd.nbytes)
+            pairs = ats.pairs
+            if len(pairs) == 1:
+                # One extent (every 4 KiB read inside one): the segment
+                # starts at the page's first block plus the in-page
+                # offset, as in ``_segments``.
+                page, npages = pairs[0]
+                head_skip = cmd.addr % DEVICE_PAGE_SIZE // LBA_SIZE
+                nblocks = cmd.nbytes // LBA_SIZE
+                if npages * _BLOCKS_PER_PAGE - head_skip < nblocks:
+                    raise ValueError("translation pairs shorter than request")
+                segments = [(page * _BLOCKS_PER_PAGE + head_skip, nblocks)]
+            else:
+                segments = self._segments(pairs, cmd.addr, cmd.nbytes)
         else:
             segments = [(cmd.addr, cmd.nbytes // LBA_SIZE)]
 
+        capacity = self.backend.capacity_blocks
         for lba, nblocks in segments:
-            if not self.backend.check_range(lba, nblocks):
+            if lba < 0 or lba + nblocks > capacity:
                 self._complete(qp, cmd, Status.LBA_OUT_OF_RANGE,
                                reason=f"lba {lba} x{nblocks}")
                 return

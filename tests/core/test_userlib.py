@@ -111,6 +111,44 @@ class TestRouting:
         assert n == 488
         assert data == b"e" * 488
 
+    @pytest.mark.parametrize("offset,nbytes", [
+        (0, 4096), (512, 4096), (1000, 512), (4096, 4096), (0, 0),
+        (100, -1), ((1 << 20) - 512, 4096), (2 << 20, 512)])
+    @pytest.mark.parametrize("size", [0, 1000, 1 << 20])
+    def test_direct_read_length_matches_the_clamp(self, m, size, offset,
+                                                  nbytes):
+        """A direct read returns ``max(0, min(nbytes, size - offset))``
+        bytes, for an empty file, a short one, and a file the kernel
+        path extended behind UserLib's back (the fallocate after open):
+        UserLib's own size only ever grows to the inode's."""
+        m, proc, lib, t, f = setup_file(m, size=0)
+
+        def body():
+            if size == 1000:
+                yield from f.append(t, 1000, b"e" * 1000)
+            elif size:
+                yield from m.kernel.sys_fallocate(proc, t, f.state.fd, 0,
+                                                  size)
+            n, data = yield from f.pread(t, offset, nbytes)
+            return n, data
+
+        n, data = m.run_process(body())
+        assert n == max(0, min(nbytes, size - offset))
+        assert len(data) == n
+        assert lib.direct_reads == (1 if n else 0)
+        assert f.using_direct_path
+
+    def test_direct_read_sees_a_later_extension(self, m):
+        m, proc, lib, t, f = setup_file(m, size=4096)
+
+        def body():
+            first = yield from f.pread(t, 0, 8192)
+            yield from m.kernel.sys_fallocate(proc, t, f.state.fd, 0, 8192)
+            second = yield from f.pread(t, 0, 8192)
+            return first[0], second[0]
+
+        assert m.run_process(body()) == (4096, 8192)
+
     def test_write_readonly_file_rejected(self, m):
         proc = m.spawn_process()
         lib = m.userlib(proc)

@@ -66,6 +66,61 @@ def test_empty_plan_properties():
     assert plan.crash_at_ns is None
 
 
+# -- adoption freezes the plan --------------------------------------------
+
+BUILDERS = [
+    ("add", lambda p: p.add(FaultRule(FaultKind.MEDIA_READ_ERROR, nth=1))),
+    ("media_read_errors", lambda p: p.media_read_errors(nth=1)),
+    ("media_write_errors", lambda p: p.media_write_errors(rate=0.5)),
+    ("latency_spikes", lambda p: p.latency_spikes(nth=2, extra_ns=10)),
+    ("dropped_completions", lambda p: p.dropped_completions(nth=1)),
+    ("translation_faults", lambda p: p.translation_faults(nth=1)),
+    ("crash_at", lambda p: p.crash_at(1_000)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in BUILDERS],
+                         ids=[name for name, _ in BUILDERS])
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "one-rule"])
+def test_every_builder_refuses_an_adopted_plan(build, empty):
+    plan = FaultPlan(seed=3)
+    if not empty:
+        plan.latency_spikes(nth=5)
+    before = list(plan.rules)
+    inj = FaultInjector(plan)
+    with pytest.raises(RuntimeError, match="mutated after the injector "
+                                           "adopted it"):
+        build(plan)
+    assert plan.frozen and isinstance(plan.rules, tuple)
+    assert list(plan.rules) == before
+    assert (inj.active, inj.may_drop) == (not empty, False)
+
+
+def test_a_plan_builds_freely_until_adopted():
+    plan = FaultPlan()
+    for _name, build in BUILDERS:
+        build(plan)
+    assert not plan.frozen and len(plan.rules) == len(BUILDERS)
+    FaultInjector(plan)
+    FaultInjector(plan)     # adopting twice is harmless
+    assert len(plan.rules) == len(BUILDERS)
+
+
+@pytest.mark.parametrize("plan,active,may_drop", [
+    (FaultPlan(), False, False),
+    (FaultPlan().latency_spikes(nth=1), True, False),
+    (FaultPlan().media_read_errors(nth=1).dropped_completions(rate=0.5),
+     True, True),
+], ids=["empty", "spikes", "drops"])
+def test_injector_classifies_the_plan_at_adoption(plan, active, may_drop):
+    inj = FaultInjector(plan)
+    assert (inj.active, inj.may_drop) == (active, may_drop)
+    assert (inj.active, inj.may_drop) == (not plan.empty, plan.may_drop)
+    with pytest.raises(RuntimeError):
+        plan.dropped_completions(nth=1)
+    assert (inj.active, inj.may_drop) == (active, may_drop)
+
+
 # -- CLI grammar ------------------------------------------------------------
 
 def test_parse_full_spec():

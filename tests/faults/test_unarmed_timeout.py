@@ -2,8 +2,8 @@
 machinery when the fault plan *can* drop completions.  If that
 classification is ever wrong — a plan mutated after adoption, a
 completion that evaporates while ``may_drop`` says it can't — the sim
-must fail loudly (RuntimeError / SimulationError + sanitizer finding),
-never hang silently with a stranded waiter."""
+must fail loudly (RuntimeError from the mutating call / SimulationError
++ sanitizer finding), never hang silently with a stranded waiter."""
 
 import pytest
 
@@ -33,16 +33,18 @@ def small_write(m):
 
 
 def test_plan_mutated_after_adoption_fails_loudly():
-    # Appending a drop rule *after* the machine adopted the plan is the
-    # classic unarmed-timeout bug: may_drop flips to True but the
-    # injector has no trigger state for the new rule, so it would never
-    # fire — while a correct-looking plan claims it could.  The first
-    # fault query must refuse to run.
+    """Appending a drop rule *after* the machine adopted the plan is the
+    classic unarmed-timeout bug: ``may_drop`` would claim a drop is
+    possible, but the injector has no trigger state for the new rule,
+    so it would never fire.  Adoption freezes the plan, so the mutating
+    call itself raises, before any simulated time passes."""
     plan = FaultPlan().latency_spikes(nth=10 ** 6)
     m = machine(plan)
-    plan.dropped_completions(nth=1, count=1)
     with pytest.raises(RuntimeError, match="mutated after"):
-        m.run_process(small_write(m))
+        plan.dropped_completions(nth=1, count=1)
+    assert len(plan.rules) == 1
+    assert not m.faults.may_drop
+    m.run_process(small_write(m))
 
 
 def test_unarmed_drop_strands_loudly_not_silently():

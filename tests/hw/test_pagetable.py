@@ -781,3 +781,155 @@ class TestBatchedLeafAttach:
         batched.detach_leaves(base, detach)
         _per_leaf_detach(looped, base, _indices(detach))
         assert _tree_state(batched) == _tree_state(looped)
+
+
+def _reference_lookup(pt, va):
+    """``PageTable.lookup`` as a loop over the levels: effective
+    writability is the AND of the writable bits along the walk, and a
+    miss reports the level whose entry (or child) was missing."""
+    node = pt.root
+    writable = True
+    for level in (LEVEL_PGD, LEVEL_PUD, LEVEL_PMD):
+        idx = (va >> (12 + 9 * (level - 1))) & (ENTRIES_PER_NODE - 1)
+        entry = node.entries[idx]
+        if not pte_present(entry):
+            return 0, False, level
+        writable = writable and pte_writable(entry)
+        child = node.children[idx]
+        if child is None:
+            return 0, False, level
+        node = child
+    leaf = node.entries[(va >> 12) & (ENTRIES_PER_NODE - 1)]
+    if not pte_present(leaf):
+        return 0, False, LEVEL_PT
+    return leaf, writable and pte_writable(leaf), LEVEL_PT
+
+
+# VAs are built from a few indices per level, so random picks share
+# paths and miss at every level.
+_VA_PARTS = st.tuples(st.sampled_from([0, 1, 255]),
+                      st.sampled_from([0, 1, 511]),
+                      st.sampled_from([0, 7, 511]),
+                      st.sampled_from([0, 1, 511]),
+                      st.sampled_from([0, 123, PAGE_SIZE - 1]))
+
+
+def _va(parts):
+    pgd, pud, pmd, pt, offset = parts
+    return (((pgd * ENTRIES_PER_NODE + pud) * ENTRIES_PER_NODE + pmd)
+            * ENTRIES_PER_NODE + pt) * PAGE_SIZE + offset
+
+
+def _interior(pt, va, level):
+    """The node at ``level`` on ``va``'s path, or None."""
+    node = pt.root
+    for lvl in range(LEVEL_PGD, level, -1):
+        node = node.children[(va >> (12 + 9 * (lvl - 1)))
+                             & (ENTRIES_PER_NODE - 1)]
+        if node is None:
+            return None
+    return node
+
+
+class TestUnrolledLookup:
+    """The unrolled walk against a per-level reference loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(maps=st.lists(st.tuples(_VA_PARTS, st.booleans(),
+                                   st.booleans()), max_size=12),
+           edits=st.lists(st.tuples(
+               _VA_PARTS,
+               st.sampled_from([LEVEL_PGD, LEVEL_PUD, LEVEL_PMD]),
+               st.sampled_from(["read-only", "not-present",
+                                "no-child"])), max_size=6),
+           run_leaf=st.none() | st.tuples(_VA_PARTS, st.booleans()),
+           queries=st.lists(_VA_PARTS, min_size=1, max_size=20))
+    def test_matches_reference_loop(self, maps, edits, run_leaf, queries):
+        pt = PageTable()
+        for parts, fte, writable in maps:
+            va = _va(parts) & ~(PAGE_SIZE - 1)
+            if fte:
+                pt.map_file_page(va, lba=va >> 12, devid=1,
+                                 writable=writable)
+            else:
+                pt.map_page(va, pfn=(va >> 12) + 1, writable=writable)
+        leaf = None
+        if run_leaf is not None:
+            parts, writable = run_leaf
+            leaf_va = _va(parts) & ~(PMD_SPAN - 1)
+            pmd = _interior(pt, leaf_va, LEVEL_PMD)
+            slot = (leaf_va >> 21) & (ENTRIES_PER_NODE - 1)
+            if pmd is None or pmd.children[slot] is None:
+                leaf = RunLeaf(fte_encode(leaf_va >> 12, devid=2))
+                pt.attach_subtree(leaf_va, leaf, writable=writable)
+        for parts, level, edit in edits:
+            va = _va(parts)
+            node = _interior(pt, va, level)
+            if node is None:
+                continue
+            idx = (va >> (12 + 9 * (level - 1))) & (ENTRIES_PER_NODE - 1)
+            if edit == "read-only":
+                node.entries[idx] &= ~2
+            elif edit == "not-present":
+                node.entries[idx] &= ~1
+            else:
+                node.children[idx] = None
+        # Walk the edited and the mapped paths too, not only random ones.
+        for parts in (queries + [e[0] for e in edits]
+                      + [m[0] for m in maps]):
+            va = _va(parts)
+            got = pt.lookup(va)
+            assert got == _reference_lookup(pt, va)
+            assert type(got[1]) is bool
+        if leaf is not None:
+            # An unread RunLeaf builds its entries on the first walk.
+            assert pt.lookup(leaf_va) == _reference_lookup(pt, leaf_va)
+
+    @pytest.mark.parametrize("level", [LEVEL_PGD, LEVEL_PUD, LEVEL_PMD])
+    @pytest.mark.parametrize("edit", ["not-present", "no-child"])
+    def test_a_miss_reports_its_level(self, level, edit):
+        va = 0x5000_0020_3000
+        pt = PageTable()
+        pt.map_page(va, pfn=9)
+        node = _interior(pt, va, level)
+        idx = (va >> (12 + 9 * (level - 1))) & (ENTRIES_PER_NODE - 1)
+        if edit == "not-present":
+            node.entries[idx] = 0
+        else:
+            node.children[idx] = None
+        assert pt.lookup(va) == (0, False, level)
+
+    def test_a_leaf_miss_reports_the_leaf_level(self):
+        va = 0x5000_0020_3000
+        pt = PageTable()
+        pt.map_page(va, pfn=9)
+        assert pt.lookup(va + PAGE_SIZE) == (0, False, LEVEL_PT)
+
+    def test_unread_run_leaf_is_walked_through(self):
+        va = 0x5000_0000_0000
+        first = fte_encode(4096 * 3 - 100, devid=5)
+        leaf = RunLeaf(first)
+        pt = PageTable()
+        pt.attach_subtree(va, leaf, writable=False)
+        with pytest.raises(AttributeError):
+            PageTableNode.entries.__get__(leaf)
+        entry, writable, level = pt.lookup(va + 7 * PAGE_SIZE + 5)
+        assert (entry, writable, level) == (
+            fte_encode(4096 * 3 - 93, devid=5), False, LEVEL_PT)
+
+    @pytest.mark.parametrize("va", [-1, -PAGE_SIZE, 1 << 48,
+                                    (1 << 48) + PAGE_SIZE])
+    def test_va_guard(self, va):
+        with pytest.raises(ValueError, match="48-bit"):
+            PageTable().lookup(va)
+
+    def test_leaf_linked_as_an_interior_node_fails_loudly(self):
+        pt = PageTable()
+        va = 0x5000_0000_0000
+        pt.map_page(va, pfn=1)
+        pud = _interior(pt, va, LEVEL_PUD)
+        idx = (va >> 30) & (ENTRIES_PER_NODE - 1)
+        pud.children[idx] = PageTableNode(LEVEL_PT)
+        pud.children[idx].entries[0] = 1
+        with pytest.raises((TypeError, AssertionError)):
+            pt.lookup(va)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.iommu import IOMMU
+from repro.hw.iommu import IOMMU, AtsResult
 from repro.hw.pagetable import PAGE_SIZE, PageTable
 from repro.hw.params import DEFAULT_PARAMS
 from repro.nvme.device import DeviceBusyError, NVMeDevice
@@ -210,6 +210,95 @@ class TestVBAPath:
             return c
 
         assert do(sim, body()).data == sector
+
+
+class TestVBASegments:
+    """A one-pair ATS reply (a read inside one extent) builds its LBA
+    segment directly; it must equal what ``_segments`` builds."""
+
+    PAGES = 3   # one extent: device pages 100..102
+
+    def _device(self, capacity=1 << 30, capture=False):
+        sim, iommu, dev = make_device(capture=capture, capacity=capacity)
+        pt = PageTable()
+        iommu.bind_pasid(9, pt)
+        for i in range(self.PAGES):
+            pt.map_file_page(VBA + i * PAGE_SIZE, lba=100 + i, devid=1)
+        return sim, iommu, dev, dev.create_queue_pair(pasid=9)
+
+    @pytest.mark.parametrize("opcode", [Opcode.READ, Opcode.WRITE])
+    def test_one_pair_segment_matches_segments_at_every_offset(self,
+                                                               opcode):
+        sim, iommu, dev, qp = self._device()
+        seen = []
+        backend = dev.backend
+        real = (backend.read_blocks if opcode is Opcode.READ
+                else backend.write_blocks)
+
+        def spy(lba, nblocks, *rest):
+            seen.append((lba, nblocks))
+            return real(lba, nblocks, *rest)
+
+        if opcode is Opcode.READ:
+            backend.read_blocks = spy
+        else:
+            backend.write_blocks = spy
+        expected = []
+        blocks = self.PAGES * PAGE_SIZE // 512
+        for head in range(PAGE_SIZE // 512):
+            for nblocks in range(1, blocks - head + 1):
+                vba, nbytes = VBA + head * 512, nblocks * 512
+                pairs = iommu.translate_vba(9, vba, nbytes, write=False,
+                                            requester_devid=1).pairs
+                assert len(pairs) == 1
+                expected.extend(dev._segments(pairs, vba, nbytes))
+
+                def body(vba=vba, nbytes=nbytes):
+                    c = yield dev.submit(qp, Command(
+                        opcode, addr=vba, nbytes=nbytes,
+                        addr_kind=AddressKind.VBA))
+                    return c
+
+                assert do(sim, body()).ok
+        assert seen == expected
+        assert seen[0] == (800, 1) and seen[-1] == (807, blocks - 7)
+
+    def test_short_translation_still_raises(self):
+        sim, iommu, dev, qp = self._device()
+        iommu.translate_vba = lambda *a, **k: AtsResult([(100, 1)], 550)
+
+        def body():
+            yield dev.submit(qp, Command(
+                Opcode.READ, addr=VBA + 512, nbytes=PAGE_SIZE,
+                addr_kind=AddressKind.VBA))
+
+        with pytest.raises(ValueError,
+                           match="translation pairs shorter than request"):
+            do(sim, body())
+
+    @pytest.mark.parametrize("lba,nbytes,reason", [
+        (255, 2 * PAGE_SIZE, "lba 2040 x16"),
+        (256, 512, "lba 2048 x1"),
+    ])
+    def test_segment_past_capacity_completes_out_of_range(
+            self, lba, nbytes, reason):
+        sim, iommu, dev = make_device(capacity=1 << 20)  # 256 pages
+        pt = PageTable()
+        iommu.bind_pasid(9, pt)
+        for i in range(2):
+            pt.map_file_page(VBA + i * PAGE_SIZE, lba=lba + i, devid=1)
+        qp = dev.create_queue_pair(pasid=9)
+
+        def body():
+            c = yield dev.submit(qp, Command(
+                Opcode.READ, addr=VBA, nbytes=nbytes,
+                addr_kind=AddressKind.VBA))
+            return c
+
+        completion = do(sim, body())
+        assert completion.status is Status.LBA_OUT_OF_RANGE
+        assert completion.fault_reason == reason
+        assert dev.backend.reads == 0
 
 
 class TestExclusiveClaim:
