@@ -26,7 +26,7 @@ from typing import Dict, Generator, Optional, Tuple
 from ..kernel.blockio import PAGE, extent_runs, read_covering, write_covering
 from ..kernel.process import Process
 from ..kernel.syscalls import Kernel
-from ..nvme.spec import Completion, Opcode
+from ..nvme.spec import Completion, Opcode, Status
 from ..sim.cpu import CPUSet, Thread
 from ..sim.engine import Simulator
 from ..sim.resources import Store
@@ -48,6 +48,14 @@ class CQEError(Exception):
                          f"({completion.status})")
         self.completion = completion
         self.res = completion.errno  # the cqe->res field, negative errno
+
+
+def _negative_offset(offset: int) -> CQEError:
+    """The CQE the kernel posts for an SQE with a negative file offset:
+    ``res == -EINVAL``, with no device command behind it."""
+    return CQEError(Completion(-1, Status.INVALID_FIELD,
+                               fault_reason=f"negative file offset "
+                                            f"{offset}"))
 
 
 class IOUringRing:
@@ -146,6 +154,8 @@ class IOUringFile(KernelFile):
 
     def _pread(self, thread: Thread, offset: int,
                nbytes: int) -> Generator:
+        if offset < 0:
+            raise _negative_offset(offset)
         n = max(0, min(nbytes, self.size - offset))
         if n == 0:
             return 0, b""
@@ -191,6 +201,8 @@ class IOUringFile(KernelFile):
 
     def _pwrite(self, thread: Thread, offset: int, nbytes: int,
                 data: Optional[bytes]) -> Generator:
+        if offset < 0:
+            raise _negative_offset(offset)
         inode = self.inode
         if offset + nbytes > inode.size or any(
                 lba512 is None

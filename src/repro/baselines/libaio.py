@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from functools import partialmethod
 from typing import Generator, List, Optional, Tuple
 
-from ..kernel.blockio import PAGE, extent_runs, read_covering, write_covering
+from ..kernel.blockio import (
+    PAGE,
+    extent_runs,
+    negative_offset,
+    read_covering,
+    write_covering,
+)
 from ..kernel.process import Process
 from ..kernel.syscalls import Kernel
 from ..nvme.spec import ST_SUCCESS, Completion, Opcode
@@ -191,6 +197,9 @@ class LibaioFile(KernelFile):
 
     def _pread(self, thread: Thread, offset: int,
                nbytes: int) -> Generator:
+        if offset < 0:
+            # io_submit() refuses the iocb: no io_event, no command.
+            raise negative_offset(offset)
         n = max(0, min(nbytes, self.size - offset))
         if n == 0:
             return 0, b""
@@ -220,6 +229,8 @@ class LibaioFile(KernelFile):
 
     def _pwrite(self, thread: Thread, offset: int, nbytes: int,
                 data: Optional[bytes]) -> Generator:
+        if offset < 0:
+            raise negative_offset(offset)
         yield from write_covering(self._read, self._write, thread,
                                   self.inode, offset, nbytes, data)
         return nbytes

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
-from ..kernel.blockio import PAGE, SECTOR
+from ..kernel.blockio import PAGE, SECTOR, negative_offset
 from ..kernel.process import Process
 from ..nvme.device import DeviceBusyError, NVMeDevice
 from ..nvme.spec import AddressKind, Command, Completion, Opcode, Status
@@ -67,6 +67,8 @@ class SPDKFile:
 
     def pread(self, thread: Thread, offset: int,
               nbytes: int) -> Generator:
+        if offset < 0:
+            raise negative_offset(offset)
         n = max(0, min(nbytes, self._size - offset))
         if n == 0:
             return 0, b""
@@ -78,6 +80,8 @@ class SPDKFile:
 
     def pwrite(self, thread: Thread, offset: int, nbytes: int,
                data: Optional[bytes] = None) -> Generator:
+        if offset < 0:
+            raise negative_offset(offset)
         aligned = -(-nbytes // SECTOR) * SECTOR
         payload = None if data is None else data + bytes(aligned - nbytes)
         yield from self.engine.raw_io(thread, Opcode.WRITE,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Generator, List
 
-from ..kernel.blockio import extent_runs, read_covering
+from ..kernel.blockio import extent_runs, negative_offset, read_covering
 from ..kernel.process import Process
 from ..kernel.syscalls import Kernel
 from ..nvme.spec import OP_READ
@@ -47,6 +47,9 @@ class XRPFile(KernelFile):
         """
         if not offsets:
             raise ValueError("chained read needs at least one offset")
+        for offset in offsets:
+            if offset < 0:
+                raise negative_offset(offset)
         params = self.kernel.params
         kernel = self.kernel
         # One normal kernel entry for the first hop.

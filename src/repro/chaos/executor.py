@@ -198,15 +198,25 @@ def run_scenario(scenario: Scenario,
             canary.disarm(name)
 
 
-def _run(scenario: Scenario) -> ScenarioResult:
+def _chaos_machine(scenario: Scenario) -> Tuple[Machine, List]:
+    """The machine a chaos run judges: sanitizer, monitor and the stats
+    probe attached.  Returns it with the probe's sample list."""
     machine = Machine(capacity_bytes=CAPACITY_BYTES,
                       memory_bytes=MEMORY_BYTES,
                       capture_data=True, sanitize=True,
                       faults=scenario.plan(), monitor=CHAOS_MONITOR)
-    ledgers: List[TenantLedger] = []
     samples: List[Tuple[int, Dict[str, int]]] = []
     machine.sim.process(_stats_probe(machine, samples),
                         name="chaos-stats-probe", observer=True)
+    return machine, samples
+
+
+def _drive(machine: Machine,
+           scenario: Scenario) -> Tuple[List[TenantLedger], bool]:
+    """Run the scenario's tenants on ``machine`` until it quiesces or
+    the planned power failure; returns the ledgers and whether it
+    crashed."""
+    ledgers: List[TenantLedger] = []
     for idx, spec in enumerate(scenario.tenants):
         ledger = TenantLedger(name=spec.name,
                               path=f"/chaos_{spec.name}",
@@ -218,12 +228,16 @@ def _run(scenario: Scenario) -> ScenarioResult:
         machine.spawn(thread,
                       _tenant_main(spec, ledger, thread, engine),
                       name=f"chaos-{spec.name}")
-    crashed = False
     try:
         machine.run()
     except PowerFailure:
-        crashed = True
+        return ledgers, True
+    return ledgers, False
 
+
+def _run(scenario: Scenario) -> ScenarioResult:
+    machine, samples = _chaos_machine(scenario)
+    ledgers, crashed = _drive(machine, scenario)
     samples.append((machine.now, machine.stats().summary()))
     violations: List[Violation] = []
     violations += check_completions(machine, crashed)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..hw.memory import DMABuffer, PhysicalMemory
-from ..kernel.blockio import GuardedIO
+from ..kernel.blockio import GuardedIO, negative_offset
 from ..kernel.process import O_CREAT, O_DIRECT, O_RDONLY, O_RDWR, Process
 from ..kernel.syscalls import Kernel
 from ..nvme.device import NVMeDevice
@@ -167,6 +167,8 @@ class UserLib(GuardedIO):
 
     def _pread(self, thread: Thread, state: FileState, offset: int,
                nbytes: int) -> Generator:
+        if offset < 0:
+            raise negative_offset(offset)
         if not state.direct:
             return (yield from self._kernel_read(thread, state,
                                                  offset, nbytes))
@@ -228,6 +230,8 @@ class UserLib(GuardedIO):
 
     def _pwrite(self, thread: Thread, state: FileState, offset: int,
                 nbytes: int, data: Optional[bytes]) -> Generator:
+        if offset < 0:
+            raise negative_offset(offset)
         if not state.direct:
             return (yield from self.kernel.sys_pwrite(
                 self.proc, thread, state.fd, offset, nbytes, data))

@@ -82,20 +82,15 @@ class ExtentTree:
 
     def lookup(self, file_block: int) -> Optional[Tuple[int, int]]:
         """(physical block, run length from here) or None for a hole."""
-        idx = self._find(file_block)
-        if idx is None:
-            return None
-        ext = self._extents[idx]
-        offset = file_block - ext.logical
-        return ext.physical + offset, ext.count - offset
-
-    def _find(self, file_block: int) -> Optional[int]:
         idx = bisect.bisect_right(self._keys, file_block) - 1
         if idx < 0:
             return None
-        if self._extents[idx].contains(file_block):
-            return idx
-        return None
+        ext = self._extents[idx]
+        offset = file_block - ext.logical
+        left = ext.count - offset
+        if left <= 0:
+            return None
+        return ext.physical + offset, left
 
     def next_mapped(self, file_block: int) -> Optional[int]:
         """First mapped file block at or after ``file_block``.

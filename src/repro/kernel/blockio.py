@@ -50,8 +50,8 @@ from ..sim.engine import Event, Simulator
 from ..sim.trace import NULL_TRACER, charge_phases
 
 __all__ = ["BlockIOLayer", "GuardedIO", "KernelVolume", "IOError_",
-           "PAGE", "SECTOR", "extent_runs", "read_covering",
-           "write_covering"]
+           "PAGE", "SECTOR", "extent_runs", "negative_offset",
+           "read_covering", "write_covering"]
 
 PAGE = 4096    # filesystem block and memory page
 SECTOR = 512   # device logical block: the unit of every command
@@ -90,15 +90,29 @@ def extent_runs(inode, offset: int, nbytes: int) -> List[Run]:
     return runs
 
 
+def negative_offset(offset: int) -> OSError:
+    """The error pread(2) and pwrite(2) return for a negative file
+    offset: ``EINVAL``, before any device command.  Callers test
+    ``offset < 0`` themselves and raise this."""
+    return OSError(_errno.EINVAL, f"negative file offset {offset}")
+
+
 def read_covering(read: Callable[..., Generator], thread: Thread, inode,
                   offset: int, n: int) -> Generator:
-    """Read ``n`` bytes at ``offset`` through ``read(thread, inode,
-    offset, n)``, an engine's sector-aligned direct read: an unaligned
-    request over-reads the covering sectors and slices (what a shim
-    over O_DIRECT does)."""
+    """What to ``yield from`` to read ``n`` bytes at ``offset`` through
+    ``read(thread, inode, offset, n)``, an engine's sector-aligned
+    direct read: an unaligned request over-reads the covering sectors
+    and slices (what a shim over O_DIRECT does).  An aligned request is
+    ``read(...)`` itself, with no generator of this function around
+    it."""
     skip = offset % SECTOR
     if not (skip or n % SECTOR):
-        return (yield from read(thread, inode, offset, n))
+        return read(thread, inode, offset, n)
+    return _read_unaligned(read, thread, inode, offset, skip, n)
+
+
+def _read_unaligned(read: Callable[..., Generator], thread: Thread, inode,
+                    offset: int, skip: int, n: int) -> Generator:
     data = yield from read(thread, inode, offset - skip,
                            -(-(skip + n) // SECTOR) * SECTOR)
     return None if data is None else data[skip:skip + n]
@@ -108,13 +122,22 @@ def write_covering(read: Callable[..., Generator],
                    write: Callable[..., Generator], thread: Thread, inode,
                    offset: int, nbytes: int,
                    data: Optional[bytes]) -> Generator:
-    """Write ``nbytes`` at ``offset`` through an engine's sector-aligned
-    ``write(thread, inode, offset, nbytes, data)``: an unaligned request
-    reads the covering sectors with ``read`` and writes them back
-    merged, so neighbouring bytes survive."""
+    """What to ``yield from`` to write ``nbytes`` at ``offset`` through
+    an engine's sector-aligned ``write(thread, inode, offset, nbytes,
+    data)``: an unaligned request reads the covering sectors with
+    ``read`` and writes them back merged, so neighbouring bytes
+    survive.  An aligned request is ``write(...)`` itself."""
     skip = offset % SECTOR
     if not (skip or nbytes % SECTOR):
-        return (yield from write(thread, inode, offset, nbytes, data))
+        return write(thread, inode, offset, nbytes, data)
+    return _write_unaligned(read, write, thread, inode, offset, skip,
+                            nbytes, data)
+
+
+def _write_unaligned(read: Callable[..., Generator],
+                     write: Callable[..., Generator], thread: Thread, inode,
+                     offset: int, skip: int, nbytes: int,
+                     data: Optional[bytes]) -> Generator:
     span = -(-(skip + nbytes) // SECTOR) * SECTOR
     old = yield from read(thread, inode, offset - skip, span)
     merged = None
@@ -236,6 +259,9 @@ class BlockIOLayer(GuardedIO):
         self._queues: Dict[int, QueuePair] = {}
         self.requests = 0
         self.tracer = NULL_TRACER
+        # The block layer then the NVMe driver: one delay, two spans.
+        self._layer_phases = (("block-layer", params.block_layer_ns),
+                              ("nvme-driver", params.nvme_driver_ns))
 
     def _queue_for(self, thread: Thread) -> QueuePair:
         qp = self._queues.get(thread.tid)
@@ -256,22 +282,18 @@ class BlockIOLayer(GuardedIO):
         """Completions posted by the device, not yet seen by a waiter."""
         return sum(qp.cq_backlog for qp in self._queues.values())
 
-    def _charge_layers(self, thread: Thread) -> Generator:
-        """The block layer then the NVMe driver: one delay, two spans."""
-        return charge_phases(
-            self.sim, (("block-layer", self.params.block_layer_ns),
-                       ("nvme-driver", self.params.nvme_driver_ns)),
-            thread=thread, tracer=self.tracer)
-
     # -- guarded submission ---------------------------------------------------
 
     def _rw(self, thread: Thread, opcode: Opcode, lba512: int,
             nbytes: int, data: Optional[bytes], charge_layers: bool,
             charge_irq: bool) -> Generator:
         """Submit + wait with the full retry policy; returns read data."""
+        tracer = self.tracer
         if charge_layers:
-            yield from self._charge_layers(thread)
+            yield from charge_phases(self.sim, self._layer_phases,
+                                     thread=thread, tracer=tracer)
         qp = self._queue_for(thread)
+        traced = tracer.enabled
         attempt = 0
         while True:
             cmd = Command(opcode, addr=lba512, nbytes=nbytes, data=data)
@@ -279,28 +301,31 @@ class BlockIOLayer(GuardedIO):
             # Open the wait span before ringing the doorbell and stamp
             # the command with it, so the device's "nvme" phase spans
             # parent under this span (a retry opens a fresh one).
-            token = self.tracer.begin("device", "kernel-io", thread=thread)
+            if traced:
+                token = tracer.begin("device", "kernel-io", thread=thread)
             try:
-                self.tracer.stamp(cmd, thread=thread)
+                if traced:
+                    tracer.stamp(cmd, thread=thread)
                 # The submit event goes unnamed: a local would keep it
                 # from being recycled once it has been processed.
                 completion = yield from self._guarded_wait(
                     thread.block, qp, cmd, self.device.submit(qp, cmd))
             finally:
-                self.tracer.end(token)
+                if traced:
+                    tracer.end(token)
             if charge_irq and self.params.irq_completion_ns:
                 irq_t0 = self.sim.now
                 yield from thread.compute(self.params.irq_completion_ns)
-                self.tracer.add_wait("softirq", self.sim.now - irq_t0,
-                                     thread=thread)
+                tracer.add_wait("softirq", self.sim.now - irq_t0,
+                                thread=thread)
             if completion.ok:
                 return completion.data
             attempt += 1
             backoff = self._retry_backoff(completion, attempt)
             backoff_t0 = self.sim.now
             yield from thread.sleep(backoff)
-            self.tracer.add_wait("retry_backoff", self.sim.now - backoff_t0,
-                                 thread=thread)
+            tracer.add_wait("retry_backoff", self.sim.now - backoff_t0,
+                            thread=thread)
 
     # -- thread-accounted path (syscalls) -------------------------------------
 
@@ -320,11 +345,19 @@ class BlockIOLayer(GuardedIO):
         """Read or write :func:`extent_runs` pieces, one blocking
         command per run in order, ``data`` split to match.  A hole
         reads as zeros (writers allocate first).  Returns the read
-        payload, None when the device returns none."""
+        payload, None when the device returns none.
+
+        One mapped run (most requests) returns :meth:`_rw`'s generator
+        itself, with no frame of this method around it."""
         if len(runs) == 1 and runs[0][0] is not None:
-            return (yield from self._rw(thread, opcode, runs[0][0],
-                                        runs[0][1], data, charge_layers,
-                                        False))
+            return self._rw(thread, opcode, runs[0][0], runs[0][1], data,
+                            charge_layers, False)
+        return self._rw_pieces(thread, opcode, runs, data, charge_layers)
+
+    def _rw_pieces(self, thread: Thread, opcode: Opcode, runs: List[Run],
+                   data: Optional[bytes],
+                   charge_layers: bool) -> Generator:
+        """:meth:`rw_runs` over holes or several runs."""
         chunks = []
         pos = 0
         for lba512, nbytes in runs:
@@ -358,7 +391,8 @@ class BlockIOLayer(GuardedIO):
         completion would strand the reaper forever.
         """
         if charge_layers:
-            yield from self._charge_layers(thread)
+            yield from charge_phases(self.sim, self._layer_phases,
+                                     thread=thread, tracer=self.tracer)
         qp = self._queue_for(thread)
         cmd = Command(opcode, addr=lba512, nbytes=nbytes, data=data)
         self.requests += 1

@@ -73,34 +73,28 @@ class AddressSpace:
 
 
 class FileDescription:
-    """An open file: inode reference, flags, offset."""
+    """An open file: inode reference, flags, offset.
+
+    ``flags`` are fixed once the file is open, so the access checks the
+    syscalls make on every call (``readable``, ``writable``, ``direct``,
+    ``append_mode``) are plain attributes computed here.
+    """
 
     def __init__(self, fd: int, path: str, inode, flags: int):
         self.fd = fd
         self.path = path
         self.inode = inode
         self.flags = flags
+        access = flags & _ACCESS_MASK
+        self.readable = access in (O_RDONLY, O_RDWR)
+        self.writable = access in (O_WRONLY, O_RDWR)
+        self.direct = bool(flags & O_DIRECT)
+        self.append_mode = bool(flags & O_APPEND)
         self.offset = 0
         # BypassD-side state, managed by UserLib:
         self.vba = 0                 # starting VBA if fmap()ed, else 0
         self.accessed = False
         self.modified = False
-
-    @property
-    def readable(self) -> bool:
-        return (self.flags & _ACCESS_MASK) in (O_RDONLY, O_RDWR)
-
-    @property
-    def writable(self) -> bool:
-        return (self.flags & _ACCESS_MASK) in (O_WRONLY, O_RDWR)
-
-    @property
-    def direct(self) -> bool:
-        return bool(self.flags & O_DIRECT)
-
-    @property
-    def append_mode(self) -> bool:
-        return bool(self.flags & O_APPEND)
 
 
 class Process:

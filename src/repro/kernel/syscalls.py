@@ -29,6 +29,7 @@ from .blockio import (
     SECTOR,
     BlockIOLayer,
     extent_runs,
+    negative_offset,
     read_covering,
     write_covering,
 )
@@ -75,6 +76,10 @@ class Kernel:
         self.bypassd = None
         self.syscall_count = 0
         self.tracer = NULL_TRACER
+        # The fixed phases of every entry, built once: HardwareParams
+        # is frozen.
+        self._enter_phase = ("mode-switch-enter", params.user_to_kernel_ns)
+        self._vfs_phase = ("vfs-ext4", params.vfs_ext4_ns)
         # ext4 serialises concurrent writes to one inode (i_rwsem); the
         # paper calls this bottleneck out for KVell on YCSB A, which
         # BypassD sidesteps by writing from userspace (Section 6.5).
@@ -120,20 +125,20 @@ class Kernel:
         (``(label, ns)`` pairs, a ``None`` label untraced) in the same
         delay: nothing between them reads shared state."""
         self.syscall_count += 1
-        return charge_phases(
-            self.sim,
-            (("mode-switch-enter", self.params.user_to_kernel_ns),) + then,
-            thread=thread, tracer=self.tracer)
-
-    def _vfs(self, ns: Optional[int] = None) -> Tuple[str, int]:
-        """The VFS + ext4 software layer, as an :meth:`enter` phase."""
-        return ("vfs-ext4", self.params.vfs_ext4_ns if ns is None else ns)
+        return charge_phases(self.sim, (self._enter_phase,) + then,
+                             thread=thread, tracer=self.tracer)
 
     def leave(self, thread: Thread) -> Generator:
-        token = self.tracer.begin("kernel", "mode-switch-exit",
-                                  thread=thread)
+        # A generator of its own even untraced: the exit's compute is
+        # charged to this call site (scripts/event_sites.py).
+        tracer = self.tracer
+        traced = tracer.enabled
+        if traced:
+            token = tracer.begin("kernel", "mode-switch-exit",
+                                 thread=thread)
         yield from thread.compute(self.params.kernel_to_user_ns)
-        self.tracer.end(token)
+        if traced:
+            tracer.end(token)
 
     # -- open/close ---------------------------------------------------------
 
@@ -146,7 +151,10 @@ class Kernel:
         followed by fmap(); those do not count as kernel-interface
         openers for the sharing rules of Section 4.5.2.
         """
-        token = self.tracer.begin("syscall", "open", thread=thread)
+        tracer = self.tracer
+        traced = tracer.enabled
+        if traced:
+            token = tracer.begin("syscall", "open", thread=thread)
         try:
             yield from self.enter(thread,
                                   (None, self.params.open_base_ns))
@@ -166,7 +174,8 @@ class Kernel:
                     self.bypassd.revoke(inode)
             yield from self.leave(thread)
         finally:
-            self.tracer.end(token)
+            if traced:
+                tracer.end(token)
         return fdesc.fd
 
     def _check_access(self, proc: Process, inode: Inode,
@@ -183,7 +192,10 @@ class Kernel:
 
     def sys_close(self, proc: Process, thread: Thread,
                   fd: int) -> Generator:
-        token = self.tracer.begin("syscall", "close", thread=thread)
+        tracer = self.tracer
+        traced = tracer.enabled
+        if traced:
+            token = tracer.begin("syscall", "close", thread=thread)
         try:
             yield from self.enter(thread)
             fdesc = proc.drop_fd(fd)
@@ -197,19 +209,25 @@ class Kernel:
                                           fdesc.modified)
             yield from self.leave(thread)
         finally:
-            self.tracer.end(token)
+            if traced:
+                tracer.end(token)
 
     # -- data path (kernel interface) -------------------------------------
 
     def sys_pread(self, proc: Process, thread: Thread, fd: int,
                   offset: int, nbytes: int) -> Generator:
         """Returns (bytes_read, payload-or-None)."""
+        if offset < 0:
+            raise negative_offset(offset)
         fdesc = proc.get_fd(fd)
         if not fdesc.readable:
             raise PermissionError_("fd not open for reading")
-        token = self.tracer.begin("syscall", "pread", thread=thread)
+        tracer = self.tracer
+        traced = tracer.enabled
+        if traced:
+            token = tracer.begin("syscall", "pread", thread=thread)
         try:
-            yield from self.enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs_phase)
             inode = fdesc.inode
             n = max(0, min(nbytes, inode.size - offset))
             data: Optional[bytes] = b"" if n == 0 else None
@@ -223,18 +241,28 @@ class Kernel:
             fdesc.accessed = True
             yield from self.leave(thread)
         finally:
-            self.tracer.end(token)
+            if traced:
+                tracer.end(token)
         return n, data
 
     def _direct_read(self, thread: Thread, inode: Inode, offset: int,
                      n: int) -> Generator:
+        """What to ``yield from`` for an O_DIRECT read: for an aligned
+        read of at most a page (most reads) the block layer's generator
+        itself, with no frame of this method around it."""
         if offset % SECTOR or n % SECTOR:
-            return (yield from read_covering(self._direct_read, thread,
-                                             inode, offset, n))
+            return read_covering(self._direct_read, thread, inode, offset,
+                                 n)
         if n > PAGE:
-            # Per-page pinning/bio costs for multi-page direct I/O.
-            yield from thread.compute(
-                (n - 1) // PAGE * self.params.kernel_per_page_ns)
+            return self._direct_read_pages(thread, inode, offset, n)
+        return self.blockio.rw_runs(thread, OP_READ,
+                                    extent_runs(inode, offset, n))
+
+    def _direct_read_pages(self, thread: Thread, inode: Inode, offset: int,
+                           n: int) -> Generator:
+        # Per-page pinning/bio costs for multi-page direct I/O.
+        yield from thread.compute(
+            (n - 1) // PAGE * self.params.kernel_per_page_ns)
         return (yield from self.blockio.rw_runs(
             thread, OP_READ, extent_runs(inode, offset, n)))
 
@@ -261,6 +289,8 @@ class Kernel:
                    offset: int, nbytes: int,
                    data: Optional[bytes] = None) -> Generator:
         """Returns bytes written.  Grows the file when needed."""
+        if offset < 0:
+            raise negative_offset(offset)
         fdesc = proc.get_fd(fd)
         if not fdesc.writable:
             raise PermissionError_("fd not open for writing")
@@ -277,7 +307,7 @@ class Kernel:
         """The write syscall body; returns the offset written at."""
         token = self.tracer.begin("syscall", label, thread=thread)
         try:
-            yield from self.enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs_phase)
             inode = fdesc.inode
             offset, lock = yield from self.write_begin(thread, inode,
                                                        offset, nbytes)
@@ -386,7 +416,7 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         token = self.tracer.begin("syscall", "fallocate", thread=thread)
         try:
-            yield from self.enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs_phase)
             inode = fdesc.inode
             yield from self.fs.fallocate(inode, offset, length)
             fdesc.modified = True
@@ -401,7 +431,7 @@ class Kernel:
             raise PermissionError_("fd not open for writing")
         token = self.tracer.begin("syscall", "ftruncate", thread=thread)
         try:
-            yield from self.enter(thread, self._vfs())
+            yield from self.enter(thread, self._vfs_phase)
             inode = fdesc.inode
             if self.bypassd is not None and inode.file_table is not None:
                 # Detach before blocks are freed so no stale FTE survives.
@@ -428,7 +458,7 @@ class Kernel:
         token = self.tracer.begin("syscall", "fsync", thread=thread)
         try:
             yield from self.enter(
-                thread, self._vfs(self.params.vfs_ext4_ns // 2))
+                thread, ("vfs-ext4", self.params.vfs_ext4_ns // 2))
             inode = fdesc.inode
             yield from self.pagecache.sync_inode(thread, inode)
             if fdesc.accessed or fdesc.modified:
@@ -484,11 +514,15 @@ class Kernel:
         if self.bypassd is None:
             return 0
         fdesc = proc.get_fd(fd)
-        token = self.tracer.begin("syscall", "fmap", thread=thread)
+        tracer = self.tracer
+        traced = tracer.enabled
+        if traced:
+            token = tracer.begin("syscall", "fmap", thread=thread)
         try:
             yield from self.enter(thread)
             vba = yield from self.bypassd.fmap(proc, thread, fdesc)
             yield from self.leave(thread)
         finally:
-            self.tracer.end(token)
+            if traced:
+                tracer.end(token)
         return vba

@@ -125,8 +125,14 @@ class Thread:
         # Drop the event before waiting for a core, so the engine can
         # recycle it once its callbacks have run.
         del event
-        self.block_ns += self.sim.now - t0
-        yield from self._acquire_core()
+        woke = self.sim.now
+        self.block_ns += woke - t0
+        if not self._on_core:
+            # The re-grant of _wait_for_core, inline: one generator
+            # frame fewer on every resume of a blocking I/O path.
+            yield self.cpus._pool.request()
+            self.run_queue_ns += self.sim.now - woke
+            self._on_core = True
         return value
 
     def poll(self, event: Event) -> Generator[Event, Any, Any]:
@@ -166,8 +172,12 @@ class Thread:
         self.release_core()
         t0 = self.sim.now
         yield self.sim.timeout(int(ns))
-        self.block_ns += self.sim.now - t0
-        yield from self._acquire_core()
+        woke = self.sim.now
+        self.block_ns += woke - t0
+        if not self._on_core:
+            yield self.cpus._pool.request()
+            self.run_queue_ns += self.sim.now - woke
+            self._on_core = True
 
     def run(self, gen: Generator) -> Generator[Event, Any, Any]:
         """Drive ``gen`` on this thread, releasing the core at the end.

@@ -15,7 +15,9 @@ as one delay by :func:`charge_phases`, which then traces each phase of
 the run through ``tracer.record`` as a closed span with explicit
 ``[start, end)`` bounds — the same spans ``begin()``/``end()`` around
 separate delays would have produced, for one engine event instead of
-one per phase.
+one per phase.  An untraced call with a thread returns
+``thread.compute`` itself: there is nothing to record afterwards, so no
+generator frame of its own sits between the caller and the core.
 
 Tracing never advances simulated time — with tracing on or off the
 same seed produces a byte-identical timeline.
@@ -93,7 +95,8 @@ NULL_TRACER = NullTracer()
 def charge_phases(sim, phases: Sequence[Tuple[Optional[str], int]], *,
                   thread=None, tracer=NULL_TRACER, category: str = "kernel",
                   parent=None) -> Generator:
-    """Charge a run of fixed-delay phases as one delay.
+    """What to ``yield from`` to charge a run of fixed-delay phases as
+    one delay.
 
     ``phases`` are ``(label, ns)`` pairs that run back to back; a
     ``None`` label charges its time without a span.  With a ``thread``
@@ -105,24 +108,37 @@ def charge_phases(sim, phases: Sequence[Tuple[Optional[str], int]], *,
     granted, so run-queue wait stays inside it, and every later phase
     starts where the previous one ends.
 
+    With a ``thread`` and a tracer that is not enabled there is nothing
+    to record, so this returns ``thread.compute(total)`` itself, with no
+    generator of its own around it.  Otherwise it returns a generator
+    that posts nothing until the caller iterates it.
+
     Fuse only phases with no shared-state instant between them: nothing
     that another process can change may be read or written there
     (docs/engine_performance.md lists the instants that forbid it).
     """
-    t0 = sim.now
     total = 0
     for _label, ns in phases:
         total += ns
-    if thread is not None:
-        yield from thread.compute(total)
-    elif total:
-        yield sim.timeout(total)
-    if tracer.enabled:
-        start = t0
-        end = sim.now - total
-        for label, ns in phases:
-            end += ns
-            if label is not None:
-                tracer.record(category, label, start, end, thread=thread,
-                              parent=parent)
-            start = end
+    if thread is not None and not tracer.enabled:
+        return thread.compute(total)
+
+    # Named like this function: scripts/event_sites.py labels the
+    # timeout a thread-less run posts by the posting frame's name.
+    def charge_phases() -> Generator:
+        t0 = sim.now
+        if thread is not None:
+            yield from thread.compute(total)
+        elif total:
+            yield sim.timeout(total)
+        if tracer.enabled:
+            start = t0
+            end = sim.now - total
+            for label, ns in phases:
+                end += ns
+                if label is not None:
+                    tracer.record(category, label, start, end,
+                                  thread=thread, parent=parent)
+                start = end
+
+    return charge_phases()

@@ -137,3 +137,79 @@ class TestLibaioEdges:
         assert first >= 3
         assert first + rest == 8
         assert inflight == 0
+
+
+@pytest.mark.parametrize("engine", ["sync", "libaio", "io_uring", "xrp",
+                                    "spdk", "bypassd"])
+@pytest.mark.parametrize("op", ["pread", "pwrite", "empty-pread"])
+def test_negative_offset_is_einval_without_a_command(engine, op):
+    # pread(2)/pwrite(2) refuse a negative offset with EINVAL, even for
+    # zero bytes; io_uring reports it in the CQE as res == -EINVAL.
+    import errno
+
+    from repro.baselines.io_uring import CQEError
+
+    m = fresh()
+    proc = m.spawn_process()
+    eng = make_engine(m, proc, engine)
+    t = proc.new_thread()
+    files = []
+
+    def setup():
+        f = yield from eng.open(t, "/neg", write=True, create=True)
+        yield from f.pwrite(t, 0, 8192, b"n" * 8192)
+        files.append(f)
+
+    m.run_process(setup())
+    f = files[0]
+
+    def bad():
+        if op == "pread":
+            yield from f.pread(t, -4096, 4096)
+        elif op == "empty-pread":
+            yield from f.pread(t, -1, 0)
+        else:
+            yield from f.pwrite(t, -4096, 4096, b"x" * 4096)
+
+    served = m.device.commands_served
+    with pytest.raises((OSError, CQEError)) as info:
+        m.run_process(bad())
+    if engine == "io_uring":
+        assert info.type is CQEError
+        assert info.value.res == -errno.EINVAL
+    else:
+        assert info.value.errno == errno.EINVAL
+    assert m.device.commands_served == served
+
+    def read_back():
+        return (yield from f.pread(t, 0, 8192))
+
+    assert m.run_process(read_back()) == (8192, b"n" * 8192)
+
+
+def test_xrp_chain_with_a_negative_hop_is_einval_before_entering():
+    import errno
+
+    m = fresh()
+    proc = m.spawn_process()
+    eng = make_engine(m, proc, "xrp")
+    t = proc.new_thread()
+    files = []
+
+    def setup():
+        f = yield from eng.open(t, "/chain", write=True, create=True)
+        yield from f.pwrite(t, 0, 8192, b"c" * 8192)
+        files.append(f)
+
+    m.run_process(setup())
+    served = m.device.commands_served
+    syscalls = m.kernel.syscall_count
+
+    def chain():
+        yield from files[0].chained_read(t, [0, -4096], 4096)
+
+    with pytest.raises(OSError) as info:
+        m.run_process(chain())
+    assert info.value.errno == errno.EINVAL
+    assert m.device.commands_served == served
+    assert m.kernel.syscall_count == syscalls

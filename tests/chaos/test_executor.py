@@ -57,3 +57,39 @@ def test_unknown_canary_rejected():
     s = generate(scenario_seed(7, 0))
     with pytest.raises(ValueError, match="unknown canary"):
         run_scenario(s, canaries=("no-such-canary",))
+
+
+def test_figures_configuration_replays_the_chaos_run():
+    # The figures run with no sanitizer, no monitor and no probe: on the
+    # fast drain loop with event pooling on.  Chaos runs only with all
+    # three attached, so replay scenarios 0-15 of base seed 0 on the
+    # figures' configuration and require the same outcome.
+    from repro.chaos.executor import (
+        CAPACITY_BYTES,
+        MEMORY_BYTES,
+        _chaos_machine,
+        _drive,
+    )
+    from repro.machine import Machine
+
+    def outcome(machine, ledgers, crashed):
+        stats = machine.stats().summary()
+        del stats["slo_breaches"]
+        return (machine.now, crashed,
+                [vars(ledger) for ledger in ledgers], stats,
+                dict(machine.device.backend._blocks))
+
+    crashes = 0
+    for i in range(16):
+        s = generate(scenario_seed(0, i))
+        chaos, _samples = _chaos_machine(s)
+        chaos_outcome = outcome(chaos, *_drive(chaos, s))
+        fast = Machine(capacity_bytes=CAPACITY_BYTES,
+                       memory_bytes=MEMORY_BYTES, capture_data=True,
+                       faults=s.plan())
+        assert fast.monitor is None
+        assert not fast.sim._instrumented and fast.sim._pooling
+        fast_outcome = outcome(fast, *_drive(fast, s))
+        assert fast_outcome == chaos_outcome, i
+        crashes += chaos_outcome[1]
+    assert crashes > 0, "no scenario crashed: crash replay not covered"

@@ -31,6 +31,16 @@ class TestExtentTree:
         assert t.lookup(4) is None  # hole
         assert t.lookup(9) == (901, 1)
 
+    def test_lookup_edges(self):
+        t = ExtentTree()
+        assert t.lookup(0) is None
+        t.insert(Extent(3, 700, 5))
+        assert t.lookup(-1) is None
+        assert t.lookup(2) is None   # hole before the first extent
+        assert t.lookup(3) == (700, 5)
+        assert t.lookup(7) == (704, 1)  # the extent's last block
+        assert t.lookup(8) is None   # one past it
+
     def test_adjacent_extents_merge(self):
         t = ExtentTree()
         t.insert(Extent(0, 100, 4))
@@ -111,6 +121,14 @@ class TestExtentTree:
                 assert got is not None and got[0] == model[b]
             else:
                 assert got is None
+        # The run length reaches the end of the extent holding the
+        # block (last block: 1); before block 0 everything is a hole.
+        for b in range(-3, 72):
+            want = None
+            for logical, physical, count in t.mappings():
+                if logical <= b < logical + count:
+                    want = (physical + b - logical, logical + count - b)
+            assert t.lookup(b) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 45))

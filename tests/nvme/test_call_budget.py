@@ -27,13 +27,23 @@ _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 # engine -> calls per layer for one warm 4 KiB read ("repro" is the
 # package's top-level modules, such as repro.machine).
 # Layers that make no call are left out: the fault hooks make none
-# while no plan is armed.
+# while no plan is armed.  io_uring is left out: its SQPOLL poller
+# spins through thousands of calls that are not the read's.
 BUDGET = {
     "bypassd": {"sim": 47, "nvme": 43, "core": 10, "hw": 6, "kernel": 1,
                 "repro": 1},
-    "sync": {"sim": 59, "nvme": 39, "kernel": 29, "fs": 5, "baselines": 1,
+    "sync": {"sim": 47, "nvme": 39, "kernel": 19, "fs": 2, "baselines": 1,
              "repro": 1},
+    "xrp": {"sim": 47, "nvme": 39, "kernel": 19, "fs": 2, "baselines": 1,
+            "repro": 1},
+    "libaio": {"sim": 79, "nvme": 40, "baselines": 36, "kernel": 9,
+               "fs": 2, "repro": 1},
 }
+
+# Calls per layer for a warm kernel open + close pair on the sync
+# engine: the metadata path that every fmap() is bracketed by.
+OPEN_CLOSE_BUDGET = {"sim": 28, "kernel": 18, "fs": 6, "baselines": 6,
+                     "repro": 1}
 
 
 def _layer(filename):
@@ -69,7 +79,9 @@ def _calls_per_layer(run):
     return counts
 
 
-def _one_read(engine):
+def _warm_machine(engine):
+    """A fresh machine with /data written and read once through
+    ``engine``: returns (machine, thread, engine, open file)."""
     m = Machine()
     proc = m.spawn_process("app")
     thread = proc.new_thread()
@@ -83,7 +95,11 @@ def _one_read(engine):
         files.append(f)
 
     m.run_process(setup())
-    f = files[0]
+    return m, thread, eng, files[0]
+
+
+def _one_read(engine):
+    m, thread, _eng, f = _warm_machine(engine)
 
     def op():
         yield from f.pread(thread, 0, 4096)
@@ -97,3 +113,18 @@ def _one_read(engine):
 @pytest.mark.parametrize("engine", sorted(BUDGET))
 def test_calls_per_layer_for_one_4k_read(engine):
     assert _one_read(engine) == BUDGET[engine]
+
+
+def test_calls_per_layer_for_one_warm_open_close():
+    m, thread, eng, _f = _warm_machine("sync")
+
+    def op():
+        f = yield from eng.open(thread, "/data")
+        yield from f.close(thread)
+
+    syscalls = m.kernel.syscall_count
+    served = m.device.commands_served
+    counts = _calls_per_layer(lambda: m.run_process(op()))
+    assert m.kernel.syscall_count - syscalls == 2
+    assert m.device.commands_served == served
+    assert counts == OPEN_CLOSE_BUDGET

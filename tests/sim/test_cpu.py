@@ -106,6 +106,50 @@ def test_run_queue_time_accounted():
     assert t2.run_queue_ns == 100
 
 
+def test_woken_threads_wait_for_the_core_in_fifo_order():
+    # One core.  ``blocker`` holds it for 10 ns then blocks until 100;
+    # ``sleeper`` sleeps until 120; ``hog`` takes the core at 10 and
+    # keeps it until 510.  Both wake while the core is busy and queue
+    # for it in wake order: blocker at 510, sleeper at 540.
+    sim = Simulator()
+    cpus = CPUSet(sim, 1)
+    blocker, sleeper, hog = (cpus.thread(n)
+                             for n in ("blocker", "sleeper", "hog"))
+    on_core = []
+
+    def blocking():
+        yield from blocker.compute(10)
+        value = yield from blocker.block(sim.timeout(90, value="done"))
+        on_core.append(("blocker", sim.now, value))
+        yield from blocker.compute(30)
+        blocker.release_core()
+
+    def sleeping():
+        yield from sleeper.sleep(120)
+        on_core.append(("sleeper", sim.now, None))
+        yield from sleeper.compute(7)
+        sleeper.release_core()
+
+    def hogging():
+        yield from hog.compute(500)
+        hog.release_core()
+
+    for body in (blocking, sleeping, hogging):
+        sim.process(body())
+    sim.run()
+    assert on_core == [("blocker", 510, "done"), ("sleeper", 540, None)]
+    # The wait from going off-core to the re-grant splits exactly into
+    # time asleep and time on the run queue.
+    assert (blocker.block_ns, blocker.run_queue_ns) == (90, 410)
+    assert blocker.block_ns + blocker.run_queue_ns == 510 - 10
+    assert (sleeper.block_ns, sleeper.run_queue_ns) == (120, 420)
+    assert sleeper.block_ns + sleeper.run_queue_ns == 540 - 0
+    assert hog.run_queue_ns == 10
+    assert sim.now == 547
+    assert cpus.busy_ns == 10 + 500 + 30 + 7
+    assert cpus.in_use == 0
+
+
 def test_thread_run_releases_core_at_end():
     sim = Simulator()
     cpus = CPUSet(sim, 1)
