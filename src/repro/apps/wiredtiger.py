@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import cached_property
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..machine import Machine
 from ..sim.resources import Lock
 from ..sim.stats import LatencyRecorder, ThroughputCounter
-from ..sim.trace import charge_phases
 from .workload_utils import materialize_file
 from .ycsb import YCSBWorkload
 
@@ -78,30 +77,35 @@ class BTreeGeometry:
     def file_size(self) -> int:
         return self.total_pages * self.page_size
 
+    @cached_property
+    def _levels(self) -> Tuple[Tuple[int, int], ...]:
+        """``(file base, keys per node)`` per level, root first.
+
+        Levels are laid out root-first in the file; within a level,
+        node i covers keys ``[i * span, (i + 1) * span)``, where the
+        span is the leaf's entries times the fanout once per level
+        above the leaves.
+        """
+        fanout = self.internal_fanout
+        span = self.entries_per_leaf * fanout ** (self.height - 1)
+        levels = []
+        base = 0
+        for size in reversed(self.level_sizes):
+            levels.append((base, span))
+            base += size
+            span //= fanout
+        return tuple(levels)
+
     def path_pages(self, key: int) -> List[int]:
         """File page indices visited for ``key``, root first.
 
-        Levels are laid out root-first in the file; within a level,
-        node i covers an equal slice of the key space.
+        A node's index at a level is ``key // span``: dividing the leaf
+        index by the fanout once per level gives the same integer,
+        because ``(k // a) // b == k // (a * b)`` for ``k >= 0``.
         """
         if not 0 <= key < self.n_keys:
             raise KeyError(key)
-        sizes = self.level_sizes  # leaves first
-        fanout = self.internal_fanout
-        leaf = key // self.entries_per_leaf
-        # Node index at each level, leaf upward.
-        idx = leaf
-        per_level_idx = [idx]
-        for level in range(1, len(sizes)):
-            idx //= fanout
-            per_level_idx.append(idx)
-        # File offset bases, root (last entry of sizes) first.
-        path = []
-        base = 0
-        for level in range(len(sizes) - 1, -1, -1):
-            path.append(base + per_level_idx[level])
-            base += sizes[level]
-        return path
+        return [base + key // span for base, span in self._levels]
 
 
 class _PageCacheLRU:
@@ -114,13 +118,22 @@ class _PageCacheLRU:
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, page: int) -> bool:
-        if page in self._lru:
-            self._lru.move_to_end(page)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+    def access(self, pages: Sequence[int]) -> List[int]:
+        """Look ``pages`` up in order, caching each miss as it is found;
+        return the positions in ``pages`` that missed."""
+        lru = self._lru
+        missed = []
+        for i, page in enumerate(pages):
+            if page in lru:
+                lru.move_to_end(page)
+                self.hits += 1
+            else:
+                self.misses += 1
+                lru[page] = True
+                if len(lru) > self.capacity:
+                    lru.popitem(last=False)
+                missed.append(i)
+        return missed
 
     def insert(self, page: int) -> None:
         self._lru[page] = True
@@ -159,6 +172,7 @@ class WiredTigerModel:
                                    cache_bytes // geometry.page_size)
         self.ios = 0
         self._file = None
+        self._chained_read = None
 
     def setup(self, proc) -> None:
         """Create the backing file and warm the upper tree levels."""
@@ -187,28 +201,30 @@ class WiredTigerModel:
         if self._file is None:
             self._file = yield from self.engine.open(thread, self.path,
                                                      write=True)
+            self._chained_read = getattr(self._file, "chained_read", None)
         return self._file
 
     # -- one YCSB op ---------------------------------------------------------
 
     def do_op(self, thread, op) -> Generator:
-        geom = self.geom
-        f = yield from self.open(thread)
+        f = self._file
+        if f is None:
+            f = yield from self.open(thread)
         yield from thread.compute(self.APP_OP_NS)
-        if op.kind == "insert":
+        geom = self.geom
+        path = geom.path_pages(op.key % geom.n_keys)
+        kind = op.kind
+        if kind == "insert":
             # Inserts land in the tail leaf, which recency keeps hot;
             # WiredTiger absorbs them in memory and writes the page.
-            key = op.key % geom.n_keys
-            leaf_page = geom.path_pages(key)[-1]
+            leaf_page = path[-1]
             yield from self._touch(thread, f, leaf_page, write=False)
             yield from self._touch(thread, f, leaf_page, write=True)
             return
-        key = op.key % geom.n_keys
-        path = geom.path_pages(key)
         yield from self._read_path(thread, f, path)
-        if op.kind in ("update", "rmw"):
+        if kind == "update" or kind == "rmw":
             yield from self._touch(thread, f, path[-1], write=True)
-        elif op.kind == "scan":
+        elif kind == "scan":
             # One I/O returns many consecutive pairs (Section 6.4).
             pairs_per_page = geom.entries_per_leaf
             extra_pages = max(0, -(-op.scan_len // pairs_per_page) - 1)
@@ -220,40 +236,34 @@ class WiredTigerModel:
         """Traverse root->leaf; consecutive misses are a pointer chase
         that XRP-capable files resolve with one kernel crossing."""
         cache = self.cache
-        misses: List[int] = []
         yield from thread.block(cache.lock.acquire())
         try:
             # One lookup per path page, all under the lock: nothing else
             # touches the LRU meanwhile, so their CPU is one delay.
-            yield from charge_phases(
-                self.machine.sim, ((None, self.CACHE_OP_NS),) * len(path),
-                thread=thread)
-            for page in path:
-                if not cache.lookup(page):
-                    cache.insert(page)
-                    misses.append(page)
+            yield from thread.compute(self.CACHE_OP_NS * len(path))
+            missed = cache.access(path)
         finally:
             cache.lock.release()
-        if not misses:
-            return
-        # Group consecutive path positions into chains.
-        pos = {page: i for i, page in enumerate(path)}
-        runs: List[List[int]] = [[misses[0]]]
-        for page in misses[1:]:
-            if pos[page] == pos[runs[-1][-1]] + 1:
-                runs[-1].append(page)
-            else:
-                runs.append([page])
+        # Byte offsets of the missed pages, one list per run of
+        # consecutive path positions.
         ps = self.geom.page_size
-        for run in runs:
-            if len(run) > 1 and hasattr(f, "chained_read"):
-                self.ios += len(run)
-                yield from f.chained_read(
-                    thread, [p * ps for p in run], ps)
+        runs: List[List[int]] = []
+        last = -2
+        for i in missed:
+            if i == last + 1:
+                runs[-1].append(path[i] * ps)
             else:
-                for page in run:
+                runs.append([path[i] * ps])
+            last = i
+        chained_read = self._chained_read
+        for run in runs:
+            if chained_read is not None and len(run) > 1:
+                self.ios += len(run)
+                yield from chained_read(thread, run, ps)
+            else:
+                for offset in run:
                     self.ios += 1
-                    yield from f.pread(thread, page * ps, ps)
+                    yield from f.pread(thread, offset, ps)
 
     def _touch(self, thread, f, page: int, write: bool) -> Generator:
         """Access one B-tree page through the cache."""
@@ -261,9 +271,7 @@ class WiredTigerModel:
         yield from thread.block(cache.lock.acquire())
         try:
             yield from thread.compute(self.CACHE_OP_NS)
-            hit = cache.lookup(page)
-            if not hit:
-                cache.insert(page)
+            hit = not cache.access((page,))
         finally:
             cache.lock.release()
         offset = page * self.geom.page_size
@@ -300,14 +308,19 @@ def run_wiredtiger_ycsb(machine: Machine, engine_name: str,
 
     gate = StartGate(machine, expected=threads, counters=[counter])
 
+    sim = machine.sim
+    do_op = model.do_op
+    record_latency = latency.record
+    record_op = counter.record
+
     def worker(thread, wl: YCSBWorkload):
         yield from model.open(thread)
         yield from gate.arrive(thread)
         for op in wl.ops(ops_per_thread):
-            t0 = machine.now
-            yield from model.do_op(thread, op)
-            latency.record(machine.now - t0)
-            counter.record()
+            t0 = sim.now
+            yield from do_op(thread, op)
+            record_latency(sim.now - t0)
+            record_op()
 
     spawned = []
     for t in range(threads):

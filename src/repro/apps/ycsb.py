@@ -28,6 +28,7 @@ __all__ = ["ZipfianGenerator", "LatestGenerator", "YCSBWorkload",
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 WORKLOAD_MIXES = {
     "A": {"read": 0.5, "update": 0.5},
@@ -73,13 +74,18 @@ def _zeta(n: int, theta: float) -> float:
 
 
 def fnv_hash(value: int) -> int:
-    """64-bit FNV-1a over the integer's 8 bytes (YCSB's scrambler)."""
-    h = _FNV_OFFSET
-    for _ in range(8):
-        h ^= value & 0xFF
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-        value >>= 8
-    return h
+    """64-bit FNV-1a over the integer's 8 bytes (YCSB's scrambler).
+
+    The byte loop, unrolled: step k folds in ``(value >> 8k) & 0xFF``.
+    """
+    h = ((_FNV_OFFSET ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 8) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 16) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 24) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 32) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 40) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 48) & 0xFF)) * _FNV_PRIME) & _MASK64
+    return ((h ^ ((value >> 56) & 0xFF)) * _FNV_PRIME) & _MASK64
 
 
 class ZipfianGenerator:
@@ -103,18 +109,21 @@ class ZipfianGenerator:
         # probability mass, so eta never matters; avoid the 0/0.
         self.eta = ((1 - (2.0 / n) ** (1 - theta)) / denom
                     if denom > 1e-12 else 0.0)
+        # A draw with uz below this (and not below 1) is rank 1.
+        self._rank1_bound = 1.0 + 0.5 ** theta
 
     def next(self) -> int:
         u = self.rng.random()
         uz = u * self.zetan
         if uz < 1.0:
             rank = 0
-        elif uz < 1.0 + 0.5 ** self.theta:
+        elif uz < self._rank1_bound:
             rank = 1
         else:
             rank = int(self.n * (self.eta * u - self.eta + 1)
                        ** self.alpha)
-            rank = min(rank, self.n - 1)
+            if rank >= self.n:
+                rank = self.n - 1
         if self.scrambled:
             return fnv_hash(rank) % self.n
         return rank
@@ -169,15 +178,21 @@ class YCSBWorkload:
         self._zipf = ZipfianGenerator(record_count, seed=seed + 1)
         self._latest = LatestGenerator(record_count, seed=seed + 2)
         self.inserted = 0
-
-    def _choose_kind(self) -> str:
-        u = self.rng.random()
+        # (running sum, kind) in mix order, summed once: u < acc picks
+        # the first kind whose cumulative share exceeds the draw.
+        cumulative = []
         acc = 0.0
         for kind, frac in self.mix.items():
             acc += frac
+            cumulative.append((acc, kind))
+        self._cumulative = tuple(cumulative)
+
+    def _choose_kind(self) -> str:
+        u = self.rng.random()
+        for acc, kind in self._cumulative:
             if u < acc:
                 return kind
-        return next(iter(self.mix))
+        return self._cumulative[0][1]
 
     def next_op(self) -> YCSBOp:
         kind = self._choose_kind()

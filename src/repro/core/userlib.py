@@ -172,9 +172,9 @@ class UserLib(GuardedIO):
         if not state.direct:
             return (yield from self._kernel_read(thread, state,
                                                  offset, nbytes))
-        # ``_refresh_size`` only ever raises ``state.size``, so a read
-        # that ends inside the size UserLib knows reads in full and
-        # needs no look at the inode.
+        # UserLib's size only ever rises to the inode's, so a read that
+        # ends inside the size UserLib knows reads in full and needs no
+        # look at the inode.
         n = nbytes
         size = state.size
         if offset + n > size:
@@ -237,26 +237,25 @@ class UserLib(GuardedIO):
                 self.proc, thread, state.fd, offset, nbytes, data))
         if not state.writable:
             raise PermissionError("file opened read-only")
-        self._refresh_size(state)
-        if offset + nbytes > state.size:
-            return (yield from self._extending_write(
-                thread, state, offset, nbytes, data))
+        # Track the file size UserLib-side.  With optimised appends the
+        # filesystem size includes fallocate padding, so UserLib's own
+        # logical size is authoritative; plain files may have grown
+        # through kernel-path operations, so a write that ends past the
+        # size UserLib knows looks at the inode before it extends.
+        size = state.size
+        if offset + nbytes > size:
+            if not state.prealloc_end:
+                inode_size = state.inode.size
+                if inode_size > size:
+                    size = state.size = inode_size
+            if offset + nbytes > size:
+                return (yield from self._extending_write(
+                    thread, state, offset, nbytes, data))
         if offset % SECTOR or nbytes % SECTOR:
             return (yield from self._partial_write(
                 thread, state, offset, nbytes, data))
         return (yield from self._overwrite(thread, state, offset,
                                            nbytes, data))
-
-    @staticmethod
-    def _refresh_size(state: FileState) -> None:
-        """Track the file size UserLib-side.
-
-        With optimised appends the filesystem size includes fallocate
-        padding, so UserLib's own logical size is authoritative; plain
-        files may have grown through kernel-path operations.
-        """
-        if not state.prealloc_end:
-            state.size = max(state.size, state.inode.size)
 
     def _overwrite(self, thread: Thread, state: FileState, offset: int,
                    nbytes: int, data: Optional[bytes]) -> Generator:

@@ -9,6 +9,7 @@ disable payload capture entirely.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional
 
 from ..hw.params import HardwareParams
@@ -48,9 +49,8 @@ class MediaBackend:
         self.bytes_read += nblocks * LBA_SIZE
         if not self.capture_data:
             return None
-        return b"".join(
-            self._blocks.get(lba + i, _ZERO_BLOCK) for i in range(nblocks)
-        )
+        return b"".join(map(self._blocks.get, range(lba, lba + nblocks),
+                            repeat(_ZERO_BLOCK, nblocks)))
 
     def peek_blocks(self, lba: int, nblocks: int) -> Optional[bytes]:
         """Read payload bytes without touching the access counters.
@@ -64,9 +64,8 @@ class MediaBackend:
             raise ValueError(f"peek beyond capacity: lba={lba} n={nblocks}")
         if not self.capture_data:
             return None
-        return b"".join(
-            self._blocks.get(lba + i, _ZERO_BLOCK) for i in range(nblocks)
-        )
+        return b"".join(map(self._blocks.get, range(lba, lba + nblocks),
+                            repeat(_ZERO_BLOCK, nblocks)))
 
     def write_blocks(self, lba: int, nblocks: int,
                      data: Optional[bytes]) -> None:

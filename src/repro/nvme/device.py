@@ -419,12 +419,19 @@ class NVMeDevice:
         # shared state, so transfer, translate remainder and media are
         # one delay; the payload lands at media end.
         elapsed = self._reserve_link(cmd.nbytes)
-        phases = [("transfer", elapsed)]
-        if translation_ns > elapsed:
-            phases.append(("translate", translation_ns - elapsed))
-        phases.append(("media", self.backend.media_ns(OP_WRITE)))
-        yield from charge_phases(self.sim, phases, tracer=self.tracer,
-                                 category="nvme", parent=cmd.trace)
+        media_ns = self.backend.media_ns(OP_WRITE)
+        if self.tracer.enabled:
+            phases = [("transfer", elapsed)]
+            if translation_ns > elapsed:
+                phases.append(("translate", translation_ns - elapsed))
+            phases.append(("media", media_ns))
+            yield from charge_phases(self.sim, phases, tracer=self.tracer,
+                                     category="nvme", parent=cmd.trace)
+        else:
+            total = (translation_ns if translation_ns > elapsed
+                     else elapsed) + media_ns
+            if total:
+                yield self.sim.timeout(total)
         offset = 0
         for lba, nblocks in segments:
             chunk = None

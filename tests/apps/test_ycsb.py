@@ -1,6 +1,7 @@
 """Unit + property tests for the YCSB generators."""
 
 import importlib.util
+import random
 import sys
 
 import pytest
@@ -58,6 +59,17 @@ class TestZipfian:
     def test_fnv_stays_64bit(self, v):
         assert 0 <= fnv_hash(v) < (1 << 64)
 
+    @given(st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                     st.integers(min_value=-2**80, max_value=-1),
+                     st.integers(min_value=2**64, max_value=2**80)))
+    def test_fnv_equals_the_byte_loop(self, v):
+        assert fnv_hash(v) == _reference_fnv(v)
+
+    def test_fnv_equals_the_byte_loop_at_the_edges(self):
+        for v in (0, 1, 255, 256, 2**63, 2**64 - 1, 2**64, 2**64 + 1,
+                  -1, -256, -2**63, -2**64, 2**200 + 12345):
+            assert fnv_hash(v) == _reference_fnv(v), v
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=100_000),
            st.integers(min_value=0, max_value=2**32))
@@ -65,6 +77,75 @@ class TestZipfian:
         g = ZipfianGenerator(n, seed=seed)
         for _ in range(20):
             assert 0 <= g.next() < n
+
+
+def _reference_fnv(value):
+    """64-bit FNV-1a, one byte per round, low byte first."""
+    h = 0xCBF29CE484222325
+    for _ in range(8):
+        h ^= value & 0xFF
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        value >>= 8
+    return h
+
+
+class _ReferenceZipfian:
+    """YCSB's zipfian draw with every per-draw term written out."""
+
+    def __init__(self, n, seed, scrambled, theta=0.99):
+        self.n = n
+        self.theta = theta
+        self.scrambled = scrambled
+        self.rng = random.Random(seed)
+        self.zetan = ycsb._zeta(n, theta)
+        denom = 1 - ycsb._zeta(2, theta) / self.zetan
+        self.alpha = 1.0 / (1.0 - theta)
+        self.eta = ((1 - (2.0 / n) ** (1 - theta)) / denom
+                    if denom > 1e-12 else 0.0)
+
+    def next(self):
+        u = self.rng.random()
+        uz = u * self.zetan
+        if uz < 1.0:
+            rank = 0
+        elif uz < 1.0 + 0.5 ** self.theta:
+            rank = 1
+        else:
+            rank = min(int(self.n * (self.eta * u - self.eta + 1)
+                           ** self.alpha), self.n - 1)
+        return _reference_fnv(rank) % self.n if self.scrambled else rank
+
+
+def _reference_stream(letter, n, seed, count, max_scan_len=100):
+    """(kind, key, scan_len) per op, the kind picked by summing the
+    mix's shares in order on every draw."""
+    mix = WORKLOAD_MIXES[letter]
+    rng = random.Random(seed)
+    zipf = _ReferenceZipfian(n, seed + 1, scrambled=True)
+    recency = _ReferenceZipfian(n, seed + 2, scrambled=False)
+    latest = n
+    out = []
+    for _ in range(count):
+        u = rng.random()
+        acc = 0.0
+        for kind, frac in mix.items():
+            acc += frac
+            if u < acc:
+                break
+        else:
+            kind = next(iter(mix))
+        if kind == "insert":
+            out.append(("insert", latest, 0))
+            latest += 1
+        elif letter == "D":
+            rank = recency.next() % latest
+            out.append((kind, latest - 1 - rank, 0))
+        elif kind == "scan":
+            key = zipf.next()
+            out.append(("scan", key, rng.randint(1, max_scan_len)))
+        else:
+            out.append((kind, zipf.next(), 0))
+    return out
 
 
 def _reference_zetas(ns, theta):
@@ -188,3 +269,11 @@ class TestWorkloads:
         for op in wl.ops(1000):
             if op.kind != "insert":
                 assert 0 <= op.key < wl._latest.count
+
+    @pytest.mark.parametrize("seed", [7, 1234])
+    @pytest.mark.parametrize("letter", sorted(WORKLOAD_MIXES))
+    def test_op_stream_equals_the_reference(self, letter, seed):
+        for n in (1000, 1_000_000):
+            wl = YCSBWorkload(letter, n, seed=seed)
+            got = [(op.kind, op.key, op.scan_len) for op in wl.ops(2000)]
+            assert got == _reference_stream(letter, n, seed, 2000)

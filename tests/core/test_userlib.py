@@ -254,6 +254,91 @@ class TestOptimizedAppends:
         assert run_appends(True) < run_appends(False)
 
 
+class TestWriteSizeTracking:
+    """A direct write compares its end with the size UserLib knows and
+    looks at the inode only when it ends past it."""
+
+    def test_overwrite_after_another_process_grew_the_file(self, m):
+        m, proc, lib, t, f = setup_file(m, size=0)
+        other = m.spawn_process()
+        other_lib = m.userlib(other)
+        t2 = other.new_thread()
+
+        def body():
+            yield from f.append(t, 4096, b"a" * 4096)
+            g = yield from other_lib.open(t2, "/data", write=True)
+            # Appends modify metadata: the other process's UserLib
+            # sends this one through the kernel.
+            yield from g.append(t2, 4096, b"b" * 4096)
+            assert f.state.size == 4096  # stale until UserLib looks
+            syscalls = m.kernel.syscall_count
+            writes = lib.direct_writes
+            yield from f.pwrite(t, 4096, 4096, b"c" * 4096)
+            assert m.kernel.syscall_count == syscalls
+            assert lib.direct_writes == writes + 1
+            n, data = yield from f.pread(t, 0, 8192)
+            return n, data
+
+        n, data = m.run_process(body())
+        assert (n, data) == (8192, b"a" * 4096 + b"c" * 4096)
+        assert f.state.size == 8192
+        assert m.fs.lookup("/data").size == 8192
+
+    def test_prealloc_file_keeps_its_own_size(self, m):
+        """With optimised appends the inode's size includes fallocate
+        padding, so a write past UserLib's logical size is an append
+        into the pre-allocated blocks, not an overwrite inside the
+        inode's size."""
+        m, proc, lib, t, f = setup_file(m, size=0, optimized=True)
+
+        def body():
+            yield from f.append(t, 4096, b"a" * 4096)
+            assert m.fs.lookup("/data").size > f.state.size == 4096
+            syscalls = m.kernel.syscall_count
+            yield from f.pwrite(t, 4096, 4096, b"b" * 4096)
+            assert m.kernel.syscall_count == syscalls
+            n, data = yield from f.pread(t, 0, 1 << 20)
+            return n, data
+
+        n, data = m.run_process(body())
+        assert (n, data) == (8192, b"a" * 4096 + b"b" * 4096)
+        assert f.state.size == f.size == 8192
+        assert m.fs.lookup("/data").size > 8192
+
+    def test_extending_write_still_reaches_the_kernel(self, m,
+                                                      monkeypatch):
+        m, proc, lib, t, f = setup_file(m, size=0)
+        other = m.spawn_process()
+        other_lib = m.userlib(other)
+        t2 = other.new_thread()
+        extending = []
+        real = lib._extending_write
+
+        def spy(thread, state, offset, nbytes, data):
+            extending.append((offset, nbytes, state.size))
+            return real(thread, state, offset, nbytes, data)
+
+        monkeypatch.setattr(lib, "_extending_write", spy)
+
+        def body():
+            yield from f.append(t, 4096, b"a" * 4096)
+            g = yield from other_lib.open(t2, "/data", write=True)
+            yield from g.append(t2, 4096, b"b" * 4096)
+            syscalls = m.kernel.syscall_count
+            # Ends past the inode's size too: UserLib adopts the grown
+            # size first, so this is an append at EOF.
+            yield from f.pwrite(t, 8192, 4096, b"c" * 4096)
+            assert m.kernel.syscall_count > syscalls
+            n, data = yield from f.pread(t, 0, 1 << 20)
+            return n, data
+
+        n, data = m.run_process(body())
+        assert extending == [(0, 4096, 0), (8192, 4096, 8192)]
+        assert (n, data) == (12288, b"a" * 4096 + b"b" * 4096
+                             + b"c" * 4096)
+        assert f.state.size == m.fs.lookup("/data").size == 12288
+
+
 class TestFsync:
     def test_fsync_flushes_and_commits(self, m):
         m, proc, lib, t, f = setup_file(m)

@@ -2,8 +2,9 @@
 
 Beside ``test_event_budget.py``, which pins the engine events one
 uncontended 4 KiB operation posts, this pins the interpreter work: the
-``call`` events ``sys.setprofile`` sees while a warm 4 KiB read runs
-on a fresh ``Machine``, folded by the ``repro`` package they run in.
+``call`` events ``sys.setprofile`` sees while a warm 4 KiB read (or a
+512 B bypassd overwrite) runs on a fresh ``Machine``, folded by the
+``repro`` package they run in.
 A generator resume is a call; a list, dict or set comprehension's frame
 is not (Python 3.12 inlines them), so the counts agree on 3.10-3.12.
 Only ``repro``'s own code is counted: the standard library's share
@@ -30,15 +31,21 @@ _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 # while no plan is armed.  io_uring is left out: its SQPOLL poller
 # spins through thousands of calls that are not the read's.
 BUDGET = {
-    "bypassd": {"sim": 47, "nvme": 43, "core": 10, "hw": 6, "kernel": 1,
+    "bypassd": {"sim": 47, "nvme": 34, "core": 10, "hw": 6, "kernel": 1,
                 "repro": 1},
-    "sync": {"sim": 47, "nvme": 39, "kernel": 19, "fs": 2, "baselines": 1,
+    "sync": {"sim": 47, "nvme": 30, "kernel": 19, "fs": 2, "baselines": 1,
              "repro": 1},
-    "xrp": {"sim": 47, "nvme": 39, "kernel": 19, "fs": 2, "baselines": 1,
+    "xrp": {"sim": 47, "nvme": 30, "kernel": 19, "fs": 2, "baselines": 1,
             "repro": 1},
-    "libaio": {"sim": 79, "nvme": 40, "baselines": 36, "kernel": 9,
+    "libaio": {"sim": 79, "nvme": 31, "baselines": 36, "kernel": 9,
                "fs": 2, "repro": 1},
 }
+
+# Calls per layer for one warm 512 B overwrite on bypassd: UserLib's
+# size check, one direct VBA write and the device's fused
+# transfer + media delay.
+WRITE_BUDGET = {"sim": 35, "nvme": 31, "core": 14, "hw": 7, "kernel": 1,
+                "repro": 1}
 
 # Calls per layer for a warm kernel open + close pair on the sync
 # engine: the metadata path that every fmap() is bracketed by.
@@ -98,21 +105,31 @@ def _warm_machine(engine):
     return m, thread, eng, files[0]
 
 
-def _one_read(engine):
+def _one_command(engine, op):
     m, thread, _eng, f = _warm_machine(engine)
-
-    def op():
-        yield from f.pread(thread, 0, 4096)
-
     served = m.device.commands_served
-    counts = _calls_per_layer(lambda: m.run_process(op()))
+    counts = _calls_per_layer(lambda: m.run_process(op(f, thread)))
     assert m.device.commands_served - served == 1
     return counts
+
+
+def _one_read(engine):
+    def op(f, thread):
+        yield from f.pread(thread, 0, 4096)
+
+    return _one_command(engine, op)
 
 
 @pytest.mark.parametrize("engine", sorted(BUDGET))
 def test_calls_per_layer_for_one_4k_read(engine):
     assert _one_read(engine) == BUDGET[engine]
+
+
+def test_calls_per_layer_for_one_warm_512b_bypassd_write():
+    def op(f, thread):
+        yield from f.pwrite(thread, 0, 512, b"w" * 512)
+
+    assert _one_command("bypassd", op) == WRITE_BUDGET
 
 
 def test_calls_per_layer_for_one_warm_open_close():

@@ -113,13 +113,35 @@ def test_events_per_wiredtiger_read_with_one_path_miss():
     assert (m.sim._seq - seq, m.now - now) == (19, 6169)
 
 
+def test_events_per_wiredtiger_update_with_one_path_miss():
+    """A YCSB update on bypassd whose path misses only at the leaf: the
+    read path of the test above, then one lock grant and one delay for
+    the leaf's cache touch and one direct 512 B write, whose transfer
+    and media are one device delay."""
+    m = Machine()
+    proc = m.spawn_process("wt")
+    thread = proc.new_thread()
+    geom = BTreeGeometry(100_000)
+    model = WiredTigerModel(m, geom, 1 << 20, make_engine(m, proc,
+                                                          "bypassd"))
+    model.setup(proc)
+    m.run_process(model.do_op(thread, YCSBOp("read", 0)))
+
+    seq, now, ios = m.sim._seq, m.now, model.ios
+    served = m.device.commands_served
+    m.run_process(model.do_op(thread, YCSBOp("update", 16)))
+    assert (model.ios - ios, m.device.commands_served - served) == (2, 2)
+    assert (m.sim._seq - seq, m.now - now) == (30, 10259)
+
+
 @pytest.mark.parametrize("engine", ["sync", "bypassd"])
 def test_steady_state_read_loop_builds_no_new_event(engine, monkeypatch):
     """Every processed event that nothing else holds goes back to the
-    pool, so once the pool is warm a 4 KiB read loop allocates no
-    ``Event``: a generator frame that keeps a reference to a processed
-    event (the one it blocked on, a submit, a channel wake-up) stops it
-    from being recycled and shows up here."""
+    pool, so once the pools are warm a 4 KiB read loop allocates no
+    ``Event`` or ``Timeout``: a generator frame that keeps a reference
+    to a processed event (the one it blocked on, a submit, a channel
+    wake-up, a device delay) stops it from being recycled and shows up
+    here."""
     from repro.sim import engine as engine_mod
 
     m = Machine()
@@ -130,7 +152,7 @@ def test_steady_state_read_loop_builds_no_new_event(engine, monkeypatch):
     original = engine_mod.Event.__init__
 
     def counting_init(event, sim):
-        if type(event) is engine_mod.Event:
+        if type(event) in (engine_mod.Event, engine_mod.Timeout):
             built.append(event)
         original(event, sim)
 
@@ -148,4 +170,42 @@ def test_steady_state_read_loop_builds_no_new_event(engine, monkeypatch):
     served = m.device.commands_served
     m.run_process(workload())
     assert m.device.commands_served - served >= 256 + 64
+    assert built == []
+
+
+def test_steady_state_wiredtiger_update_loop_builds_no_new_event(
+        monkeypatch):
+    """The same for YCSB updates on bypassd: a B-tree walk under the
+    cache lock, a direct 512 B read on a leaf miss and a direct 512 B
+    write of the leaf, over and over."""
+    from repro.sim import engine as engine_mod
+
+    m = Machine()
+    proc = m.spawn_process("wt")
+    thread = proc.new_thread()
+    geom = BTreeGeometry(100_000)
+    model = WiredTigerModel(m, geom, 1 << 20, make_engine(m, proc,
+                                                          "bypassd"))
+    model.setup(proc)
+    built = []
+    original = engine_mod.Event.__init__
+
+    def counting_init(event, sim):
+        if type(event) in (engine_mod.Event, engine_mod.Timeout):
+            built.append(event)
+        original(event, sim)
+
+    def updates(first, n):
+        for i in range(first, first + n):
+            # A new leaf every op: a 16-key stride is one leaf apart.
+            yield from model.do_op(thread, YCSBOp("update", 16 * i))
+
+    def workload():
+        yield from updates(0, 64)                 # warm the pools
+        monkeypatch.setattr(engine_mod.Event, "__init__", counting_init)
+        yield from updates(64, 256)
+
+    ios = model.ios
+    m.run_process(workload())
+    assert model.ios - ios >= 2 * 256
     assert built == []
